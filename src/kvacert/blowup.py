@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import floor
+from math import floor, isqrt
 
 from .exactmath import RatLike, as_rat
 from .hyperell import DivisorClass, intersect, self_intersection
@@ -103,26 +102,95 @@ class ObstructionWitness:
         return bs_condition3(self.nd, self.d2, k)
 
 
-@lru_cache(maxsize=None)
+#: Largest search :func:`search_obstruction` attempts, in the units of
+#: :func:`_search_estimate`.  The largest instance in the tests, benchmark and
+#: README, (3,3) at k=8, r=40 under the standard formula, estimates 16,496,069.
+SEARCH_BUDGET = 2 * 10**8
+
+
+class SearchTooLarge(ValueError):
+    """The estimated obstruction search exceeds :data:`SEARCH_BUDGET`."""
+
+    def __init__(self, estimate: int) -> None:
+        super().__init__(
+            f"obstruction search too large: estimated {estimate} steps exceed the budget "
+            f"of {SEARCH_BUDGET}; use a larger delta or a smaller k"
+        )
+        self.estimate = estimate
+
+
+def _search_estimate(a: int, b: int, t: int, r: int, m_max: int, formula: str) -> int:
+    """Closed-form upper bound on the search's steps: condition tests and table bits.
+
+    Rows (M, alpha) number sum_M (floor(t(M+1)/b) + 1).  Each row holds at most
+    floor((t-1)/a) + 1 values of beta with 1 <= N.D <= t, and each such cell
+    tests every D^2 option of M.  Under the standard formula sum m_i^2 over j
+    parts takes values of the parity of M in [M^2/j, M^2], at most as many as
+    for M = m_max; the table of those values holds at most n^2 + 1 bits per
+    entry (j, n).
+    """
+    rows = t * (m_max + 1) * (m_max + 2) // (2 * b) + m_max + 1
+    width = (t - 1) // a + 1
+    if formula == "paper" or m_max == 0:
+        return rows * width
+    parts = min(r, m_max)
+    options = m_max * m_max * (parts - 1) // (2 * parts) + 1
+    table_bits = (parts + 1) * (m_max * (m_max + 1) * (2 * m_max + 1) // 6 + m_max + 1)
+    return rows * width * options + table_bits
+
+
+class _SquareSums:
+    """Achievable values of sum(m_i^2) over partitions, as integer bitsets.
+
+    ``reach[j][n]`` has bit q set when some partition of n into at most j
+    parts has sum(m_i^2) = q.  Splitting off any one part p gives
+    ``reach[j][n] = OR_p reach[j-1][n-p] << p*p`` for n >= 1 (partitions with
+    fewer than j parts are reached through reach[j-1] already).
+    """
+
+    def __init__(self, max_parts: int, max_sum: int) -> None:
+        prev = [1] + [0] * max_sum  # no parts: only the empty partition of 0
+        self.reach = [prev]
+        for j in range(1, max_parts + 1):
+            row = prev[:j]  # n < j has fewer than j parts anyway
+            for n in range(j, max_sum + 1):
+                bits = 0
+                for p in range(1, n + 1):
+                    bits |= prev[n - p] << (p * p)
+                row.append(bits)
+            self.reach.append(row)
+            prev = row
+
+    def values(self, n: int, parts: int) -> list[int]:
+        """The achievable values for n into at most ``parts`` parts, ascending."""
+        bits = bin(self.reach[parts][n])[:1:-1]
+        return [q for q, bit in enumerate(bits) if bit == "1"]
+
+    def representative(self, q: int, n: int, parts: int) -> tuple[int, ...]:
+        """The lexicographically largest descending partition achieving value q.
+
+        Greedy: take the largest p whose remainder n-p can still reach q-p^2 in
+        one part fewer.  No remaining part can exceed p, since a larger one
+        could have been taken first.
+        """
+        rep = []
+        while n:
+            p = next(p for p in range(min(n, isqrt(q)), 0, -1)
+                     if self.reach[parts - 1][n - p] >> (q - p * p) & 1)
+            rep.append(p)
+            n, q, parts = n - p, q - p * p, parts - 1
+        return tuple(rep)
+
+
 def _square_sum_options(m_sum: int, max_parts: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Distinct values of sum(m_i^2) over partitions of m_sum into <= max_parts parts.
 
     Returns (value, representative partition) pairs sorted by value; the
-    representative is the first partition found in descending-lex order.
+    representative is the lexicographically largest descending partition.
     """
-    reps: dict[int, tuple[int, ...]] = {}
-
-    def walk(rest: int, max_part: int, parts_left: int, acc: tuple[int, ...], sq: int):
-        if rest == 0:
-            reps.setdefault(sq, acc)
-            return
-        if parts_left == 0:
-            return
-        for first in range(min(rest, max_part), 0, -1):
-            walk(rest - first, first, parts_left - 1, acc + (first,), sq + first * first)
-
-    walk(m_sum, m_sum, min(max_parts, m_sum), (), 0)
-    return tuple(sorted(reps.items()))
+    parts = min(max_parts, m_sum)
+    table = _SquareSums(parts, m_sum)
+    return tuple((q, table.representative(q, m_sum, parts)) for q in table.values(m_sum, parts))
 
 
 def search_obstruction(
@@ -145,6 +213,14 @@ def search_obstruction(
     :func:`bs_condition3`.  An empty result certifies non-existence within
     the bounds.
 
+    With t = k+1 and M = sum m_i, N.D = L.D_S - t*M, so the two bounds on
+    L.D_S = a*beta + b*alpha leave 1 <= N.D <= t.  For each (M, alpha) the
+    walk therefore visits only the beta window
+
+        ceil((t*M + 1 - b*alpha)/a) <= beta <= floor((t*(M+1) - b*alpha)/a)
+
+    and tests every D^2 option on each of its cells.
+
     Multiplicity vectors are represented up to permutation by sorted
     multisets.  Only sum(m_i) enters N.D; for D^2 the two supported
     conventions differ:
@@ -155,9 +231,16 @@ def search_obstruction(
     * ``formula="standard"``: D^2 = D_S^2 - sum m_i^2.  Distinct multisets
       with equal sum now give distinct numbers, so every achievable value
       of sum(m_i^2) (over partitions into at most r parts) is enumerated.
+      The values come from one bitset table per search (:class:`_SquareSums`,
+      polynomial in M); a witness carries the lexicographically largest
+      descending partition achieving its value.
 
     The discrepancy between the two conventions is deliberate and surfaced
     to callers; it is never resolved silently.
+
+    Raises :class:`SearchTooLarge`, before any work, when the closed-form
+    bound of :func:`_search_estimate` on condition tests and table bits
+    exceeds :data:`SEARCH_BUDGET`.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -174,32 +257,37 @@ def search_obstruction(
 
     t = k + 1
     m_max = floor(Fraction(t) / delta) if r >= 1 else 0
+    estimate = _search_estimate(a, b, t, r, m_max, formula)
+    if estimate > SEARCH_BUDGET:
+        raise SearchTooLarge(estimate)
+    table = _SquareSums(min(r, m_max), m_max) if formula == "standard" else None
 
+    condition = bs_condition3
     witnesses: list[ObstructionWitness] = []
     for m_sum in range(0, m_max + 1):
+        # D^2 option -> multiplicity vector; standard-formula ones are filled in
+        # only for options that a witness uses
         if m_sum == 0:
-            q_options: tuple[tuple[int, tuple[int, ...]], ...] = ((0, ()),)
-        elif formula == "paper":
-            q_options = ((m_sum * m_sum, (m_sum,)),)
+            mults_of = {0: (0,) * r}
+        elif table is None:
+            mults_of = {m_sum * m_sum: (m_sum,) + (0,) * (r - 1)}
         else:
-            q_options = _square_sum_options(m_sum, min(r, m_sum))
-        bound = t * (1 + m_sum)  # cap on L.D_S = a*beta + b*alpha
-        for alpha in range(0, bound // b + 1):
-            rest = bound - b * alpha
-            for beta in range(0, rest // a + 1):
-                if alpha == 0 and beta == 0:
-                    continue
-                lds = a * beta + b * alpha
-                nd = lds - t * m_sum
-                if nd < 1:  # N is ample, so N.D >= 1 for effective D
-                    continue
+            parts = min(r, m_sum)
+            mults_of = {}
+        q_values = list(mults_of) or table.values(m_sum, parts)
+        low = t * m_sum + 1  # N.D >= 1
+        high = t * m_sum + t  # L.D_S <= t(1 + M), i.e. N.D <= t
+        for alpha in range(0, high // b + 1):
+            b_alpha = b * alpha
+            for beta in range(max(0, -((b_alpha - low) // a)), (high - b_alpha) // a + 1):
+                nd = a * beta + b_alpha - t * m_sum
                 ds2 = 2 * alpha * beta
-                for sq, parts in q_options:
-                    d2 = ds2 - sq
-                    if bs_condition3(nd, d2, k):
-                        mults = parts + (0,) * (r - len(parts))
-                        witnesses.append(
-                            ObstructionWitness(DivisorClass(alpha, beta), mults, nd, d2)
-                        )
+                for sq in q_values:
+                    if condition(nd, ds2 - sq, k):
+                        if sq not in mults_of:
+                            rep = table.representative(sq, m_sum, parts)
+                            mults_of[sq] = rep + (0,) * (r - len(rep))
+                        witnesses.append(ObstructionWitness(
+                            DivisorClass(alpha, beta), mults_of[sq], nd, ds2 - sq))
     witnesses.sort(key=lambda w: (w.d_s.a, w.d_s.b, sum(w.mults), w.d2, w.mults))
     return witnesses

@@ -15,7 +15,7 @@ from math import floor
 
 import click
 
-from .blowup import search_obstruction, seshadri_lower_sq, star_holds
+from .blowup import SearchTooLarge, search_obstruction, seshadri_lower_sq, star_holds
 from .constants import (
     C_MAX_DEFAULT,
     DELTA_DEFAULT,
@@ -373,7 +373,8 @@ def obstructions(ctx, surface, a, b, k, r, delta_str, formula, json_out, quiet):
     """Brute-force search for numerical obstruction divisors within the proof bounds.
 
     Exit 0 when no candidate exists inside the bounds, 1 when witnesses are
-    found (each is printed with its intersection numbers).
+    found (each is printed with its intersection numbers), 2 when the
+    estimated search exceeds the work budget (the estimate is printed).
     """
     json_out, quiet = _merged_flags(ctx, json_out, quiet)
     delta = _rat_arg(delta_str, "--delta")
@@ -386,7 +387,10 @@ def obstructions(ctx, surface, a, b, k, r, delta_str, formula, json_out, quiet):
     l_s = DivisorClass(a, b, surface)
     if not is_ample(l_s):
         raise click.UsageError(f"class ({a},{b}) is not ample (need a > 0 and b > 0)")
-    witnesses = search_obstruction(l_s, k, r, delta, formula=formula)
+    try:
+        witnesses = search_obstruction(l_s, k, r, delta, formula=formula)
+    except SearchTooLarge as exc:
+        raise click.UsageError(str(exc)) from None
     if json_out:
         _emit_json(
             {

@@ -2,14 +2,20 @@
 
 import itertools
 import random
+import time
+from collections import defaultdict
 from fractions import Fraction
 from math import floor
 
 import pytest
 
+import kvacert.blowup as blowup_module
 from kvacert.blowup import (
+    SEARCH_BUDGET,
     BlowupClass,
     ObstructionWitness,
+    SearchTooLarge,
+    _search_estimate,
     _square_sum_options,
     blowup_intersect,
     bs_condition3,
@@ -245,3 +251,126 @@ class TestSquareSumOptions:
                     assert sum(parts) == m_sum
                     assert len(parts) <= cap
                     assert sum(p * p for p in parts) == value
+
+    def test_representatives_are_lexicographic_maxima(self):
+        # brute force: every descending partition, grouped by sum of squares
+        for m_sum in range(0, 21):
+            partitions = list(_partitions(m_sum, m_sum))
+            for cap in range(0, m_sum + 2):
+                best: dict[int, tuple[int, ...]] = {}
+                for parts in partitions:
+                    if len(parts) <= cap:
+                        value = sum(p * p for p in parts)
+                        best[value] = max(best.get(value, parts), parts)
+                assert _square_sum_options(m_sum, cap) == tuple(sorted(best.items())), (m_sum, cap)
+
+
+def _partitions(n, max_part):
+    """Every partition of n into parts <= max_part, each as a descending tuple."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _partition_walk_options(m_sum, max_parts):
+    """The partition walk the bitset table replaced: first hit in descending-lex order."""
+    reps = {}
+
+    def walk(rest, max_part, parts_left, acc, sq):
+        if rest == 0:
+            reps.setdefault(sq, acc)
+            return
+        if parts_left == 0:
+            return
+        for first in range(min(rest, max_part), 0, -1):
+            walk(rest - first, first, parts_left - 1, acc + (first,), sq + first * first)
+
+    walk(m_sum, m_sum, min(max_parts, m_sum), (), 0)
+    return tuple(sorted(reps.items()))
+
+
+def _box_walk_search(a, b, k, r, delta, formula, condition):
+    """The box walk the beta window replaced: every beta up to the L.D_S cap."""
+    t = k + 1
+    m_max = floor(Fraction(t) / delta) if r >= 1 else 0
+    witnesses = []
+    for m_sum in range(0, m_max + 1):
+        if m_sum == 0:
+            q_options = ((0, ()),)
+        elif formula == "paper":
+            q_options = ((m_sum * m_sum, (m_sum,)),)
+        else:
+            q_options = _partition_walk_options(m_sum, min(r, m_sum))
+        bound = t * (1 + m_sum)
+        for alpha in range(0, bound // b + 1):
+            rest = bound - b * alpha
+            for beta in range(0, rest // a + 1):
+                if alpha == 0 and beta == 0:
+                    continue
+                nd = a * beta + b * alpha - t * m_sum
+                if nd < 1:
+                    continue
+                for sq, parts in q_options:
+                    d2 = 2 * alpha * beta - sq
+                    if condition(nd, d2, k):
+                        mults = parts + (0,) * (r - len(parts))
+                        witnesses.append(
+                            ObstructionWitness(DivisorClass(alpha, beta), mults, nd, d2)
+                        )
+    witnesses.sort(key=lambda w: (w.d_s.a, w.d_s.b, sum(w.mults), w.d2, w.mults))
+    return witnesses
+
+
+class TestSearchAgainstBoxWalk:
+    GRID = [
+        (a, b, k, r, delta)
+        for a, b in ((1, 1), (1, 3), (2, 2), (3, 3), (5, 4))
+        for k in (2, 3)
+        for r in (0, 1, 2, 4, 7)
+        for delta in (DELTA, Fraction(1, 3), Fraction(1))
+    ]
+
+    @pytest.mark.parametrize("formula", ["paper", "standard"])
+    def test_identical_witnesses_and_condition_tests(self, formula, monkeypatch):
+        calls = defaultdict(int)
+
+        def counting(name):
+            def condition(nd, d2, k):
+                calls[name] += 1
+                return bs_condition3(nd, d2, k)
+            return condition
+
+        monkeypatch.setattr(blowup_module, "bs_condition3", counting("window"))
+        box_condition = counting("box")
+        for a, b, k, r, delta in self.GRID:
+            calls.clear()
+            got = search_obstruction(DivisorClass(a, b), k, r, delta, formula=formula)
+            want = _box_walk_search(a, b, k, r, delta, formula, box_condition)
+            case = (a, b, k, r, delta, formula)
+            assert got == want, case
+            assert calls["window"] == calls["box"], case
+            t = k + 1
+            m_max = floor(Fraction(t) / delta) if r >= 1 else 0
+            assert calls["window"] <= _search_estimate(a, b, t, r, m_max, formula), case
+
+
+class TestSearchBudget:
+    def test_oversized_search_is_refused_promptly(self):
+        start = time.monotonic()
+        with pytest.raises(SearchTooLarge) as info:
+            search_obstruction(DivisorClass(12, 12), 2, 28, Fraction(1, 10_000_000))
+        assert info.value.estimate > SEARCH_BUDGET
+        assert str(info.value.estimate) in str(info.value)
+        assert time.monotonic() - start < 1.0
+
+    def test_standard_table_counts_towards_the_budget(self):
+        # no cell in the window for a huge polarization, but the D^2 table alone is too big
+        with pytest.raises(SearchTooLarge):
+            search_obstruction(DivisorClass(10**6, 10**6), 2, 10**6, Fraction(1, 1000),
+                               formula="standard")
+
+    def test_largest_known_instance_is_far_below_the_budget(self):
+        # (3,3) at k=8, r=40 under the standard formula: m_max = floor(9/0.178) = 50
+        assert 10 * _search_estimate(3, 3, 9, 40, 50, "standard") <= SEARCH_BUDGET

@@ -204,6 +204,14 @@ class TestObstructions:
         assert run(runner, ["obstructions", "-a", "3", "-b", "3", "-k", "1", "-r", "4"]).exit_code == 2
         assert run(runner, ["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4", "--delta", "0"]).exit_code == 2
 
+    def test_oversized_search_refused_with_estimate(self, runner):
+        result = run(
+            runner,
+            ["obstructions", "-a", "12", "-b", "12", "-k", "2", "-r", "28", "--delta", "1/10000000"],
+        )
+        assert result.exit_code == 2
+        assert "estimated 112500041250001 steps exceed the budget" in result.output
+
 
 class TestSurfaces:
     def test_seven_rows(self, runner):
