@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt
 
+from .constants import sigma_bound
 from .exactmath import RatLike, as_rat
 from .hyperell import DivisorClass, intersect, self_intersection
 
@@ -107,6 +108,11 @@ class ObstructionWitness:
 #: README, (3,3) at k=8, r=40 under the standard formula, estimates 16,496,069.
 SEARCH_BUDGET = 2 * 10**8
 
+#: Steps a cell with a single D^2 option counts for: such a cell (every cell
+#: under the paper formula) costs about 650 ns, a condition test in a cell with
+#: many options about 36 ns (2-CPU Xeon VM, Python 3.11).
+PAPER_CELL_STEPS = 18
+
 
 class SearchTooLarge(ValueError):
     """The estimated obstruction search exceeds :data:`SEARCH_BUDGET`."""
@@ -124,7 +130,8 @@ def _search_estimate(a: int, b: int, t: int, r: int, m_max: int, formula: str) -
 
     Rows (M, alpha) number sum_M (floor(t(M+1)/b) + 1).  Each row holds at most
     floor((t-1)/a) + 1 values of beta with 1 <= N.D <= t, and each such cell
-    tests every D^2 option of M.  Under the standard formula sum m_i^2 over j
+    tests every D^2 option of M; a cell with a single option counts as
+    :data:`PAPER_CELL_STEPS` steps.  Under the standard formula sum m_i^2 over j
     parts takes values of the parity of M in [M^2/j, M^2], at most as many as
     for M = m_max; the table of those values holds at most n^2 + 1 bits per
     entry (j, n).
@@ -132,7 +139,7 @@ def _search_estimate(a: int, b: int, t: int, r: int, m_max: int, formula: str) -
     rows = t * (m_max + 1) * (m_max + 2) // (2 * b) + m_max + 1
     width = (t - 1) // a + 1
     if formula == "paper" or m_max == 0:
-        return rows * width
+        return PAPER_CELL_STEPS * rows * width
     parts = min(r, m_max)
     options = m_max * m_max * (parts - 1) // (2 * parts) + 1
     table_bits = (parts + 1) * (m_max * (m_max + 1) * (2 * m_max + 1) // 6 + m_max + 1)
@@ -256,7 +263,7 @@ def search_obstruction(
         raise ValueError("the polarization must be ample (a >= 1 and b >= 1)")
 
     t = k + 1
-    m_max = floor(Fraction(t) / delta) if r >= 1 else 0
+    m_max = floor(sigma_bound(t, delta)) if r >= 1 else 0
     estimate = _search_estimate(a, b, t, r, m_max, formula)
     if estimate > SEARCH_BUDGET:
         raise SearchTooLarge(estimate)

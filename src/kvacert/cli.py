@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import floor
 
 import click
 
-from .blowup import SearchTooLarge, search_obstruction, seshadri_lower_sq, star_holds
+from .blowup import SearchTooLarge, search_obstruction, seshadri_lower_sq
 from .constants import (
     C_MAX_DEFAULT,
     DELTA_DEFAULT,
     CertRecord,
     ConstantsReport,
     c_max_search,
+    certify_instance,
+    max_points,
     render_margin,
 )
 from .exactmath import QuadExpr, as_rat, decimal_str, frac_str
@@ -60,6 +61,10 @@ def _margin_fields(value) -> tuple[str | None, str | None]:
     if isinstance(value, QuadExpr):
         return str(value), value.approx_str()
     return frac_str(value), decimal_str(value)
+
+
+def _checks_to_list(checks: list[tuple[str, bool, str]]) -> list[dict]:
+    return [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks]
 
 
 def _cert_to_dict(rec: CertRecord) -> dict:
@@ -136,8 +141,8 @@ def main(ctx: click.Context, json_out: bool, quiet: bool) -> None:
 def check(ctx, surface, a, b, k, d, r, c_str, delta_str, json_out, quiet):
     """Certify k-very ampleness of pi^*(a,b) - k*sum(E_i) on the blow-up at r points.
 
-    Exit 0 when every hypothesis holds (certified), 1 otherwise; the
-    certificate lists each check either way.
+    Exit 0 when every hypothesis and certificate check holds (certified), 1
+    otherwise; the output lists each check either way.
     """
     json_out, quiet = _merged_flags(ctx, json_out, quiet)
     c = _rat_arg(c_str, "--c")
@@ -146,61 +151,38 @@ def check(ctx, surface, a, b, k, d, r, c_str, delta_str, json_out, quiet):
         raise click.UsageError("--c must lie in (0, 1)")
     if delta <= 0:
         raise click.UsageError("--delta must be positive")
-    stype = surface_by_id(surface)
-    l_s = DivisorClass(a, b, stype.id)
-    l2 = self_intersection(l_s)
-    t = k + 1
-    r_max = floor(c * l2 / (t * t)) if (k >= 0 and l2 > 0) else 0
-    checks = [
-        ("k-ge-2", k >= 2, f"k = {k}"),
-        ("d-gt-(k+1)^2", d > t * t, f"d = {d}, (k+1)^2 = {t * t}"),
-        ("a-ge-d+2", a >= d + 2, f"a = {a}, d+2 = {d + 2}"),
-        ("b-ge-d+2", b >= d + 2, f"b = {b}, d+2 = {d + 2}"),
-        ("r-ge-2", r >= 2, f"r = {r}"),
-        ("r-le-r_max", r <= r_max, f"r = {r}, r_max = floor(c*L^2/(k+1)^2) = {r_max}"),
-    ]
-    certified = all(ok for _, ok, _ in checks)
-    n2 = l2 - t * t * r
-    threshold = t + delta
-    threshold_sq = threshold * threshold
-    ses_sq = None
-    star = None
-    if r >= 1 and l2 > 0:
-        ses_sq = seshadri_lower_sq(l_s, r)
-        star = star_holds(l_s, r, k, delta)
-    verdict = "k-very-ample-certified" if certified else "hypotheses-not-met"
+    cert = certify_instance(surface, a, b, k, d, r, c, delta)
+    ses_sq, threshold_sq = cert.seshadri_lower_sq, cert.threshold_sq
 
     if json_out:
         _emit_json(
             {
                 "inputs": {"surface": surface, "a": a, "b": b, "k": k, "d": d, "r": r},
-                "hypothesis_checks": [
-                    {"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks
-                ],
+                "hypothesis_checks": _checks_to_list(cert.hypothesis_checks),
+                "certificate_checks": _checks_to_list(cert.certificate_checks),
                 "derived": {
-                    "L2": l2,
-                    "r_max": r_max,
-                    "N2": n2,
+                    "L2": cert.l2,
+                    "r_max": cert.r_max,
+                    "N2": cert.n2,
                     "seshadri_lower_sq": frac_str(ses_sq) if ses_sq is not None else None,
                     "seshadri_lower_sq_approx": decimal_str(ses_sq) if ses_sq is not None else None,
                     "seshadri_lower_approx": _sqrt_approx(ses_sq) if ses_sq is not None else None,
                     "threshold_sq": frac_str(threshold_sq),
                     "threshold_sq_approx": decimal_str(threshold_sq),
-                    "star_holds": star,
+                    "star_holds": cert.star,
                     "c": frac_str(c),
                     "delta": frac_str(delta),
                 },
-                "verdict": verdict,
+                "verdict": cert.verdict,
             }
         )
     else:
-        click.echo(
-            f"inputs: surface={surface} ({stype.group_name}) a={a} b={b} k={k} d={d} r={r}"
-        )
+        group = surface_by_id(surface).group_name
+        click.echo(f"inputs: surface={surface} ({group}) a={a} b={b} k={k} d={d} r={r}")
         if not quiet:
-            for name, ok, detail in checks:
+            for name, ok, detail in cert.hypothesis_checks + cert.certificate_checks:
                 click.echo(f"  [{'ok' if ok else 'FAIL'}] {name}: {detail}")
-            click.echo(f"  L^2 = {l2}, r_max = {r_max}, N^2 = {n2}")
+            click.echo(f"  L^2 = {cert.l2}, r_max = {cert.r_max}, N^2 = {cert.n2}")
             if ses_sq is not None:
                 click.echo(
                     f"  Seshadri lower bound^2 = {frac_str(ses_sq)}"
@@ -208,10 +190,10 @@ def check(ctx, surface, a, b, k, d, r, c_str, delta_str, json_out, quiet):
                 )
                 click.echo(
                     f"  threshold (k+1+delta)^2 = {frac_str(threshold_sq)}"
-                    f" (~{decimal_str(threshold_sq)}), exceeded: {star}"
+                    f" (~{decimal_str(threshold_sq)}), exceeded: {cert.star}"
                 )
-        click.echo(f"verdict: {verdict}")
-    ctx.exit(0 if certified else 1)
+        click.echo(f"verdict: {cert.verdict}")
+    ctx.exit(0 if cert.certified else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +218,12 @@ def max_r(ctx, surface, a, b, k, c_str, json_out, quiet):
     l_s = DivisorClass(a, b, surface)
     if not is_ample(l_s):
         raise click.UsageError(f"class ({a},{b}) is not ample (need a > 0 and b > 0)")
-    t = k + 1
     l2 = self_intersection(l_s)
-    r_max = floor(c * l2 / (t * t))
+    r_max = max_points(l2, k, c)
     warnings = []
     if r_max < 2:
         warnings.append(f"r_max = {r_max} is below the theorem's floor r >= 2")
-    min_coord = t * t + 3  # smallest admissible d+2
+    min_coord = (k + 1) ** 2 + 3  # smallest admissible d+2
     if a < min_coord or b < min_coord:
         warnings.append(
             f"full hypotheses also need a, b >= d+2 > (k+1)^2+2; here that means >= {min_coord}"

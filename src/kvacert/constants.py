@@ -32,8 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import floor
 
+# a module import: blowup imports sigma_bound from this module
+from . import blowup
 from .exactmath import (
     Poly,
     PolyRayResult,
@@ -45,6 +48,7 @@ from .exactmath import (
     poly_positive_on_ray,
     quad_floor_milli,
 )
+from .hyperell import DivisorClass, self_intersection
 
 #: the binding case of the main theorem: k = 2, i.e. t = k + 1 = 3
 BINDING_T = 3
@@ -119,12 +123,6 @@ class ConstantsReport:
     kmin: int
     feasible: bool
     scanned: int
-
-    def constraint(self, cert_id: str) -> CertRecord:
-        for rec in self.per_constraint:
-            if rec.id == cert_id:
-                return rec
-        raise KeyError(cert_id)
 
     def discrepancy(self, disc_id: str) -> Discrepancy:
         for d in self.discrepancies:
@@ -469,52 +467,27 @@ def pipeline_certs(c: RatLike, t0: int = BINDING_T) -> tuple[bool, Fraction | No
     reproducing the canonical constants requires exactly this protocol.
     """
     c = as_rat(c)
-    records: list[CertRecord] = []
+
+    def refuted(margin, reason):
+        return False, None, [CertRecord("delta-positive", "refuted", margin,
+                                        details={"reason": reason})]
+
     try:
         slack = delta_raw_at(c, t0)
     except ValueError:
-        records.append(
-            CertRecord(
-                id="delta-positive",
-                status="refuted",
-                margin=_radicand(c, t0),
-                details={"reason": "radicand not positive"},
-            )
-        )
-        return False, None, records
+        return refuted(_radicand(c, t0), "radicand not positive")
     if slack.sign() <= 0:
-        records.append(
-            CertRecord(
-                id="delta-positive",
-                status="refuted",
-                margin=slack,
-                details={"reason": "raw slack not positive"},
-            )
-        )
-        return False, None, records
+        return refuted(slack, "raw slack not positive")
     delta = quad_floor_milli(slack)
     if delta <= 0:
-        records.append(
-            CertRecord(
-                id="delta-positive",
-                status="refuted",
-                margin=slack,
-                details={"reason": "slack floors to zero at 3 decimals"},
-            )
-        )
-        return False, None, records
-    records.append(
-        CertRecord(
-            id="delta-positive",
-            status="certified",
-            margin=slack,
-            details={"delta_floor_milli": delta},
-        )
-    )
-    records.append(n2_chain_cert(c, t0))
-    records.append(case1_cert(c, t0))
-    records.append(interval_containment_cert(c, t0))
-    records.append(g_positive_cert(c, delta, t0))
+        return refuted(slack, "slack floors to zero at 3 decimals")
+    records = [
+        CertRecord("delta-positive", "certified", slack, details={"delta_floor_milli": delta}),
+        n2_chain_cert(c, t0),
+        case1_cert(c, t0),
+        interval_containment_cert(c, t0),
+        g_positive_cert(c, delta, t0),
+    ]
     feasible = all(r.certified for r in records)
     return feasible, delta, records
 
@@ -562,6 +535,93 @@ def c_max_search(grid_step: RatLike = Fraction(1, 1000), kmin: int = 2) -> Const
         feasible=winner is not None,
         scanned=scanned,
     )
+
+
+# ---------------------------------------------------------------------------
+# one instance of the theorem
+# ---------------------------------------------------------------------------
+
+
+def max_points(l2: int, k: int, c: RatLike) -> int:
+    """The point-count bound r_max = floor(c * L^2/(k+1)^2); 0 when k < 0 or L^2 <= 0."""
+    t = k + 1
+    return floor(as_rat(c) * l2 / (t * t)) if (k >= 0 and l2 > 0) else 0
+
+
+@cache
+def _certified_constants() -> tuple[Fraction, Fraction]:
+    """(c, delta) certified by the pipeline at the default constant, once per process."""
+    feasible, delta, _ = pipeline_certs(C_MAX_DEFAULT)
+    if not feasible:
+        raise RuntimeError("the default constant failed its certificates unexpectedly")
+    return C_MAX_DEFAULT, delta
+
+
+@dataclass
+class InstanceCertificate:
+    """The verdict on one theorem instance, with every check and number behind it.
+
+    Each check is a (name, ok, detail) triple.  The instance is certified
+    only when every hypothesis check and every certificate check is ok.
+    """
+
+    hypothesis_checks: list[tuple[str, bool, str]]
+    certificate_checks: list[tuple[str, bool, str]]
+    l2: int
+    r_max: int
+    n2: int
+    seshadri_lower_sq: Fraction | None
+    threshold_sq: Fraction
+    star: bool | None
+
+    @property
+    def certified(self) -> bool:
+        return all(ok for _, ok, _ in self.hypothesis_checks + self.certificate_checks)
+
+    @property
+    def verdict(self) -> str:
+        return "k-very-ample-certified" if self.certified else "hypotheses-not-met"
+
+
+def certify_instance(
+    surface: int, a: int, b: int, k: int, d: int, r: int, c: RatLike, delta: RatLike
+) -> InstanceCertificate:
+    """Decide whether pi^*(a,b) - k*sum(E_i) is certified k-very ample at r points.
+
+    The hypotheses are k >= 2, d > (k+1)^2, a, b >= d+2 and
+    2 <= r <= r_max.  The certificate checks are the Seshadri condition
+    sqrt(L^2/r)*sqrt(1-1/(8r)) > k+1+delta, and c and delta at most the
+    pair (887/1000, 178/1000) that :func:`pipeline_certs` certifies.
+    """
+    c, delta = as_rat(c), as_rat(delta)
+    l_s = DivisorClass(a, b, surface)
+    l2 = self_intersection(l_s)
+    t = k + 1
+    r_max = max_points(l2, k, c)
+    hypotheses = [
+        ("k-ge-2", k >= 2, f"k = {k}"),
+        ("d-gt-(k+1)^2", d > t * t, f"d = {d}, (k+1)^2 = {t * t}"),
+        ("a-ge-d+2", a >= d + 2, f"a = {a}, d+2 = {d + 2}"),
+        ("b-ge-d+2", b >= d + 2, f"b = {b}, d+2 = {d + 2}"),
+        ("r-ge-2", r >= 2, f"r = {r}"),
+        ("r-le-r_max", r <= r_max, f"r = {r}, r_max = floor(c*L^2/(k+1)^2) = {r_max}"),
+    ]
+    threshold_sq = (t + delta) ** 2
+    ses_sq = star = None
+    if r >= 1 and l2 > 0:
+        ses_sq = blowup.seshadri_lower_sq(l_s, r)
+        star = blowup.star_holds(l_s, r, k, delta)
+    ses = frac_str(ses_sq) if ses_sq is not None else "none (needs r >= 1 and L^2 > 0)"
+    c_cert, delta_cert = _certified_constants()
+    certificates = [
+        ("star", bool(star),
+         f"Seshadri lower bound^2 = {ses}, (k+1+delta)^2 = {frac_str(threshold_sq)}"),
+        ("c-certified", c <= c_cert, f"c = {frac_str(c)}, certified c_max = {frac_str(c_cert)}"),
+        ("delta-certified", delta <= delta_cert,
+         f"delta = {frac_str(delta)}, certified delta_max = {frac_str(delta_cert)}"),
+    ]
+    return InstanceCertificate(hypotheses, certificates, l2, r_max, l2 - t * t * r, ses_sq,
+                               threshold_sq, star)
 
 
 # ---------------------------------------------------------------------------

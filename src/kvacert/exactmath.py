@@ -7,7 +7,7 @@ rendering for reports, and that goes through integer square roots.
 
 Three layers live here:
 
-* ``Rat`` -- an alias for :class:`fractions.Fraction` (normalized, positive
+* rationals -- plain :class:`fractions.Fraction` (normalized, positive
   denominator, gcd 1 -- exactly the invariants we need).
 * ``QuadExpr`` -- numbers of the form p + q*sqrt(s) with rational p, q and
   rational s >= 0.  Signs, floors and decimal brackets are all decided by
@@ -25,8 +25,6 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Iterable, Union
 
-Rat = Fraction
-
 RatLike = Union[Fraction, int, str]
 
 
@@ -41,14 +39,6 @@ def as_rat(x: RatLike) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
-
-
-def rat_cmp(x: RatLike, y: RatLike) -> int:
-    """Exact trichotomy: -1, 0 or +1 as x <, =, > y (integer cross-multiplication)."""
-    x, y = as_rat(x), as_rat(y)
-    lhs = x.numerator * y.denominator
-    rhs = y.numerator * x.denominator
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def _sign(x: Fraction) -> int:
@@ -81,10 +71,6 @@ class QuadExpr:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}.
@@ -189,11 +175,6 @@ class QuadExpr:
         if self.q == 0:
             return str(self.p)
         return f"{self.p} + {self.q}*sqrt({self.s})"
-
-
-def quad_sign(e: QuadExpr) -> int:
-    """Exact sign of p + q*sqrt(s); see :meth:`QuadExpr.sign`."""
-    return e.sign()
 
 
 def quad_floor_milli(e: QuadExpr) -> Fraction:
@@ -381,15 +362,6 @@ def _variations_at_inf(chain: list[Poly]) -> int:
     return _variations([q.lc() for q in chain])
 
 
-def count_roots_above(p: Poly, t0: RatLike) -> int:
-    """Number of distinct real roots of p in the open ray (t0, oo)."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    sf = _squarefree(p)
-    chain = _sturm_chain(sf)
-    return _variations_at(chain, as_rat(t0)) - _variations_at_inf(chain)
-
-
 def _count_roots_in(chain: list[Poly], a: Fraction, b: Fraction) -> int:
     # distinct roots in the half-open interval (a, b]
     return _variations_at(chain, a) - _variations_at(chain, b)
@@ -415,13 +387,6 @@ class PolyRayResult:
     shifted: Poly | None = None
     counterexample: Fraction | None = None
     counterexample_interval: tuple[Fraction, Fraction] | None = None
-
-    def recheck(self, t: RatLike) -> bool:
-        """Re-evaluate the claim at a single rational point t >= t0."""
-        t = as_rat(t)
-        if t < self.t0:
-            raise ValueError("point below the ray start")
-        return self.poly(t) > 0
 
 
 def _isolate_first_root(sf: Poly, chain: list[Poly], t0: Fraction) -> tuple[Fraction, Fraction]:

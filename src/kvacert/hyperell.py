@@ -73,14 +73,8 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _check_same_surface(self, other)
-        return DivisorClass(self.a + other.a, self.b + other.b, _merged_id(self, other))
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        _check_same_surface(self, other)
-        return DivisorClass(self.a - other.a, self.b - other.b, _merged_id(self, other))
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.a, -self.b, self.surface_id)
+        # surface ids start at 1, so "or" keeps whichever operand is tagged
+        return DivisorClass(self.a + other.a, self.b + other.b, self.surface_id or other.surface_id)
 
 
 def _check_same_surface(d1: DivisorClass, d2: DivisorClass) -> None:
@@ -92,10 +86,6 @@ def _check_same_surface(d1: DivisorClass, d2: DivisorClass) -> None:
         raise ValueError(
             f"mixed surface types: {d1.surface_id} vs {d2.surface_id}"
         )
-
-
-def _merged_id(d1: DivisorClass, d2: DivisorClass) -> int | None:
-    return d1.surface_id if d1.surface_id is not None else d2.surface_id
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:

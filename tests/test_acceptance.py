@@ -29,7 +29,7 @@ from kvacert.constants import (
     z1_decreasing_cert,
     z_roots,
 )
-from kvacert.exactmath import Poly, QuadExpr, quad_floor_milli, quad_sign
+from kvacert.exactmath import Poly, QuadExpr, quad_floor_milli
 from kvacert.hyperell import DivisorClass, intersect, self_intersection
 
 DELTA = Fraction(178, 1000)
@@ -83,11 +83,11 @@ def test_next_grid_points_fail_exactly():
 def test_surd_brackets_via_sign_tests():
     c = C_MAX_DEFAULT
     f3 = QuadExpr(0, 1 / c, c - Fraction(9, 2304))
-    assert quad_sign(f3 - Fraction(10593, 10000)) == 1
-    assert quad_sign(Fraction(10595, 10000) - f3) == 1
+    assert (f3 - Fraction(10593, 10000)).sign() == 1
+    assert (Fraction(10595, 10000) - f3).sign() == 1
     z1, _ = z_roots(3)
-    assert quad_sign(z1 - Fraction(803, 1000)) == 1
-    assert quad_sign(Fraction(805, 1000) - z1) == 1
+    assert (z1 - Fraction(803, 1000)).sign() == 1
+    assert (Fraction(805, 1000) - z1).sign() == 1
 
 
 @criterion(4, "exact positivity margin of g at the certified pair")
@@ -107,8 +107,8 @@ def test_discrepancy_entry():
     report = c_max_search()
     entry = report.discrepancy("z2-threshold-value")
     # z_2(3) - (1000/887)*9 = -3678/887 + sqrt(27), far from the quoted 0.001
-    assert quad_sign(entry.exact - Fraction(104, 100)) == 1
-    assert quad_sign(Fraction(106, 100) - entry.exact) == 1
+    assert (entry.exact - Fraction(104, 100)).sign() == 1
+    assert (Fraction(106, 100) - entry.exact).sign() == 1
     assert "0.001" in entry.quoted
 
 

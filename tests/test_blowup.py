@@ -371,6 +371,15 @@ class TestSearchBudget:
             search_obstruction(DivisorClass(10**6, 10**6), 2, 10**6, Fraction(1, 1000),
                                formula="standard")
 
+    def test_paper_cells_are_weighted(self):
+        # 162,099,012 cells of one D^2 option: about 100 s of search, refused up front
+        t, m_max = 3, 6000
+        assert _search_estimate(1, 1, t, 5, m_max, "paper") == 18 * 162_099_012
+        start = time.monotonic()
+        with pytest.raises(SearchTooLarge):
+            search_obstruction(DivisorClass(1, 1), 2, 5, Fraction(1, 2000))
+        assert time.monotonic() - start < 1.0
+
     def test_largest_known_instance_is_far_below_the_budget(self):
         # (3,3) at k=8, r=40 under the standard formula: m_max = floor(9/0.178) = 50
         assert 10 * _search_estimate(3, 3, 9, 40, 50, "standard") <= SEARCH_BUDGET

@@ -2,12 +2,15 @@
 
 import json
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvacert.cli import main
+from kvacert.constants import certify_instance
 
 
 @pytest.fixture()
@@ -64,6 +67,29 @@ class TestCheck:
         failed = [c["name"] for c in payload["hypothesis_checks"] if not c["ok"]]
         assert failed == ["r-le-r_max"]
 
+    def test_c_above_certified_constant_exit_one(self, runner):
+        result = run(runner, self.BASE[:-1] + ["31", "--c", "99/100", "--json"])
+        assert result.exit_code == 1
+        payload = parse(result)
+        assert payload["verdict"] == "hypotheses-not-met"
+        assert all(c["ok"] for c in payload["hypothesis_checks"])
+        failed = [c["name"] for c in payload["certificate_checks"] if not c["ok"]]
+        assert failed == ["star", "c-certified"]
+
+    def test_delta_above_certified_slack_exit_one(self, runner):
+        result = run(runner, self.BASE + ["--delta", "5"])
+        assert result.exit_code == 1
+        failed = [line.split()[1] for line in result.output.splitlines() if "[FAIL]" in line]
+        assert failed == ["star:", "delta-certified:"]
+        assert result.output.splitlines()[-1] == "verdict: hypotheses-not-met"
+
+    def test_certificate_checks_follow_hypothesis_checks(self, runner):
+        payload = parse(run(runner, self.BASE + ["--json"]))
+        assert list(payload)[:3] == ["inputs", "hypothesis_checks", "certificate_checks"]
+        assert [c["name"] for c in payload["certificate_checks"]] == [
+            "star", "c-certified", "delta-certified"]
+        assert all(c["ok"] for c in payload["certificate_checks"])
+
     def test_small_coordinate_exit_one(self, runner):
         result = run(runner, ["check", "-a", "11", "-b", "12", "-k", "2", "-d", "10", "-r", "2", "--json"])
         assert result.exit_code == 1
@@ -88,6 +114,57 @@ class TestCheck:
                 ["check", "-a", str(a), "-b", str(b), "-k", str(k), "-d", str(d), "-r", str(r_max)],
             )
             assert result.exit_code == 0, result.output
+
+
+def oracle_exit(a, b, k, d, r, c, delta):
+    """Exit code of the theorem's verdict, recomputed from its statement."""
+    t = k + 1
+    l2 = 2 * a * b
+    hypotheses = k >= 2 and d > t * t and a >= d + 2 and b >= d + 2 and 2 <= r
+    hypotheses = hypotheses and r <= floor(c * l2 / (t * t))
+    star = r >= 1 and l2 > 0 and Fraction(l2 * (8 * r - 1), 8 * r * r) > (t + delta) ** 2
+    certified_constants = c <= Fraction(887, 1000) and delta <= Fraction(178, 1000)
+    return 0 if hypotheses and star and certified_constants else 1
+
+
+def _ratios(*milli):
+    """The given n/1000 values (boundaries of the certified pair), or any ratio in (0, 1)."""
+    return st.one_of(
+        st.sampled_from([Fraction(n, 1000) for n in milli]),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(999999, 10**6),
+                     max_denominator=10**6),
+    )
+
+
+class TestVerdictOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        surface=st.integers(1, 7),
+        k=st.sampled_from([2, 2, 2, 3, 3, 4, -1, 0, 1, 5]),
+        d_gap=st.integers(-1, 3),
+        a_gap=st.integers(-1, 8),
+        b_gap=st.integers(-1, 8),
+        r_gap=st.integers(-4, 1),
+        c=_ratios(1, 500, 800, 886, 887, 887, 888, 954, 999),
+        delta=st.one_of(_ratios(1, 10, 100, 177, 178, 178, 179, 500),
+                        st.sampled_from([Fraction(1), Fraction(5)])),
+    )
+    def test_verdict_and_exit_code_match_the_oracle(
+        self, surface, k, d_gap, a_gap, b_gap, r_gap, c, delta
+    ):
+        # parameters placed around each hypothesis boundary
+        t = k + 1
+        d = t * t + 1 + d_gap
+        a, b = d + 2 + a_gap, d + 2 + b_gap
+        r = (floor(c * 2 * a * b / (t * t)) if t > 0 else 0) + r_gap
+        want = oracle_exit(a, b, k, d, r, c, delta)
+        cert = certify_instance(surface, a, b, k, d, r, c, delta)
+        assert (0 if cert.certified else 1) == want
+        args = ["check", "--surface", str(surface), "-a", str(a), "-b", str(b), "-k", str(k),
+                "-d", str(d), "-r", str(r), "--c", str(c), "--delta", str(delta)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == want, result.output
+        assert result.output.splitlines()[-1] == f"verdict: {cert.verdict}"
 
 
 class TestMaxR:
@@ -210,7 +287,8 @@ class TestObstructions:
             ["obstructions", "-a", "12", "-b", "12", "-k", "2", "-r", "28", "--delta", "1/10000000"],
         )
         assert result.exit_code == 2
-        assert "estimated 112500041250001 steps exceed the budget" in result.output
+        # 112500041250001 cells of one D^2 option each, 18 steps a cell
+        assert "estimated 2025000742500018 steps exceed the budget" in result.output
 
 
 class TestSurfaces:

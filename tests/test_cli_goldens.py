@@ -1,0 +1,54 @@
+"""CLI outputs recorded before ``check`` rendered ``certify_instance``.
+
+``cli_goldens.json`` holds the exit code and stdout of the README's ``check``,
+``max-r`` and ``seshadri`` commands and of two inputs that used to certify
+unsoundly, each plain and with ``--json``.  ``max-r`` and ``seshadri`` must be
+byte-identical.  ``check`` now adds the certificate checks; with them removed,
+its output must be byte-identical except for the verdict of the two inputs
+whose certification was unsound.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from kvacert.cli import main
+
+GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())
+CERTIFICATE_CHECKS = ("star", "c-certified", "delta-certified")
+#: c above the certified constant; delta above the certified slack
+FIXED_VERDICTS = ({"--c", "99/100"}, {"--delta", "5"})
+
+
+def _fixed(args) -> bool:
+    return any(flags <= set(args) for flags in FIXED_VERDICTS)
+
+
+def _without_certificate_checks(args, output: str) -> str:
+    if "--json" in args:
+        payload = json.loads(output)
+        assert [c["name"] for c in payload.pop("certificate_checks")] == list(CERTIFICATE_CHECKS)
+        return json.dumps(payload, indent=2) + "\n"
+    lines = output.splitlines(keepends=True)
+    kept = [line for line in lines if not line.lstrip().startswith(
+        tuple(f"[{mark}] {name}:" for mark in ("ok", "FAIL") for name in CERTIFICATE_CHECKS))]
+    assert len(lines) - len(kept) == len(CERTIFICATE_CHECKS)
+    return "".join(kept)
+
+
+@pytest.mark.parametrize("golden", GOLDENS, ids=lambda g: " ".join(g["args"]))
+def test_output_matches_golden(golden):
+    args = golden["args"]
+    result = CliRunner().invoke(main, args)
+    if args[0] != "check":
+        assert (result.exit_code, result.output) == (golden["exit"], golden["output"])
+        return
+    expected_exit, expected = golden["exit"], golden["output"]
+    if _fixed(args):
+        assert expected_exit == 0
+        expected_exit = 1
+        expected = expected.replace("k-very-ample-certified", "hypotheses-not-met")
+    assert result.exit_code == expected_exit
+    assert _without_certificate_checks(args, result.output) == expected

@@ -173,7 +173,7 @@ class TestZRoots:
 
     def test_double_root_at_two(self):
         z1, z2 = z_roots(2)
-        assert z1.is_rational and z2.is_rational
+        assert z1.q == 0 and z2.q == 0
         assert z1.p == z2.p == 2
 
     def test_substitution_residual_vanishes_for_rational_t(self):

@@ -4,51 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from kvacert.exactmath import (
     Poly,
     QuadExpr,
     as_rat,
-    count_roots_above,
     decimal_str,
     frac_str,
     poly_positive_on_ray,
     quad_floor_milli,
-    quad_sign,
-    rat_cmp,
 )
 
 MILLI = Fraction(1, 1000)
 
 
-class TestRatCmp:
-    def test_constants_of_the_bound(self):
-        assert rat_cmp(Fraction(887, 1000), Fraction(954, 1000)) == -1
-
-    def test_reflexive(self):
-        assert rat_cmp(Fraction(1, 2), Fraction(1, 2)) == 0
-
-    def test_cross_multiplication(self):
-        # 2007 * 1 vs 10 * 196 = 1960
-        assert rat_cmp(Fraction(2007, 196), 10) == 1
-
-    def test_agrees_with_common_denominator_comparison_bulk(self):
-        rng = random.Random(20240901)
-        for _ in range(10_000):
-            x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-            y = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-            common = x.denominator * y.denominator  # positive by normalization
-            nx = x.numerator * (common // x.denominator)
-            ny = y.numerator * (common // y.denominator)
-            assert rat_cmp(x, y) == (nx > ny) - (nx < ny)
-
-    @given(st.fractions(), st.fractions())
-    def test_antisymmetric_and_consistent(self, x, y):
-        assert rat_cmp(x, y) == -rat_cmp(y, x)
-        assert (rat_cmp(x, y) < 0) == (x < y)
-
+class TestAsRat:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             as_rat(0.5)
@@ -56,16 +26,16 @@ class TestRatCmp:
 
 class TestQuadSign:
     def test_sqrt27_minus_one_positive(self):
-        assert quad_sign(QuadExpr(-1, 1, 27)) == 1
+        assert QuadExpr(-1, 1, 27).sign() == 1
 
     def test_five_below_sqrt27(self):
         # 5 - sqrt(27) < 0, hence 6 - sqrt(27) < 1: the lower Hodge root at
         # t = 3 is below 1
-        assert quad_sign(QuadExpr(5, -1, 27)) == -1
-        assert quad_sign(QuadExpr(-5, 1, 27)) == 1
+        assert QuadExpr(5, -1, 27).sign() == -1
+        assert QuadExpr(-5, 1, 27).sign() == 1
 
     def test_zero_expression(self):
-        assert quad_sign(QuadExpr(0, 0, 5)) == 0
+        assert QuadExpr(0, 0, 5).sign() == 0
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
@@ -73,7 +43,7 @@ class TestQuadSign:
 
     def test_exact_cancellation(self):
         # 3 - 2*sqrt(9/4) = 0
-        assert quad_sign(QuadExpr(3, -2, Fraction(9, 4))) == 0
+        assert QuadExpr(3, -2, Fraction(9, 4)).sign() == 0
 
     def test_agrees_with_rational_evaluation_on_perfect_squares(self):
         rng = random.Random(7151)
@@ -83,7 +53,7 @@ class TestQuadSign:
             root = Fraction(rng.randint(0, 30), rng.randint(1, 10))
             value = p + q * root  # rational because s = root^2 is a perfect square
             expected = (value > 0) - (value < 0)
-            assert quad_sign(QuadExpr(p, q, root * root)) == expected
+            assert QuadExpr(p, q, root * root).sign() == expected
 
 
 class TestQuadFloorMilli:
@@ -180,9 +150,12 @@ class TestPolyPositiveOnRay:
         assert p(res.counterexample) <= 0
 
     def test_root_counting(self):
-        assert count_roots_above(Poly([8, -6, 1]), 0) == 2
-        assert count_roots_above(Poly([8, -6, 1]), 3) == 1
-        assert count_roots_above(Poly([8, -6, 1]), 5) == 0
+        # (t-2)(t-4) has two roots above 0, one above 3 and none above 5
+        p = Poly([8, -6, 1])
+        assert poly_positive_on_ray(p, 0).method == "sturm"  # p(0) > 0, roots counted
+        assert [poly_positive_on_ray(p, t0).positive for t0 in (0, 3, 4, 5)] == [
+            False, False, False, True]
+        assert poly_positive_on_ray(p, 4 + Fraction(1, 1000)).positive
 
     def test_verdicts_never_contradicted_by_dense_sampling(self):
         # sampling can only refute a positivity claim, never confirm one
