@@ -213,6 +213,8 @@ def max_r(ctx, surface, a, b, k, c_str, json_out, quiet):
     """Largest admissible number of points, floor(c * L^2 / (k+1)^2)."""
     json_out, quiet = _merged_flags(ctx, json_out, quiet)
     c = _rat_arg(c_str, "--c")
+    if not (0 < c < 1):
+        raise click.UsageError("--c must lie in (0, 1)")
     if k < 0:
         raise click.UsageError("k must be nonnegative")
     l_s = DivisorClass(a, b, surface)
@@ -221,6 +223,11 @@ def max_r(ctx, surface, a, b, k, c_str, json_out, quiet):
     l2 = self_intersection(l_s)
     r_max = max_points(l2, k, c)
     warnings = []
+    if c > C_MAX_DEFAULT:
+        warnings.append(
+            f"c = {frac_str(c)} exceeds the certified c_max = {frac_str(C_MAX_DEFAULT)};"
+            " check does not certify at this c"
+        )
     if r_max < 2:
         warnings.append(f"r_max = {r_max} is below the theorem's floor r >= 2")
     min_coord = (k + 1) ** 2 + 3  # smallest admissible d+2

@@ -157,15 +157,13 @@ def delta_raw(c: RatLike) -> QuadExpr:
     return delta_raw_at(c, BINDING_T)
 
 
-def _two_t2p3_sq() -> Poly:
-    # 2*(t^2+3)^2
-    base = Poly([3, 0, 1])
-    return (base * base).scale(2)
+#: 2*(t^2+3)^2 = 2t^4 + 12t^2 + 18
+_TWO_T2P3_SQ = Poly([18, 0, 12, 0, 2])
 
 
 def _n2_margin_poly(c: Fraction) -> Poly:
     # (1-c)*2*(t^2+3)^2 - (4t+1)
-    return _two_t2p3_sq().scale(1 - c) - Poly([1, 4])
+    return _TWO_T2P3_SQ.scale(1 - c) - Poly([1, 4])
 
 
 def n2_chain_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
@@ -176,8 +174,8 @@ def n2_chain_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     margin_poly = _n2_margin_poly(c)
     cert = poly_positive_on_ray(margin_poly, t0)
     details = {
-        "two_t2p3_sq_at_t0": _two_t2p3_sq()(t0),
-        "lhs_at_t0": _two_t2p3_sq().scale(1 - c)(t0),
+        "two_t2p3_sq_at_t0": _TWO_T2P3_SQ(t0),
+        "lhs_at_t0": _TWO_T2P3_SQ.scale(1 - c)(t0),
         "rhs_at_t0": Fraction(4 * t0 + 1),
     }
     return CertRecord(
@@ -200,7 +198,7 @@ def case1_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     c = as_rat(c)
     if not (0 < c < 1):
         raise ValueError("c must lie in (0, 1)")
-    lhs = _two_t2p3_sq().scale(1 - c)
+    lhs = _TWO_T2P3_SQ.scale(1 - c)
     rhs = Poly([-1, 2]) * Poly([-1, 2])  # (2t-1)^2
     margin_poly = lhs - rhs
     cert = poly_positive_on_ray(margin_poly, t0)
@@ -432,7 +430,7 @@ def g_positive_cert(c: RatLike, delta: RatLike, t0: int = BINDING_T) -> CertReco
     if delta <= 0:
         raise ValueError("delta must be positive")
     lin = Poly([1, 1 / delta])  # 1 + t/delta
-    g = _two_t2p3_sq().scale(1 / c) - lin * lin
+    g = _TWO_T2P3_SQ.scale(1 / c) - lin * lin
     cert = poly_positive_on_ray(g, t0)
     return CertRecord(
         id="g-positive",
@@ -467,15 +465,17 @@ def pipeline_certs(c: RatLike, t0: int = BINDING_T) -> tuple[bool, Fraction | No
     reproducing the canonical constants requires exactly this protocol.
     """
     c = as_rat(c)
+    if not (0 < c < 1):
+        raise ValueError("c must lie in (0, 1)")
 
     def refuted(margin, reason):
         return False, None, [CertRecord("delta-positive", "refuted", margin,
                                         details={"reason": reason})]
 
-    try:
-        slack = delta_raw_at(c, t0)
-    except ValueError:
-        return refuted(_radicand(c, t0), "radicand not positive")
+    radicand = _radicand(c, t0)
+    if radicand <= 0:
+        return refuted(radicand, "radicand not positive")
+    slack = delta_raw_at(c, t0)
     if slack.sign() <= 0:
         return refuted(slack, "raw slack not positive")
     delta = quad_floor_milli(slack)

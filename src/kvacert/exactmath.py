@@ -10,19 +10,23 @@ Three layers live here:
 * rationals -- plain :class:`fractions.Fraction` (normalized, positive
   denominator, gcd 1 -- exactly the invariants we need).
 * ``QuadExpr`` -- numbers of the form p + q*sqrt(s) with rational p, q and
-  rational s >= 0.  Signs, floors and decimal brackets are all decided by
-  case analysis and integer square roots, never by float evaluation.
+  rational s >= 0.  Signs are decided by case analysis, floors by one
+  integer square root, decimal brackets by integer square roots; never by
+  float evaluation.
 * ``Poly`` + :func:`poly_positive_on_ray` -- certificates that a rational
-  polynomial is strictly positive on a ray [t0, oo).  The cheap certificate
-  (shift to t0 and inspect coefficients) is tried first; Sturm sequences
-  are the exact fallback.
+  polynomial is strictly positive on a ray [t0, oo).  A ``Poly`` is stored
+  as integer numerators over one common denominator, so its arithmetic and
+  its Taylor shift (integer synthetic division) run on ints.  The cheap
+  certificate (shift to t0 and inspect coefficients) is tried first; Sturm
+  sequences, which work on the ``Fraction`` coefficients, are the exact
+  fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Union
 
 RatLike = Union[Fraction, int, str]
@@ -39,6 +43,13 @@ def as_rat(x: RatLike) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _num_den(x: RatLike) -> tuple[int, int]:
+    if type(x) is int:
+        return x, 1
+    x = as_rat(x)
+    return x.numerator, x.denominator
 
 
 def _sign(x: Fraction) -> int:
@@ -154,17 +165,23 @@ class QuadExpr:
         return (a, b) if a <= b else (b, a)
 
     def floor(self) -> int:
-        """Exact floor, decided by sign tests (the bracket only seeds the search)."""
-        if self.q == 0:
-            return self.p.numerator // self.p.denominator
-        digits = 2 + len(str(abs(self.q.numerator) // self.q.denominator))
-        lo, _ = self.bounds(digits)
-        n = lo.numerator // lo.denominator
-        while self.cmp_rat(n + 1) >= 0:
-            n += 1
-        while self.cmp_rat(n) < 0:
-            n -= 1
-        return n
+        """Exact floor from one integer square root.
+
+        Over integers the value is (a + b*sqrt(r))/d with d > 0 and
+        r = num(s)*den(s).  With z = b^2 r, floor((a + sqrt(z))/d) is
+        (a + isqrt(z)) // d; for b < 0 the ceiling of sqrt(z) is subtracted.
+        """
+        p, q, s = self.p, self.q, self.s
+        if q == 0:
+            return p.numerator // p.denominator
+        qd_sd = q.denominator * s.denominator
+        a = p.numerator * qd_sd
+        b = q.numerator * p.denominator
+        z = b * b * s.numerator * s.denominator
+        root = isqrt(z)
+        if b < 0:
+            root = -root - (root * root != z)
+        return (a + root) // (p.denominator * qd_sd)
 
     def approx_str(self, places: int = 6) -> str:
         """Decimal rendering to `places` digits (approximate, display only)."""
@@ -214,44 +231,81 @@ def frac_str(x: RatLike) -> str:
 
 @dataclass(frozen=True)
 class Poly:
-    """Univariate polynomial over Q, coefficients ascending, trailing zeros stripped."""
+    """Univariate polynomial over Q: integer numerators ``num`` over one denominator ``den``.
 
-    coeffs: tuple[Fraction, ...]
+    Coefficients ascend; trailing zeros are stripped and (num, den) is in
+    lowest terms with den > 0, so equal polynomials have equal fields (the
+    zero polynomial is ``((), 1)``).  ``coeffs`` is the same polynomial as a
+    tuple of Fractions.  Arithmetic, evaluation and the Taylor shift run on
+    the integers and normalise once by a gcd.
+    """
+
+    num: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[RatLike]):
-        cs = [as_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if type(c) is int else as_rat(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: list[int], den: int) -> None:
+        while num and num[-1] == 0:
+            num.pop()
+        g = gcd(den, *num)
+        if g > 1:
+            num = [n // g for n in num]
+            den //= g
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of(cls, num: list[int], den: int) -> "Poly":
+        """The polynomial sum(num[i] t^i)/den, normalised; den > 0."""
+        out = object.__new__(cls)
+        out._set(num, den)
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def lc(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __call__(self, t: RatLike) -> Fraction:
-        t = as_rat(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        if self.is_zero:
+            return Fraction(0)
+        a, b = _num_den(t)
+        # homogeneous Horner: sum num[i] a^i b^(n-i), over den * b^n
+        acc, bk = self.num[-1], 1
+        for c in reversed(self.num[:-1]):
+            bk *= b
+            acc = acc * a + c * bk
+        return Fraction(acc, self.den * bk)
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Poly(x + y for x, y in zip(a, b))
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        a, b = self.num, other.num
+        if len(a) < len(b):
+            a, b, fa, fb = b, a, fb, fa
+        num = [x * fa for x in a]
+        for i, y in enumerate(b):
+            num[i] += y * fb
+        return Poly._of(num, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return Poly._of([-n for n in self.num], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -259,31 +313,37 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
             return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.num):
                 out[i + j] += a * b
-        return Poly(out)
+        return Poly._of(out, self.den * other.den)
 
     def scale(self, r: RatLike) -> "Poly":
         r = as_rat(r)
-        return Poly(r * c for c in self.coeffs)
+        return Poly._of([r.numerator * n for n in self.num], r.denominator * self.den)
 
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return Poly._of([i * n for i, n in enumerate(self.num) if i > 0], self.den)
 
     def shift(self, t0: RatLike) -> "Poly":
-        """Taylor shift: the polynomial u -> p(t0 + u)."""
-        t0 = as_rat(t0)
-        out = [Fraction(0)] * len(self.coeffs)
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j in range(k + 1):
-                out[j] += c * comb(k, j) * t0 ** (k - j)
-        return Poly(out)
+        """Taylor shift: the polynomial u -> p(t0 + u).
+
+        With t0 = a/b, the integer polynomial m(x) = b^n num(x/b) is shifted
+        by a with Horner's synthetic division, m(a + v) = sum s_j v^j; then
+        p(t0 + u) = sum s_j b^j u^j / (den b^n).
+        """
+        if self.is_zero:
+            return self
+        a, b = _num_den(t0)
+        n = self.degree
+        s = [c * b ** (n - i) for i, c in enumerate(self.num)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                s[j] += a * s[j + 1]
+        return Poly._of([c * b**j for j, c in enumerate(s)], self.den * b**n)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -430,9 +490,11 @@ def poly_positive_on_ray(p: Poly, t0: RatLike) -> PolyRayResult:
         raise ValueError("zero polynomial")
     t0 = as_rat(t0)
     shifted = p.shift(t0)
-    if shifted.coeffs[0] > 0 and all(c >= 0 for c in shifted.coeffs):
+    # den > 0, so the numerators carry the signs; the constant term is p(t0)
+    p_t0 = shifted.num[0]
+    if p_t0 > 0 and all(n >= 0 for n in shifted.num):
         return PolyRayResult(True, p, t0, "shift-coeffs", shifted=shifted)
-    if p(t0) <= 0:
+    if p_t0 <= 0:
         return PolyRayResult(False, p, t0, "endpoint", counterexample=t0)
     sf = _squarefree(p)
     chain = _sturm_chain(sf)

@@ -195,6 +195,29 @@ class TestMaxR:
         result = run(runner, ["max-r", "-a", "0", "-b", "4", "-k", "2"])
         assert result.exit_code == 2
 
+    def test_c_above_certified_constant_warns(self, runner):
+        # floor(99/100 * 288 / 9) = 31, but check refuses to certify at this c
+        result = run(runner, ["max-r", "-a", "12", "-b", "12", "-k", "2", "--c", "99/100"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert lines[0] == "31"
+        assert any("exceeds the certified c_max = 887/1000" in line for line in lines[1:])
+        payload = parse(run(runner, ["max-r", "-a", "12", "-b", "12", "-k", "2",
+                                     "--c", "99/100", "--json"]))
+        assert payload["r_max"] == 31
+        assert any("887/1000" in w for w in payload["warnings"])
+
+    def test_certified_constant_does_not_warn(self, runner):
+        payload = parse(run(runner, ["max-r", "-a", "12", "-b", "12", "-k", "2",
+                                     "--c", "887/1000", "--json"]))
+        assert payload["warnings"] == []
+
+    @pytest.mark.parametrize("c", ["5", "-1/2", "0", "1"])
+    def test_c_outside_unit_interval_exit_two(self, runner, c):
+        result = run(runner, ["max-r", "-a", "12", "-b", "12", "-k", "2", f"--c={c}"])
+        assert result.exit_code == 2
+        assert "--c must lie in (0, 1)" in result.output
+
 
 class TestSeshadri:
     def test_exact_and_decimal_output(self, runner):

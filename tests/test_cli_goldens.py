@@ -1,11 +1,14 @@
-"""CLI outputs recorded before ``check`` rendered ``certify_instance``.
+"""Recorded CLI outputs that later rewrites must reproduce.
 
 ``cli_goldens.json`` holds the exit code and stdout of the README's ``check``,
 ``max-r`` and ``seshadri`` commands and of two inputs that used to certify
-unsoundly, each plain and with ``--json``.  ``max-r`` and ``seshadri`` must be
-byte-identical.  ``check`` now adds the certificate checks; with them removed,
-its output must be byte-identical except for the verdict of the two inputs
-whose certification was unsound.
+unsoundly, recorded before ``check`` rendered ``certify_instance``; and of
+``constants verify`` at the defaults and at ``--kmin 3 --grid-step 1/10000``,
+recorded before the exact kernel moved to integer arithmetic.  Each is there
+plain and with ``--json``.  Everything but ``check`` must be byte-identical.
+``check`` now adds the certificate checks; with them removed, its output must
+be byte-identical except for the verdict of the two inputs whose
+certification was unsound.
 """
 
 import json

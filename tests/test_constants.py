@@ -317,6 +317,20 @@ class TestPipeline:
         assert report.c_max == Fraction(926, 1000)
         assert report.delta_max == Fraction(150, 1000)
 
+    @pytest.mark.parametrize("c", [Fraction(3), Fraction(1), Fraction(0), Fraction(-1, 2)])
+    def test_c_outside_unit_interval_rejected(self, c):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            pipeline_certs(c)
+
+    def test_nonpositive_radicand_reported(self):
+        # 1/1000 - 9/2304 < 0: the slack surd is undefined at t = 3
+        ok, delta, certs = pipeline_certs(Fraction(1, 1000))
+        assert not ok and delta is None
+        [rec] = certs
+        assert (rec.id, rec.status) == ("delta-positive", "refuted")
+        assert rec.details["reason"] == "radicand not positive"
+        assert rec.margin == Fraction(1, 1000) - Fraction(9, 2304)
+
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):
             c_max_search(Fraction(0), 2)

@@ -1,0 +1,157 @@
+"""Differential tests: the integer kernel of ``kvacert.exactmath`` against the Fraction kernel.
+
+``fraction_kernel`` holds the Fraction implementation that the integer one
+replaced.  For every input both must give identical coefficients, values,
+Taylor shifts, ray-positivity results and surd floors.  A sympy expansion is a
+third, independent oracle for the Taylor shift.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraction_kernel import FracPoly, positive_on_ray, quad_floor
+from kvacert.constants import delta_raw_at
+from kvacert.exactmath import Poly, QuadExpr, poly_positive_on_ray
+
+rats = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+coefficients = st.one_of(st.just(Fraction(0)), st.integers(-20, 20).map(Fraction), rats)
+
+
+@st.composite
+def coefficient_lists(draw):
+    """Ascending coefficients: free ones or a product of linear factors, maybe zero-padded."""
+    if draw(st.booleans()):
+        cs = draw(st.lists(coefficients, max_size=7))
+    else:
+        cs = [draw(rats.filter(bool))]
+        for root in draw(st.lists(rats, max_size=5)):
+            cs = [Fraction(0)] + cs  # multiply by t ...
+            for i, c in enumerate(cs[1:]):
+                cs[i] -= root * c  # ... and subtract root times the old product
+    return cs + [Fraction(0)] * draw(st.integers(0, 2))
+
+
+points = st.one_of(
+    st.integers(-6, 9).map(Fraction),
+    st.fractions(min_value=-6, max_value=9, max_denominator=16),
+)
+
+
+def ray_result(p: Poly, t0: Fraction) -> tuple:
+    r = poly_positive_on_ray(p, t0)
+    shifted = r.shifted.coeffs if r.shifted is not None else None
+    return r.positive, r.method, shifted, r.counterexample, r.counterexample_interval
+
+
+def oracle_ray_result(f: FracPoly, t0: Fraction) -> tuple:
+    positive, method, shifted, point, interval = positive_on_ray(f, t0)
+    return positive, method, shifted.coeffs if shifted is not None else None, point, interval
+
+
+class TestPolyAgainstFractionKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(coefficient_lists(), coefficient_lists(), points)
+    def test_coeffs_arithmetic_and_values(self, cs, ds, t):
+        p, q = Poly(cs), Poly(ds)
+        f, g = FracPoly(cs), FracPoly(ds)
+        assert p.coeffs == f.coeffs and str(p) == str(f)
+        assert p.den > 0 and gcd(p.den, *p.num) == 1 and p.num[-1:] != (0,)
+        pairs = [
+            (p + q, f + g), (p - q, f - g), (p * q, f * g), (-p, -f),
+            (p.scale(t), f.scale(t)), (p.derivative(), f.derivative()),
+        ]
+        for mine, theirs in pairs:
+            assert mine.coeffs == theirs.coeffs
+            assert mine == Poly(theirs.coeffs)
+        assert p(t) == f(t)
+        assert (p.degree, p.is_zero) == (f.degree, f.is_zero)
+        if not p.is_zero:
+            assert p.lc() == f.lc()
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficient_lists(), points)
+    def test_shift(self, cs, t0):
+        shifted = Poly(cs).shift(t0)
+        assert shifted.coeffs == FracPoly(cs).shift(t0).coeffs
+        assert shifted(0) == Poly(cs)(t0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficient_lists(), points)
+    def test_positive_on_ray(self, cs, t0):
+        p, f = Poly(cs), FracPoly(cs)
+        if p.is_zero:
+            for decide, poly in ((poly_positive_on_ray, p), (positive_on_ray, f)):
+                with pytest.raises(ValueError):
+                    decide(poly, t0)
+            return
+        assert ray_result(p, t0) == oracle_ray_result(f, t0)
+
+    def test_every_method_is_exercised(self):
+        cases = [([1, 2, 1], 0), ([-1, 0, 1], 0), ([8, -6, 1], 0), ([5, -4, 1], 0)]
+        methods = set()
+        for cs, t0 in cases:
+            result = ray_result(Poly(cs), Fraction(t0))
+            assert result == oracle_ray_result(FracPoly(cs), Fraction(t0))
+            methods.add((result[0], result[1]))
+        assert methods == {(True, "shift-coeffs"), (False, "endpoint"),
+                           (False, "sturm"), (True, "sturm")}
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestShiftAgainstSympy:
+    @settings(max_examples=200, deadline=None)
+    @given(cs=coefficient_lists(), t0=points)
+    def test_shift_matches_expansion(self, sympy, cs, t0):
+        x = sympy.Symbol("x")
+        expr = sum((sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(cs)),
+                   sympy.Integer(0))
+        shifted = sympy.Poly(sympy.expand(expr.subs(x, x + sympy.Rational(t0.numerator,
+                                                                         t0.denominator))), x)
+        expected = [Fraction(int(c.p), int(c.q)) for c in reversed(shifted.all_coeffs())]
+        while expected and expected[-1] == 0:
+            expected.pop()
+        assert list(Poly(cs).shift(t0).coeffs) == expected
+
+
+surd_parts = st.one_of(
+    st.integers(-30, 30).map(Fraction),
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4),
+)
+radicands = st.one_of(
+    st.fractions(min_value=0, max_value=10**4, max_denominator=10**3),  # mostly irrational roots
+    st.fractions(min_value=0, max_value=100, max_denominator=50).map(lambda r: r * r),  # squares
+)
+
+
+class TestFloorAgainstFractionKernel:
+    @settings(max_examples=500, deadline=None)
+    @given(surd_parts, surd_parts, radicands)
+    def test_floor(self, p, q, s):
+        assert QuadExpr(p, q, s).floor() == quad_floor(p, q, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-50, 50), surd_parts, st.fractions(min_value=0, max_value=50,
+                                                          max_denominator=30))
+    def test_floor_at_integer_values(self, n, q, r):
+        # p + q*sqrt(r^2) == n exactly, and values just below and above n
+        p = n - q * r
+        for eps in (Fraction(0), Fraction(1, 10**9), Fraction(-1, 10**9)):
+            assert QuadExpr(p + eps, q, r * r).floor() == quad_floor(p + eps, q, r * r)
+
+    def test_floor_of_every_scanned_slack(self):
+        # the floors the constants scan takes: 1000 * delta_raw(c) on the 1/1000 grid
+        for n in range(1, 1000):
+            c = Fraction(n, 1000)
+            try:
+                e = delta_raw_at(c, 3) * 1000
+            except ValueError:
+                continue  # radicand not positive
+            assert e.floor() == quad_floor(e.p, e.q, e.s)
