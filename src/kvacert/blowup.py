@@ -16,26 +16,27 @@ of the arithmetic this module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from math import floor, isqrt
+from typing import NamedTuple
 
 from .constants import sigma_bound
-from .exactmath import RatLike, as_rat
+from .exactmath import RatLike, Value, as_rat
 from .hyperell import DivisorClass, intersect, self_intersection
 
 
-@dataclass(frozen=True)
-class BlowupClass:
+class BlowupClass(Value):
     """Class pi^*(base) - sum mults[i] * E_i on the blow-up at r = len(mults) points."""
 
-    base: DivisorClass
-    mults: tuple[int, ...]
+    __slots__ = ("base", "mults")
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(m, int) for m in self.mults):
+    def __init__(self, base: DivisorClass, mults: Iterable[int]) -> None:
+        mults = tuple(mults)
+        if not all(isinstance(m, int) for m in mults):
             raise TypeError("multiplicities must be integers")
-        object.__setattr__(self, "mults", tuple(self.mults))
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "mults", mults)
 
     @property
     def r(self) -> int:
@@ -90,8 +91,7 @@ def bs_condition3(nd: int, d2: int, k: int) -> bool:
     return nd - k - 1 <= d2 and 2 * d2 < nd and nd < 2 * k + 2
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
+class ObstructionWitness(NamedTuple):
     """A candidate (D_S, multiplicities) whose numbers satisfy the obstruction condition."""
 
     d_s: DivisorClass
@@ -108,6 +108,11 @@ class ObstructionWitness:
 #: README, (3,3) at k=8, r=40 under the standard formula, estimates 16,496,069.
 SEARCH_BUDGET = 2 * 10**8
 
+#: Largest output :func:`search_obstruction` returns, in multiplicities: every
+#: witness carries r of them.  The largest output in the README, (3,3) at k=8,
+#: r=40 under the standard formula, is 2339 witnesses x 40 = 93,560.
+OUTPUT_BUDGET = 10**6
+
 #: Steps a cell with a single D^2 option counts for: such a cell (every cell
 #: under the paper formula) costs about 650 ns, a condition test in a cell with
 #: many options about 36 ns (2-CPU Xeon VM, Python 3.11).
@@ -115,13 +120,15 @@ PAPER_CELL_STEPS = 18
 
 
 class SearchTooLarge(ValueError):
-    """The estimated obstruction search exceeds :data:`SEARCH_BUDGET`."""
+    """A search refused for its size.
 
-    def __init__(self, estimate: int) -> None:
-        super().__init__(
-            f"obstruction search too large: estimated {estimate} steps exceed the budget "
-            f"of {SEARCH_BUDGET}; use a larger delta or a smaller k"
-        )
+    Either its estimated steps exceed :data:`SEARCH_BUDGET`, or the
+    multiplicities of its witnesses exceed :data:`OUTPUT_BUDGET`; ``estimate``
+    is the size over the bound.
+    """
+
+    def __init__(self, message: str, estimate: int) -> None:
+        super().__init__(message)
         self.estimate = estimate
 
 
@@ -247,7 +254,10 @@ def search_obstruction(
 
     Raises :class:`SearchTooLarge`, before any work, when the closed-form
     bound of :func:`_search_estimate` on condition tests and table bits
-    exceeds :data:`SEARCH_BUDGET`.
+    exceeds :data:`SEARCH_BUDGET`.  The walk records witnesses without their
+    multiplicity vectors; those are padded to length r only afterwards, and
+    only when the output, witnesses x r multiplicities, is within
+    :data:`OUTPUT_BUDGET` (else :class:`SearchTooLarge` again).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -266,22 +276,15 @@ def search_obstruction(
     m_max = floor(sigma_bound(t, delta)) if r >= 1 else 0
     estimate = _search_estimate(a, b, t, r, m_max, formula)
     if estimate > SEARCH_BUDGET:
-        raise SearchTooLarge(estimate)
+        raise SearchTooLarge(
+            f"obstruction search too large: estimated {estimate} steps exceed the budget "
+            f"of {SEARCH_BUDGET}; use a larger delta or a smaller k", estimate)
     table = _SquareSums(min(r, m_max), m_max) if formula == "standard" else None
 
     condition = bs_condition3
-    witnesses: list[ObstructionWitness] = []
+    found = []  # (alpha, beta, M, D^2, N.D, D^2 option)
     for m_sum in range(0, m_max + 1):
-        # D^2 option -> multiplicity vector; standard-formula ones are filled in
-        # only for options that a witness uses
-        if m_sum == 0:
-            mults_of = {0: (0,) * r}
-        elif table is None:
-            mults_of = {m_sum * m_sum: (m_sum,) + (0,) * (r - 1)}
-        else:
-            parts = min(r, m_sum)
-            mults_of = {}
-        q_values = list(mults_of) or table.values(m_sum, parts)
+        q_values = [m_sum * m_sum] if table is None else table.values(m_sum, min(r, m_sum))
         low = t * m_sum + 1  # N.D >= 1
         high = t * m_sum + t  # L.D_S <= t(1 + M), i.e. N.D <= t
         for alpha in range(0, high // b + 1):
@@ -291,10 +294,25 @@ def search_obstruction(
                 ds2 = 2 * alpha * beta
                 for sq in q_values:
                     if condition(nd, ds2 - sq, k):
-                        if sq not in mults_of:
-                            rep = table.representative(sq, m_sum, parts)
-                            mults_of[sq] = rep + (0,) * (r - len(rep))
-                        witnesses.append(ObstructionWitness(
-                            DivisorClass(alpha, beta), mults_of[sq], nd, ds2 - sq))
-    witnesses.sort(key=lambda w: (w.d_s.a, w.d_s.b, sum(w.mults), w.d2, w.mults))
+                        found.append((alpha, beta, m_sum, ds2 - sq, nd, sq))
+    size = len(found) * r
+    if size > OUTPUT_BUDGET:
+        raise SearchTooLarge(
+            f"obstruction search output too large: {len(found)} witnesses x {r} "
+            f"multiplicities = {size} exceed the bound of {OUTPUT_BUDGET}; use a smaller r",
+            size)
+
+    # (alpha, beta, M, D^2) is unique per witness, so this is the witness order
+    found.sort()
+    mults_of = {}  # (M, D^2 option) -> multiplicity vector padded to length r
+    witnesses = []
+    for alpha, beta, m_sum, d2, nd, sq in found:
+        mults = mults_of.get((m_sum, sq))
+        if mults is None:
+            if table is not None:
+                rep = table.representative(sq, m_sum, min(r, m_sum))
+            else:
+                rep = (m_sum,) if m_sum else ()
+            mults = mults_of[m_sum, sq] = rep + (0,) * (r - len(rep))
+        witnesses.append(ObstructionWitness(DivisorClass(alpha, beta), mults, nd, d2))
     return witnesses

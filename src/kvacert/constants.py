@@ -30,10 +30,12 @@ t0 = kmin + 1 plus a polynomial positivity certificate on the ray
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cache
 from math import floor
+from types import MappingProxyType
+from typing import NamedTuple
 
 # a module import: blowup imports sigma_bound from this module
 from . import blowup
@@ -42,6 +44,7 @@ from .exactmath import (
     PolyRayResult,
     QuadExpr,
     RatLike,
+    Value,
     as_rat,
     decimal_str,
     frac_str,
@@ -58,39 +61,39 @@ C_MAX_DEFAULT = Fraction(887, 1000)
 DELTA_DEFAULT = Fraction(178, 1000)
 
 
-@dataclass(frozen=True)
-class ProofInstanceParams:
+class ProofInstanceParams(Value):
     """Validated parameter bundle (k, t, d, c, delta) for one theorem instance."""
 
-    k: int
-    t: int
-    d: int
-    c: Fraction
-    delta: Fraction
+    __slots__ = ("k", "t", "d", "c", "delta")
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
+    def __init__(self, k: int, t: int, d: int, c: Fraction, delta: Fraction) -> None:
+        if k < 2:
             raise ValueError("k must be at least 2")
-        if self.t != self.k + 1:
+        if t != k + 1:
             raise ValueError("t must equal k + 1")
-        if self.d < (self.k + 1) ** 2 + 1:
+        if d < (k + 1) ** 2 + 1:
             raise ValueError("d must exceed (k+1)^2")
-        if not (0 < self.c < 1):
+        if not (0 < c < 1):
             raise ValueError("c must lie in (0, 1)")
-        if self.delta <= 0:
+        if delta <= 0:
             raise ValueError("delta must be positive")
+        for name, value in zip(self.__slots__, (k, t, d, c, delta)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass
-class CertRecord:
+#: the default of the mapping fields of the records below: empty and read-only
+_EMPTY: Mapping = MappingProxyType({})
+
+
+class CertRecord(NamedTuple):
     """One certified (or refuted) inequality, with everything needed to re-check it."""
 
     id: str
     status: str  # "certified" | "refuted"
     margin: Fraction | QuadExpr | None = None
-    polys: list[PolyRayResult] = field(default_factory=list)
-    side_conditions: list[str] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    polys: Sequence[PolyRayResult] = ()
+    side_conditions: Sequence[str] = ()
+    details: Mapping = _EMPTY
     counterexample: Fraction | None = None
 
     @property
@@ -98,8 +101,7 @@ class CertRecord:
         return self.status == "certified"
 
 
-@dataclass
-class Discrepancy:
+class Discrepancy(NamedTuple):
     """A quoted value that exact recomputation does not reproduce."""
 
     id: str
@@ -107,11 +109,10 @@ class Discrepancy:
     recomputed: str
     exact: QuadExpr | Fraction | None = None
     note: str = ""
-    alternatives: dict[str, str] = field(default_factory=dict)
+    alternatives: Mapping[str, str] = _EMPTY
 
 
-@dataclass
-class ConstantsReport:
+class ConstantsReport(NamedTuple):
     """Outcome of the constants pipeline: the constants plus their certificates."""
 
     c_max: Fraction | None
@@ -557,8 +558,7 @@ def _certified_constants() -> tuple[Fraction, Fraction]:
     return C_MAX_DEFAULT, delta
 
 
-@dataclass
-class InstanceCertificate:
+class InstanceCertificate(NamedTuple):
     """The verdict on one theorem instance, with every check and number behind it.
 
     Each check is a (name, ok, detail) triple.  The instance is certified

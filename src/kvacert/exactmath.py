@@ -20,14 +20,17 @@ Three layers live here:
   certificate (shift to t0 and inspect coefficients) is tried first; Sturm
   sequences, which work on the ``Fraction`` coefficients, are the exact
   fallback.
+
+``QuadExpr`` and ``Poly``, like the package's other value types, build on
+:class:`Value`: immutable ``__slots__`` classes compared by field value.
+The package's records are ``typing.NamedTuple``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 RatLike = Union[Fraction, int, str]
 
@@ -65,16 +68,54 @@ def _sqrt_bounds(s: Fraction, digits: int) -> tuple[Fraction, Fraction]:
     return Fraction(a, den), Fraction(a + 1, den)
 
 
-@dataclass(frozen=True)
-class QuadExpr:
+class Value:
+    """Base of the immutable value types: equal and hashed by their ``__slots__`` fields.
+
+    A subclass names its fields in ``__slots__`` and sets them once, in
+    ``__init__``, through ``object.__setattr__``; assigning or deleting a field
+    afterwards raises :class:`AttributeError`.  Instances of different classes
+    are never equal, and values are not ordered.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable value")
+
+    # copy and pickle
+    def __getstate__(self) -> dict:
+        return dict(zip(self.__slots__, self._key()))
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class QuadExpr(Value):
     """Exact number p + q*sqrt(s), rational p and q, rational radicand s >= 0."""
 
-    p: Fraction
-    q: Fraction = Fraction(0)
-    s: Fraction = Fraction(0)
+    __slots__ = ("p", "q", "s")
 
-    def __post_init__(self) -> None:
-        p, q, s = as_rat(self.p), as_rat(self.q), as_rat(self.s)
+    def __init__(self, p: RatLike, q: RatLike = Fraction(0), s: RatLike = Fraction(0)) -> None:
+        p, q, s = as_rat(p), as_rat(q), as_rat(s)
         if s < 0:
             raise ValueError(f"negative radicand: {s}")
         if q == 0 or s == 0:
@@ -229,8 +270,7 @@ def frac_str(x: RatLike) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Value):
     """Univariate polynomial over Q: integer numerators ``num`` over one denominator ``den``.
 
     Coefficients ascend; trailing zeros are stripped and (num, den) is in
@@ -240,8 +280,7 @@ class Poly:
     the integers and normalise once by a gcd.
     """
 
-    num: tuple[int, ...]
-    den: int
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[RatLike]):
         cs = [c if type(c) is int else as_rat(c) for c in coeffs]
@@ -427,8 +466,7 @@ def _count_roots_in(chain: list[Poly], a: Fraction, b: Fraction) -> int:
     return _variations_at(chain, a) - _variations_at(chain, b)
 
 
-@dataclass(frozen=True)
-class PolyRayResult:
+class PolyRayResult(NamedTuple):
     """Outcome of a strict-positivity query "p(t) > 0 for all t >= t0".
 
     ``positive`` carries the verdict.  A positive verdict comes with a

@@ -10,11 +10,12 @@ numerically trivial on these surfaces, so it never appears explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .exactmath import Value
 
 
-@dataclass(frozen=True)
-class SurfaceType:
+class SurfaceType(NamedTuple):
     """One of the seven Bagnera-de Franchis classes of bielliptic surfaces.
 
     ``mu`` is the lcm of the singular-fibre multiplicities, ``gamma`` the
@@ -53,23 +54,23 @@ def surface_by_id(type_id: int) -> SurfaceType:
     raise ValueError(f"unknown surface type id: {type_id} (valid: 1..7)")
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Value):
     """Numerical class a*(A/mu) + b*(mu/gamma)*B, integer coordinates.
 
     ``surface_id`` is optional metadata; when two tagged classes from
     different surface types meet in a pairing, the operation is rejected.
     """
 
-    a: int
-    b: int
-    surface_id: int | None = None
+    __slots__ = ("a", "b", "surface_id")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+    def __init__(self, a: int, b: int, surface_id: int | None = None) -> None:
+        if not isinstance(a, int) or not isinstance(b, int):
             raise TypeError("divisor coordinates must be integers")
-        if self.surface_id is not None:
-            surface_by_id(self.surface_id)
+        if surface_id is not None:
+            surface_by_id(surface_id)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "surface_id", surface_id)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _check_same_surface(self, other)

@@ -11,6 +11,7 @@ import pytest
 
 import kvacert.blowup as blowup_module
 from kvacert.blowup import (
+    OUTPUT_BUDGET,
     SEARCH_BUDGET,
     BlowupClass,
     ObstructionWitness,
@@ -379,6 +380,18 @@ class TestSearchBudget:
         with pytest.raises(SearchTooLarge):
             search_obstruction(DivisorClass(1, 1), 2, 5, Fraction(1, 2000))
         assert time.monotonic() - start < 1.0
+
+    def test_output_is_bounded_in_witnesses_times_r(self):
+        # (3,3) at k=2 has 5 paper witnesses whatever r is: 5 x 200,000 = OUTPUT_BUDGET
+        witnesses = search_obstruction(DivisorClass(3, 3), 2, 200_000)
+        assert len(witnesses) * 200_000 == OUTPUT_BUDGET
+        assert all(len(w.mults) == 200_000 for w in witnesses)
+        assert ([w._replace(mults=w.mults[:4]) for w in witnesses]
+                == search_obstruction(DivisorClass(3, 3), 2, 4))
+        with pytest.raises(SearchTooLarge) as info:
+            search_obstruction(DivisorClass(3, 3), 2, 200_001)
+        assert info.value.estimate == 5 * 200_001
+        assert str(OUTPUT_BUDGET) in str(info.value)
 
     def test_largest_known_instance_is_far_below_the_budget(self):
         # (3,3) at k=8, r=40 under the standard formula: m_max = floor(9/0.178) = 50

@@ -1,16 +1,32 @@
 """Command-line surface: exit codes, JSON schemas, output values."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from math import floor, isqrt
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kvacert
 from kvacert.cli import main
 from kvacert.constants import certify_instance
+
+#: the environment of a fresh interpreter that imports this kvacert
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(kvacert.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
+def python(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=ENV,
+                          timeout=60)
 
 
 @pytest.fixture()
@@ -313,6 +329,15 @@ class TestObstructions:
         # 112500041250001 cells of one D^2 option each, 18 steps a cell
         assert "estimated 2025000742500018 steps exceed the budget" in result.output
 
+    def test_oversized_output_refused_promptly(self, runner):
+        start = time.monotonic()
+        result = run(runner, ["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "1000000",
+                              "--json"])
+        assert result.exit_code == 2
+        assert ("5 witnesses x 1000000 multiplicities = 5000000 exceed the bound of 1000000"
+                in result.output)
+        assert time.monotonic() - start < 1.0
+
 
 class TestSurfaces:
     def test_seven_rows(self, runner):
@@ -374,3 +399,22 @@ class TestGlobalFlags:
         ]
         for args, expected in matrix:
             assert run(runner, args).exit_code == expected, args
+
+
+class TestEntryPoint:
+    def test_import_does_not_load_dataclasses(self):
+        result = python("-c", "import sys, kvacert.cli; print('dataclasses' in sys.modules)")
+        assert (result.returncode, result.stdout) == (0, "False\n")
+
+    def test_run_freezes_the_heap_and_renders_like_main(self, runner):
+        code = ("import atexit, gc, sys; from kvacert.cli import run; "
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); "
+                "sys.argv = ['kvacert', 'surfaces']; run()")
+        result = python("-c", code)
+        assert (result.returncode, result.stderr) == (0, "True\n")
+        assert result.stdout == run(runner, ["surfaces"]).output
+
+    def test_main_does_not_freeze(self, runner):
+        before = gc.get_freeze_count()
+        assert run(runner, ["surfaces"]).exit_code == 0
+        assert gc.get_freeze_count() == before

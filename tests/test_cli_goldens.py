@@ -8,7 +8,9 @@ recorded before the exact kernel moved to integer arithmetic.  Each is there
 plain and with ``--json``.  Everything but ``check`` must be byte-identical.
 ``check`` now adds the certificate checks; with them removed, its output must
 be byte-identical except for the verdict of the two inputs whose
-certification was unsound.
+certification was unsound.  All but the two 1/10000 scans also run in a fresh
+``python -m kvacert.cli`` process, which must print what ``main`` prints in
+process.
 """
 
 import json
@@ -18,6 +20,7 @@ import pytest
 from click.testing import CliRunner
 
 from kvacert.cli import main
+from test_cli import python
 
 GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())
 CERTIFICATE_CHECKS = ("star", "c-certified", "delta-certified")
@@ -55,3 +58,18 @@ def test_output_matches_golden(golden):
         expected = expected.replace("k-very-ample-certified", "hypotheses-not-met")
     assert result.exit_code == expected_exit
     assert _without_certificate_checks(args, result.output) == expected
+
+
+#: every golden but the slow 1/10000 scans, through ``python -m kvacert.cli``
+MODULE_GOLDENS = [g for g in GOLDENS if "1/10000" not in g["args"]]
+
+
+@pytest.mark.parametrize("golden", MODULE_GOLDENS, ids=lambda g: " ".join(g["args"]))
+def test_module_entry_point_renders_like_main(golden):
+    """A fresh ``python -m kvacert.cli`` process (it goes through ``run``) prints what
+    ``main`` prints in process, which :func:`test_output_matches_golden` checks."""
+    proc = python("-m", "kvacert.cli", *golden["args"])
+    result = CliRunner().invoke(main, golden["args"])
+    assert (proc.returncode, proc.stdout) == (result.exit_code, result.output)
+    if golden["args"][0] != "check":
+        assert (proc.returncode, proc.stdout) == (golden["exit"], golden["output"])
