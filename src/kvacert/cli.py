@@ -23,6 +23,7 @@ from .constants import (
     ConstantsReport,
     c_max_search,
     certify_instance,
+    margin_fields,
     max_points,
     render_margin,
 )
@@ -56,12 +57,10 @@ def _emit_json(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2))
 
 
-def _margin_fields(value) -> tuple[str | None, str | None]:
-    if value is None:
-        return None, None
-    if isinstance(value, QuadExpr):
-        return str(value), value.approx_str()
-    return frac_str(value), decimal_str(value)
+def _exact_fields(name: str, value) -> dict:
+    """``name`` and ``name_approx`` keys: the exact and decimal renderings of a rational or surd."""
+    exact, approx = margin_fields(value)
+    return {name: exact, f"{name}_approx": approx}
 
 
 def _checks_to_list(checks: list[tuple[str, bool, str]]) -> list[dict]:
@@ -69,31 +68,20 @@ def _checks_to_list(checks: list[tuple[str, bool, str]]) -> list[dict]:
 
 
 def _cert_to_dict(rec: CertRecord) -> dict:
-    margin, margin_approx = _margin_fields(rec.margin)
     return {
         "id": rec.id,
         "status": rec.status,
-        "margin": margin,
-        "margin_approx": margin_approx,
+        **_exact_fields("margin", rec.margin),
         "side_conditions": list(rec.side_conditions),
         "counterexample": frac_str(rec.counterexample) if rec.counterexample is not None else None,
     }
 
 
 def _report_to_dict(report: ConstantsReport) -> dict:
-    def opt(x):
-        return frac_str(x) if x is not None else None
-
-    def opt_approx(x):
-        return decimal_str(x) if x is not None else None
-
     return {
-        "c_max": opt(report.c_max),
-        "c_max_approx": opt_approx(report.c_max),
-        "delta_max": opt(report.delta_max),
-        "delta_max_approx": opt_approx(report.delta_max),
-        "c_ceiling": frac_str(report.c_ceiling),
-        "c_ceiling_approx": decimal_str(report.c_ceiling),
+        **_exact_fields("c_max", report.c_max),
+        **_exact_fields("delta_max", report.delta_max),
+        **_exact_fields("c_ceiling", report.c_ceiling),
         "grid_step": frac_str(report.grid_step),
         "kmin": report.kmin,
         "feasible": report.feasible,
@@ -104,8 +92,7 @@ def _report_to_dict(report: ConstantsReport) -> dict:
                 "id": d.id,
                 "quoted": d.quoted,
                 "recomputed": d.recomputed,
-                "exact": _margin_fields(d.exact)[0],
-                "exact_approx": _margin_fields(d.exact)[1],
+                **_exact_fields("exact", d.exact),
                 "note": d.note,
                 "alternatives": dict(d.alternatives),
             }
@@ -165,11 +152,9 @@ def check(ctx, surface, a, b, k, d, r, c_str, delta_str, json_out, quiet):
                     "L2": cert.l2,
                     "r_max": cert.r_max,
                     "N2": cert.n2,
-                    "seshadri_lower_sq": frac_str(ses_sq) if ses_sq is not None else None,
-                    "seshadri_lower_sq_approx": decimal_str(ses_sq) if ses_sq is not None else None,
+                    **_exact_fields("seshadri_lower_sq", ses_sq),
                     "seshadri_lower_approx": _sqrt_approx(ses_sq) if ses_sq is not None else None,
-                    "threshold_sq": frac_str(threshold_sq),
-                    "threshold_sq_approx": decimal_str(threshold_sq),
+                    **_exact_fields("threshold_sq", threshold_sq),
                     "star_holds": cert.star,
                     "c": frac_str(c),
                     "delta": frac_str(delta),
@@ -270,8 +255,7 @@ def seshadri(ctx, surface, a, b, r, json_out, quiet):
     if json_out:
         _emit_json(
             {
-                "seshadri_lower_sq": frac_str(ses_sq),
-                "seshadri_lower_sq_approx": decimal_str(ses_sq),
+                **_exact_fields("seshadri_lower_sq", ses_sq),
                 "seshadri_lower_approx": _sqrt_approx(ses_sq),
             }
         )
@@ -299,13 +283,17 @@ def constants(ctx, action, grid_step, kmin, json_out, quiet):
     With default settings this is a self-verification: exit 0 only when the
     scan reproduces c_max = 887/1000, delta_max = 178/1000 and a ceiling of
     954/1000 exactly.  With a non-default grid or kmin, exit 0 simply means
-    a feasible constant was found.
+    a feasible constant was found.  Exit 2 when the grid has more points
+    below the ceiling than the scan budget (the count is printed).
     """
     json_out, quiet = _merged_flags(ctx, json_out, quiet)
     step = _rat_arg(grid_step, "--grid-step")
     if not (0 < step < 1):
         raise click.UsageError("--grid-step must lie in (0, 1)")
-    report = c_max_search(step, kmin)
+    try:
+        report = c_max_search(step, kmin)
+    except SearchTooLarge as exc:
+        raise click.UsageError(str(exc)) from None
     if json_out:
         _emit_json(_report_to_dict(report))
     else:

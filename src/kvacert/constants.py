@@ -60,6 +60,10 @@ BINDING_T = 3
 C_MAX_DEFAULT = Fraction(887, 1000)
 DELTA_DEFAULT = Fraction(178, 1000)
 
+#: Most grid points :func:`c_max_search` scans.  A step of 1/100000 or larger
+#: stays within it for every kmin, because the ceiling is below 1.
+SCAN_BUDGET = 10**5
+
 
 class ProofInstanceParams(Value):
     """Validated parameter bundle (k, t, d, c, delta) for one theorem instance."""
@@ -89,7 +93,7 @@ class CertRecord(NamedTuple):
     """One certified (or refuted) inequality, with everything needed to re-check it."""
 
     id: str
-    status: str  # "certified" | "refuted"
+    status: str  # "certified" | "refuted" | "undecided", see _status
     margin: Fraction | QuadExpr | None = None
     polys: Sequence[PolyRayResult] = ()
     side_conditions: Sequence[str] = ()
@@ -137,6 +141,13 @@ class ConstantsReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _status(claims: Sequence[PolyRayResult]) -> str:
+    """Status of a record resting on ray claims: a claim left undecided makes it undecided."""
+    if all(claim.positive for claim in claims):
+        return "certified"
+    return "undecided" if any(claim.method == "undecided" for claim in claims) else "refuted"
+
+
 def _radicand(c: Fraction, t0: int) -> Fraction:
     # c - t0^2 / (16 (t0^2+3)^2): the quantity under the root in the Seshadri slack
     return c - Fraction(t0 * t0, 16 * (t0 * t0 + 3) ** 2)
@@ -181,7 +192,7 @@ def n2_chain_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     }
     return CertRecord(
         id="n2-chain",
-        status="certified" if cert.positive else "refuted",
+        status=_status([cert]),
         margin=margin_poly(t0),
         polys=[cert],
         details=details,
@@ -205,7 +216,7 @@ def case1_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     cert = poly_positive_on_ray(margin_poly, t0)
     return CertRecord(
         id="case1-hodge",
-        status="certified" if cert.positive else "refuted",
+        status=_status([cert]),
         margin=margin_poly(t0),
         polys=[cert],
         details={"lhs_at_t0": lhs(t0), "rhs_at_t0": rhs(t0)},
@@ -273,10 +284,9 @@ def z1_decreasing_cert() -> CertRecord:
         poly_positive_on_ray(rhs_root, BINDING_T),  # 2t^3 - 3t^2 > 0
         poly_positive_on_ray(rad, BINDING_T),  # radicand > 0 on the ray
     ]
-    status = "certified" if cert.positive and all(s.positive for s in side) else "refuted"
     return CertRecord(
         id="z1-decreasing",
-        status=status,
+        status=_status([cert, *side]),
         margin=(rhs - lhs)(BINDING_T),
         polys=[cert, *side],
         side_conditions=[
@@ -306,7 +316,7 @@ def lhs_increasing_cert() -> CertRecord:
     f3_hi = f3.cmp_rat(Fraction(10595, 10000)) < 0
     slack = delta_raw(c)
     slack_above = slack.cmp_rat(DELTA_DEFAULT) > 0
-    status = "certified" if cert.positive and f3_lo and f3_hi and slack_above else "refuted"
+    status = _status([cert]) if f3_lo and f3_hi and slack_above else "refuted"
     return CertRecord(
         id="lhs-increasing",
         status=status,
@@ -388,7 +398,7 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
         poly_positive_on_ray(rhs, t0),  # right side positive before squaring
         poly_positive_on_ray(rad, t0),  # radicand positive on the ray
     ]
-    ok = z1_cert.positive and z2_cert.positive and all(s.positive for s in side)
+    claims = [z1_cert, z2_cert, *side]
 
     t0q = Fraction(t0)
     z2_at_t0 = QuadExpr(t0q * t0q - t0q, 1, t0q**4 - 2 * t0q**3)
@@ -400,9 +410,9 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
         counterexample = z2_cert.counterexample
     return CertRecord(
         id="z-interval-containment",
-        status="certified" if ok else "refuted",
+        status=_status(claims),
         margin=z2_quad(t0),
-        polys=[z1_cert, z2_cert, *side],
+        polys=claims,
         side_conditions=[
             "t^2 - t - 1 > 0 on the ray (z_1 comparison squared legitimately)",
             "((1-c)/c) t^2 + t > 0 on the ray (z_2 comparison squared legitimately)",
@@ -435,7 +445,7 @@ def g_positive_cert(c: RatLike, delta: RatLike, t0: int = BINDING_T) -> CertReco
     cert = poly_positive_on_ray(g, t0)
     return CertRecord(
         id="g-positive",
-        status="certified" if cert.positive else "refuted",
+        status=_status([cert]),
         margin=g(t0),
         polys=[cert],
         details={"g_at_t0": g(t0), "c": c, "delta": delta},
@@ -498,7 +508,9 @@ def c_max_search(grid_step: RatLike = Fraction(1, 1000), kmin: int = 2) -> Const
 
     Every grid point is evaluated independently (the floored slack is not
     monotone in c, so no point may be skipped).  An empty feasible set is
-    reported, not raised.
+    reported, not raised.  A grid with more than :data:`SCAN_BUDGET` points
+    below the ceiling raises :class:`kvacert.blowup.SearchTooLarge` before
+    any point is scanned.
     """
     grid_step = as_rat(grid_step)
     if not (0 < grid_step < 1):
@@ -511,6 +523,10 @@ def c_max_search(grid_step: RatLike = Fraction(1, 1000), kmin: int = 2) -> Const
     scanned = 0
     winner: tuple[Fraction, Fraction, list[CertRecord]] | None = None
     n = floor(ceiling / grid_step)
+    if n > SCAN_BUDGET:
+        raise blowup.SearchTooLarge(
+            f"constants scan too large: {n} grid points exceed the budget of {SCAN_BUDGET}; "
+            "use a larger grid step", n)
     while n >= 1:
         c = n * grid_step
         if c < 1:
@@ -696,10 +712,18 @@ def standard_discrepancies() -> list[Discrepancy]:
     ]
 
 
+def margin_fields(value: Fraction | QuadExpr | None) -> tuple[str | None, str | None]:
+    """(exact, approximate) strings of a margin or recomputed value; (None, None) for none."""
+    if value is None:
+        return None, None
+    if isinstance(value, QuadExpr):
+        return str(value), value.approx_str()
+    return frac_str(value), decimal_str(value)
+
+
 def render_margin(value: Fraction | QuadExpr | None) -> str:
     """Uniform exact+approximate rendering for report margins."""
     if value is None:
         return "n/a"
-    if isinstance(value, QuadExpr):
-        return f"{value} (~ {value.approx_str()})"
-    return f"{frac_str(value)} (~ {decimal_str(value)})"
+    exact, approx = margin_fields(value)
+    return f"{exact} (~ {approx})"

@@ -16,10 +16,10 @@ Three layers live here:
 * ``Poly`` + :func:`poly_positive_on_ray` -- certificates that a rational
   polynomial is strictly positive on a ray [t0, oo).  A ``Poly`` is stored
   as integer numerators over one common denominator, so its arithmetic and
-  its Taylor shift (integer synthetic division) run on ints.  The cheap
-  certificate (shift to t0 and inspect coefficients) is tried first; Sturm
-  sequences, which work on the ``Fraction`` coefficients, are the exact
-  fallback.
+  its Taylor shift (integer synthetic division) run on ints.  The one
+  certificate is the shift p(t0 + u): nonnegative coefficients with a
+  positive constant term prove positivity, a constant term p(t0) <= 0
+  refutes it, and anything else is left undecided, never certified.
 
 ``QuadExpr`` and ``Poly``, like the package's other value types, build on
 :class:`Value`: immutable ``__slots__`` classes compared by field value.
@@ -316,11 +316,6 @@ class Poly(Value):
     def degree(self) -> int:
         return len(self.num) - 1
 
-    def lc(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
-
     def __call__(self, t: RatLike) -> Fraction:
         if self.is_zero:
             return Fraction(0)
@@ -400,147 +395,42 @@ class Poly(Value):
         return " + ".join(parts)
 
 
-def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 1)
-    rem = list(a.coeffs)
-    db, lb = b.degree, b.lc()
-    while len(rem) - 1 >= db and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        k = len(rem) - 1 - db
-        f = rem[-1] / lb
-        q[k] = f
-        for i, c in enumerate(b.coeffs):
-            rem[k + i] -= f * c
-        rem.pop()
-    return Poly(q), Poly(rem)
-
-
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    return a.scale(1 / a.lc())
-
-
-def _squarefree(p: Poly) -> Poly:
-    g = _poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    q, r = _poly_divmod(p, g)
-    assert r.is_zero
-    return q
-
-
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if r.is_zero:
-            break
-        chain.append(-r)
-    return [q for q in chain if not q.is_zero]
-
-
-def _variations(values: Iterable[Fraction]) -> int:
-    nz = [v for v in values if v != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if (a > 0) != (b > 0))
-
-
-def _variations_at(chain: list[Poly], x: Fraction) -> int:
-    return _variations([q(x) for q in chain])
-
-
-def _variations_at_inf(chain: list[Poly]) -> int:
-    return _variations([q.lc() for q in chain])
-
-
-def _count_roots_in(chain: list[Poly], a: Fraction, b: Fraction) -> int:
-    # distinct roots in the half-open interval (a, b]
-    return _variations_at(chain, a) - _variations_at(chain, b)
-
-
 class PolyRayResult(NamedTuple):
     """Outcome of a strict-positivity query "p(t) > 0 for all t >= t0".
 
-    ``positive`` carries the verdict.  A positive verdict comes with a
-    checkable certificate: either every coefficient of the shift p(t0+u)
-    is nonnegative with positive constant term (``method="shift-coeffs"``),
-    or p(t0) > 0 and the Sturm chain counts zero roots on (t0, oo)
-    (``method="sturm"``).  A negative verdict carries a rational point
-    where p <= 0 when one exists, plus an isolating interval for the
-    first offending root otherwise.
+    ``shifted`` is the certificate, the Taylor shift u -> p(t0 + u), and
+    ``method`` names which of its three readings decided the query:
+
+    * ``"shift-coeffs"``: every shifted coefficient is nonnegative and the
+      constant term p(t0) is positive, so p > 0 on the ray (``positive``);
+    * ``"endpoint"``: the constant term p(t0) is <= 0, so the claim is
+      refuted at ``counterexample`` = t0;
+    * ``"undecided"``: p(t0) > 0 but some shifted coefficient is negative.
+      ``positive`` is False and the claim is never certified; no
+      counterexample is claimed either.
     """
 
     positive: bool
     poly: Poly
     t0: Fraction
     method: str
-    shifted: Poly | None = None
+    shifted: Poly
     counterexample: Fraction | None = None
-    counterexample_interval: tuple[Fraction, Fraction] | None = None
-
-
-def _isolate_first_root(sf: Poly, chain: list[Poly], t0: Fraction) -> tuple[Fraction, Fraction]:
-    hi = t0 + 1
-    while _count_roots_in(chain, t0, hi) == 0:
-        hi = t0 + (hi - t0) * 2
-    lo = t0
-    while hi - lo > Fraction(1, 1 << 12):
-        mid = (lo + hi) / 2
-        if _count_roots_in(chain, lo, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def _find_nonpositive_point(
-    p: Poly, t0: Fraction, lo: Fraction, hi: Fraction
-) -> Fraction | None:
-    for cand in (hi, (lo + hi) / 2, hi + 1):
-        if cand >= t0 and p(cand) <= 0:
-            return cand
-    # walk outward: past an odd-order root the sign flip must show up
-    step = Fraction(1)
-    t = hi
-    for _ in range(64):
-        t = t + step
-        if p(t) <= 0:
-            return t
-        step *= 2
-    return None
 
 
 def poly_positive_on_ray(p: Poly, t0: RatLike) -> PolyRayResult:
-    """Decide whether p(t) > 0 for every t >= t0, exactly.
+    """Decide whether p(t) > 0 for every t >= t0 from the signs of p(t0 + u).
 
-    Strategy: substitute t = t0 + u and inspect coefficients (cheap,
-    certificate-producing); fall back to Sturm root counting on (t0, oo).
+    Exact and sound, not complete: a shift with a negative coefficient but a
+    positive constant term is ``"undecided"``.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     t0 = as_rat(t0)
     shifted = p.shift(t0)
     # den > 0, so the numerators carry the signs; the constant term is p(t0)
-    p_t0 = shifted.num[0]
-    if p_t0 > 0 and all(n >= 0 for n in shifted.num):
-        return PolyRayResult(True, p, t0, "shift-coeffs", shifted=shifted)
-    if p_t0 <= 0:
-        return PolyRayResult(False, p, t0, "endpoint", counterexample=t0)
-    sf = _squarefree(p)
-    chain = _sturm_chain(sf)
-    n_roots = _variations_at(chain, t0) - _variations_at_inf(chain)
-    if n_roots == 0:
-        return PolyRayResult(True, p, t0, "sturm")
-    lo, hi = _isolate_first_root(sf, chain, t0)
-    point = _find_nonpositive_point(p, t0, lo, hi)
-    return PolyRayResult(
-        False, p, t0, "sturm", counterexample=point, counterexample_interval=(lo, hi)
-    )
+    if shifted.num[0] <= 0:
+        return PolyRayResult(False, p, t0, "endpoint", shifted, counterexample=t0)
+    if all(n >= 0 for n in shifted.num):
+        return PolyRayResult(True, p, t0, "shift-coeffs", shifted)
+    return PolyRayResult(False, p, t0, "undecided", shifted)

@@ -290,6 +290,19 @@ class TestConstants:
     def test_bad_grid_step_exit_two(self, runner):
         assert run(runner, ["constants", "verify", "--grid-step", "0"]).exit_code == 2
 
+    @pytest.mark.parametrize("step,points", [
+        ("1/1000000", 954_000),
+        ("1/100000000", 95_400_000),
+        ("1e-400", 954 * 10**397),
+    ])
+    def test_oversized_scan_refused_promptly(self, runner, step, points):
+        start = time.monotonic()
+        result = run(runner, ["constants", "verify", "--grid-step", step])
+        assert result.exit_code == 2
+        assert (f"constants scan too large: {points} grid points exceed the budget of 100000"
+                in result.output)
+        assert time.monotonic() - start < 1.0
+
 
 class TestObstructions:
     def test_certified_instance_clear(self, runner):

@@ -5,10 +5,15 @@ from fractions import Fraction
 from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kvacert import constants
+from kvacert.blowup import SearchTooLarge
 from kvacert.constants import (
     C_MAX_DEFAULT,
     DELTA_DEFAULT,
+    SCAN_BUDGET,
     ProofInstanceParams,
     c_max_search,
     case1_cert,
@@ -19,14 +24,16 @@ from kvacert.constants import (
     g_positive_cert,
     interval_containment_cert,
     lhs_increasing_cert,
+    margin_fields,
     n2_chain_cert,
     pipeline_certs,
+    render_margin,
     sigma_bound,
     standard_discrepancies,
     z1_decreasing_cert,
     z_roots,
 )
-from kvacert.exactmath import Poly, quad_floor_milli
+from kvacert.exactmath import Poly, QuadExpr, quad_floor_milli
 
 C = C_MAX_DEFAULT  # 887/1000
 RADICAND_AT_3 = C - Fraction(9, 2304)  # c - t^2/(16 (t^2+3)^2) at t = 3
@@ -143,6 +150,16 @@ class TestCase1:
         assert not rec.certified
         assert rec.margin == Fraction(5, 100) * 288 - 25 == Fraction(-53, 5)
         assert rec.counterexample == 3
+
+    def test_undecided_claim_is_not_refuted(self):
+        # at t0 = 0 the shift is the polynomial itself: its constant term 13/5 is
+        # positive but its t^2 coefficient -8/5 is not, so nothing is decided
+        rec = case1_cert(Fraction(4, 5), t0=0)
+        assert rec.status == "undecided" and not rec.certified
+        assert rec.counterexample is None
+        [claim] = rec.polys
+        assert (claim.positive, claim.method) == (False, "undecided")
+        assert claim.shifted == claim.poly
 
 
 class TestIsotropicCase:
@@ -337,6 +354,52 @@ class TestPipeline:
         with pytest.raises(ValueError):
             c_max_search(Fraction(1, 1000), 1)
 
+    @pytest.mark.parametrize("step,points", [
+        (Fraction(1, 10**6), 954_000),
+        (Fraction(1, 10**8), 95_400_000),
+        (Fraction(1, 10**400), 954 * 10**397),
+    ])
+    def test_oversized_grid_refused_before_scanning(self, step, points):
+        with pytest.raises(SearchTooLarge) as info:
+            c_max_search(step)
+        assert info.value.estimate == points
+        assert f"{points} grid points exceed the budget of {SCAN_BUDGET}" in str(info.value)
+
+    def test_budget_counts_points_below_the_ceiling(self, monkeypatch):
+        # the default grid has floor(954/1000 / (1/1000)) = 954 points below the ceiling
+        monkeypatch.setattr(constants, "SCAN_BUDGET", 954)
+        assert c_max_search().c_max == C
+        monkeypatch.setattr(constants, "SCAN_BUDGET", 953)
+        with pytest.raises(SearchTooLarge):
+            c_max_search()
+
+    def test_every_step_of_a_hundred_thousandth_is_within_budget(self):
+        # the ceiling is below 1 for every kmin
+        for kmin in (2, 3, 10, 100, 10**4):
+            assert floor(ceiling_from_n2(kmin) * 10**5) <= SCAN_BUDGET
+
+
+class TestNoUndecidedClaims:
+    """For t0 >= 3, every ray claim of the pipeline is decided by its Taylor shift.
+
+    This is why dropping the Sturm fallback changed no verdict: whenever the
+    constant term p(t0) is positive, so is every other shifted coefficient.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c=st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda c: 0 < c < 1),
+        delta=st.one_of(st.fractions(min_value=0, max_value=50, max_denominator=10**4),
+                        st.integers(1, 10**6).map(lambda n: Fraction(1, n))).filter(bool),
+        t0=st.integers(3, 200),
+    )
+    def test_certificates_never_undecided(self, c, delta, t0):
+        records = [n2_chain_cert(c, t0), case1_cert(c, t0), interval_containment_cert(c, t0),
+                   g_positive_cert(c, delta, t0), *pipeline_certs(c, t0)[2]]
+        for rec in records:
+            assert rec.status != "undecided", rec.id
+            assert all(claim.method != "undecided" for claim in rec.polys), rec.id
+
 
 class TestDiscrepancies:
     def test_threshold_entry_present_with_exact_value(self):
@@ -360,6 +423,17 @@ class TestDiscrepancies:
     def test_z1_derivative_recomputation(self):
         entry = next(d for d in standard_discrepancies() if d.id == "z1-derivative-sign")
         assert entry.exact.sign() == -1  # the true z_1'(3) = 5 - sqrt(27) < 0
+
+
+class TestMarginRendering:
+    def test_fields_and_rendering(self):
+        surd = QuadExpr(6, -1, 27)
+        assert margin_fields(None) == (None, None)
+        assert margin_fields(Fraction(-53, 5)) == ("-53/5", "-10.600000")
+        assert margin_fields(surd) == ("6 + -1*sqrt(27)", "0.803848")
+        assert render_margin(None) == "n/a"
+        assert render_margin(Fraction(-53, 5)) == "-53/5 (~ -10.600000)"
+        assert render_margin(surd) == "6 + -1*sqrt(27) (~ 0.803848)"
 
 
 class TestProofInstanceParams:

@@ -119,6 +119,7 @@ class TestPolyPositiveOnRay:
         res = poly_positive_on_ray(Poly([0, 0, 0, -2]), 3)
         assert not res.positive
         assert res.counterexample == 3
+        assert res.method == "endpoint" and res.shifted == Poly([-54, -54, -18, -2])
 
     def test_monomial(self):
         res = poly_positive_on_ray(Poly([0, 1]), 1)
@@ -128,19 +129,18 @@ class TestPolyPositiveOnRay:
         with pytest.raises(ValueError):
             poly_positive_on_ray(Poly([]), 0)
 
-    def test_sturm_certificate_without_coefficient_proof(self):
+    def test_undecided_without_coefficient_proof(self):
         # t^2 - 6t + 10 has no real roots but a negative shifted coefficient at 0
-        res = poly_positive_on_ray(Poly([10, -6, 1]), 0)
-        assert res.positive and res.method == "sturm"
-
-    def test_counterexample_between_two_roots(self):
-        # (t-2)(t-4): positive at 0, dips negative on (2, 4)
-        p = Poly([8, -6, 1])
+        p = Poly([10, -6, 1])
         res = poly_positive_on_ray(p, 0)
-        assert not res.positive
-        assert res.counterexample is not None and p(res.counterexample) <= 0
-        lo, hi = res.counterexample_interval
-        assert lo < 2 <= hi  # isolating interval of the first root
+        assert (res.positive, res.method, res.counterexample) == (False, "undecided", None)
+        assert res.shifted == p  # the certificate is carried even when it decides nothing
+        assert poly_positive_on_ray(p, 3).method == "shift-coeffs"  # p(3+u) = u^2 + 1
+
+    def test_dip_between_two_roots_is_undecided(self):
+        # (t-2)(t-4): positive at 0, dips negative on (2, 4); no counterexample is claimed
+        res = poly_positive_on_ray(Poly([8, -6, 1]), 0)
+        assert (res.positive, res.method, res.counterexample) == (False, "undecided", None)
 
     def test_irrational_root_counterexample(self):
         # t^2 - 10: first root sqrt(10), refutation point beyond it
@@ -152,7 +152,7 @@ class TestPolyPositiveOnRay:
     def test_root_counting(self):
         # (t-2)(t-4) has two roots above 0, one above 3 and none above 5
         p = Poly([8, -6, 1])
-        assert poly_positive_on_ray(p, 0).method == "sturm"  # p(0) > 0, roots counted
+        assert poly_positive_on_ray(p, 0).method == "undecided"  # p(0) > 0, u coefficient < 0
         assert [poly_positive_on_ray(p, t0).positive for t0 in (0, 3, 4, 5)] == [
             False, False, False, True]
         assert poly_positive_on_ray(p, 4 + Fraction(1, 1000)).positive
