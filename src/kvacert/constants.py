@@ -25,7 +25,9 @@ Each inequality that argument needs is certified here as an exact object:
 
 Every "for all k >= kmin" claim is reduced to an exact check at the binding
 t0 = kmin + 1 plus a polynomial positivity certificate on the ray
-[t0, oo); see :mod:`kvacert.exactmath` for the certificate machinery.
+[t0, oo); see :mod:`kvacert.exactmath` for the certificate machinery.  One
+builder, ``_ray_record``, turns those ray claims into every ray-based
+:class:`CertRecord` and decides its status, margin and counterexample.
 """
 
 from __future__ import annotations
@@ -77,8 +79,7 @@ class ProofInstanceParams(Value):
             raise ValueError("t must equal k + 1")
         if d < (k + 1) ** 2 + 1:
             raise ValueError("d must exceed (k+1)^2")
-        if not (0 < c < 1):
-            raise ValueError("c must lie in (0, 1)")
+        c = _unit(c)
         if delta <= 0:
             raise ValueError("delta must be positive")
         for name, value in zip(self.__slots__, (k, t, d, c, delta)):
@@ -129,6 +130,19 @@ class ConstantsReport(NamedTuple):
     feasible: bool
     scanned: int
 
+    @property
+    def verified(self) -> bool:
+        """The verdict of ``constants verify``.
+
+        At the default grid step 1/1000 and kmin 2 the scan must reproduce
+        c_max = 887/1000, delta_max = 178/1000 and the ceiling 954/1000
+        exactly; at any other setting a feasible constant suffices.
+        """
+        if (self.grid_step, self.kmin) == (Fraction(1, 1000), 2):
+            return (self.c_max, self.delta_max, self.c_ceiling) == (
+                C_MAX_DEFAULT, DELTA_DEFAULT, Fraction(954, 1000))
+        return self.feasible
+
     def discrepancy(self, disc_id: str) -> Discrepancy:
         for d in self.discrepancies:
             if d.id == disc_id:
@@ -141,11 +155,34 @@ class ConstantsReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _unit(c: RatLike) -> Fraction:
+    """``c`` as a Fraction; it must lie in (0, 1)."""
+    c = as_rat(c)
+    if not (0 < c < 1):
+        raise ValueError("c must lie in (0, 1)")
+    return c
+
+
 def _status(claims: Sequence[PolyRayResult]) -> str:
     """Status of a record resting on ray claims: a claim left undecided makes it undecided."""
     if all(claim.positive for claim in claims):
         return "certified"
     return "undecided" if any(claim.method == "undecided" for claim in claims) else "refuted"
+
+
+def _ray_record(id: str, claims: Sequence[Poly], t0: RatLike, side: Sequence[Poly] = (),
+                margin: Fraction | QuadExpr | None = None, **fields) -> CertRecord:
+    """The record of "every claim and every side condition is positive on [t0, oo)".
+
+    ``polys`` holds the ray certificates of the claims, then of the side
+    conditions; the status is :func:`_status` of all of them.  The margin is
+    the last claim at t0 unless given, and the counterexample is that of the
+    first claim that fails.  ``fields`` fill the record's remaining fields.
+    """
+    rays = [poly_positive_on_ray(p, t0) for p in (*claims, *side)]
+    failed = next((ray for ray in rays[: len(claims)] if not ray.positive), None)
+    return CertRecord(id, _status(rays), claims[-1](t0) if margin is None else margin, rays,
+                      counterexample=failed.counterexample if failed else None, **fields)
 
 
 def _radicand(c: Fraction, t0: int) -> Fraction:
@@ -155,9 +192,7 @@ def _radicand(c: Fraction, t0: int) -> Fraction:
 
 def delta_raw_at(c: RatLike, t0: int) -> QuadExpr:
     """Seshadri slack t0*((1/c)*sqrt(c - t0^2/(16(t0^2+3)^2)) - 1) at a binding t0."""
-    c = as_rat(c)
-    if not (0 < c < 1):
-        raise ValueError("c must lie in (0, 1)")
+    c = _unit(c)
     rad = _radicand(c, t0)
     if rad <= 0:
         raise ValueError(f"radicand {rad} is not positive at c = {c}")
@@ -171,6 +206,9 @@ def delta_raw(c: RatLike) -> QuadExpr:
 
 #: 2*(t^2+3)^2 = 2t^4 + 12t^2 + 18
 _TWO_T2P3_SQ = Poly([18, 0, 12, 0, 2])
+#: t^4 - 2t^3, the radicand of the roots z_1, z_2
+_RAD_Z = Poly([0, 0, 0, -2, 1])
+_TWO_T_MINUS_1 = Poly([-1, 2])
 
 
 def _n2_margin_poly(c: Fraction) -> Poly:
@@ -180,24 +218,13 @@ def _n2_margin_poly(c: Fraction) -> Poly:
 
 def n2_chain_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     """Certify (1-c)*2*(t^2+3)^2 >= 4t+1 for all t >= t0 (gives N^2 >= 4k+5)."""
-    c = as_rat(c)
-    if not (0 < c < 1):
-        raise ValueError("c must lie in (0, 1)")
-    margin_poly = _n2_margin_poly(c)
-    cert = poly_positive_on_ray(margin_poly, t0)
+    c = _unit(c)
     details = {
         "two_t2p3_sq_at_t0": _TWO_T2P3_SQ(t0),
         "lhs_at_t0": _TWO_T2P3_SQ.scale(1 - c)(t0),
         "rhs_at_t0": Fraction(4 * t0 + 1),
     }
-    return CertRecord(
-        id="n2-chain",
-        status=_status([cert]),
-        margin=margin_poly(t0),
-        polys=[cert],
-        details=details,
-        counterexample=cert.counterexample,
-    )
+    return _ray_record("n2-chain", [_n2_margin_poly(c)], t0, details=details)
 
 
 def case1_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
@@ -207,21 +234,11 @@ def case1_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     with D^2 > 0 would force N^2 <= (N.D)^2 <= (2k+1)^2 while
     N^2 >= (1-c)*L^2 >= (1-c)*2((k+1)^2+3)^2.
     """
-    c = as_rat(c)
-    if not (0 < c < 1):
-        raise ValueError("c must lie in (0, 1)")
+    c = _unit(c)
     lhs = _TWO_T2P3_SQ.scale(1 - c)
-    rhs = Poly([-1, 2]) * Poly([-1, 2])  # (2t-1)^2
-    margin_poly = lhs - rhs
-    cert = poly_positive_on_ray(margin_poly, t0)
-    return CertRecord(
-        id="case1-hodge",
-        status=_status([cert]),
-        margin=margin_poly(t0),
-        polys=[cert],
-        details={"lhs_at_t0": lhs(t0), "rhs_at_t0": rhs(t0)},
-        counterexample=cert.counterexample,
-    )
+    rhs = _TWO_T_MINUS_1 * _TWO_T_MINUS_1
+    return _ray_record("case1-hodge", [lhs - rhs], t0,
+                       details={"lhs_at_t0": lhs(t0), "rhs_at_t0": rhs(t0)})
 
 
 def case_ds2_zero_cert(k: int, d: int) -> CertRecord:
@@ -273,28 +290,17 @@ def z1_decreasing_cert() -> CertRecord:
     (2t-1)^2 (t^4-2t^3) < (2t^3-3t^2)^2; the difference of the two sides is
     exactly -2t^3, so positivity of 2t^3 on the ray settles it.
     """
-    rad = Poly([0, 0, 0, -2, 1])  # t^4 - 2t^3
-    lhs = Poly([-1, 2]) * Poly([-1, 2]) * rad  # (2t-1)^2 * (t^4-2t^3)
+    lhs = _TWO_T_MINUS_1 * _TWO_T_MINUS_1 * _RAD_Z
     rhs_root = Poly([0, 0, -3, 2])  # 2t^3 - 3t^2
     rhs = rhs_root * rhs_root
-    difference = lhs - rhs
-    cert = poly_positive_on_ray(rhs - lhs, BINDING_T)
-    side = [
-        poly_positive_on_ray(Poly([-1, 2]), BINDING_T),  # 2t - 1 > 0
-        poly_positive_on_ray(rhs_root, BINDING_T),  # 2t^3 - 3t^2 > 0
-        poly_positive_on_ray(rad, BINDING_T),  # radicand > 0 on the ray
-    ]
-    return CertRecord(
-        id="z1-decreasing",
-        status=_status([cert, *side]),
-        margin=(rhs - lhs)(BINDING_T),
-        polys=[cert, *side],
+    return _ray_record(
+        "z1-decreasing", [rhs - lhs], BINDING_T, side=[_TWO_T_MINUS_1, rhs_root, _RAD_Z],
         side_conditions=[
             "2t-1 > 0 on the ray (squaring preserves the order)",
             "2t^3-3t^2 > 0 on the ray (right side nonnegative before squaring)",
             "t^4-2t^3 >= 0 on the ray (radicand defined)",
         ],
-        details={"cleared_difference": difference},
+        details={"cleared_difference": lhs - rhs},
     )
 
 
@@ -310,18 +316,13 @@ def lhs_increasing_cert() -> CertRecord:
     """
     c = C_MAX_DEFAULT
     deriv_poly = Poly([0, -6, 0, 2])  # 2t^3 - 6t = 2t(t^2-3)
-    cert = poly_positive_on_ray(deriv_poly, BINDING_T)
     f3 = QuadExpr(0, 1 / c, _radicand(c, BINDING_T))
     f3_lo = f3.cmp_rat(Fraction(10593, 10000)) > 0
     f3_hi = f3.cmp_rat(Fraction(10595, 10000)) < 0
     slack = delta_raw(c)
     slack_above = slack.cmp_rat(DELTA_DEFAULT) > 0
-    status = _status([cert]) if f3_lo and f3_hi and slack_above else "refuted"
-    return CertRecord(
-        id="lhs-increasing",
-        status=status,
-        margin=slack - DELTA_DEFAULT,
-        polys=[cert],
+    record = _ray_record(
+        "lhs-increasing", [deriv_poly], BINDING_T, margin=slack - DELTA_DEFAULT,
         side_conditions=["(t^2+3)^3 > 0 (cleared denominator is positive)"],
         details={
             "derivative_numerator_at_3": deriv_poly(BINDING_T),
@@ -330,6 +331,7 @@ def lhs_increasing_cert() -> CertRecord:
             "slack_at_binding": slack,
         },
     )
+    return record if f3_lo and f3_hi and slack_above else record._replace(status="refuted")
 
 
 def ceiling_from_n2(kmin: int = 2) -> Fraction:
@@ -348,15 +350,9 @@ def _ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
     c = Fraction(n, 1000)
     margin_poly = _n2_margin_poly(c)
     binding_margin = margin_poly(t0)
-    monotone = poly_positive_on_ray(margin_poly.derivative(), t0)
     next_margin = _n2_margin_poly(Fraction(n + 1, 1000))(t0)
-    if binding_margin < 0 or not monotone.positive or next_margin >= 0:
-        raise RuntimeError("ceiling certificate failed unexpectedly")
-    record = CertRecord(
-        id="n2-ceiling",
-        status="certified",
-        margin=binding_margin,
-        polys=[monotone],
+    record = _ray_record(
+        "n2-ceiling", [margin_poly.derivative()], t0, margin=binding_margin,
         details={
             "ceiling": c,
             "exact_bound": c_exact,
@@ -365,6 +361,8 @@ def _ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
             "next_candidate_margin": next_margin,
         },
     )
+    if binding_margin < 0 or not record.certified or next_margin >= 0:
+        raise RuntimeError("ceiling certificate failed unexpectedly")
     return c, record
 
 
@@ -377,42 +375,22 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     * z_2(t) > t^2/c  <=>  (1-w^2)t^2 - 2(1+w)t - 1 > 0 with w = (1-c)/c
       (after squaring sqrt(rad) > w t^2 + t and dividing by t^2 > 0).
     """
-    c = as_rat(c)
-    if not (0 < c < 1):
-        raise ValueError("c must lie in (0, 1)")
-    rad = Poly([0, 0, 0, -2, 1])  # t^4 - 2t^3
-
+    c = _unit(c)
     z1_lhs = Poly([-1, -1, 1])  # t^2 - t - 1
-    z1_cleared = rad - z1_lhs * z1_lhs
-    z1_cert = poly_positive_on_ray(z1_cleared, t0)
+    z1_cleared = _RAD_Z - z1_lhs * z1_lhs
 
     w = (1 - c) / c
     rhs = Poly([0, 1, w])  # w t^2 + t
-    full = rad - rhs * rhs
+    full = _RAD_Z - rhs * rhs
     assert full.coeffs[0] == 0 and full.coeffs[1] == 0
     z2_quad = Poly(full.coeffs[2:])  # (1-w^2)t^2 - 2(1+w)t - 1
-    z2_cert = poly_positive_on_ray(z2_quad, t0)
-
-    side = [
-        poly_positive_on_ray(z1_lhs, t0),  # left side positive before squaring
-        poly_positive_on_ray(rhs, t0),  # right side positive before squaring
-        poly_positive_on_ray(rad, t0),  # radicand positive on the ray
-    ]
-    claims = [z1_cert, z2_cert, *side]
 
     t0q = Fraction(t0)
-    z2_at_t0 = QuadExpr(t0q * t0q - t0q, 1, t0q**4 - 2 * t0q**3)
+    z2_at_t0 = QuadExpr(t0q * t0q - t0q, 1, _RAD_Z(t0q))
     surd_margin = z2_at_t0 - t0q * t0q / c
-    counterexample = None
-    if not z1_cert.positive:
-        counterexample = z1_cert.counterexample
-    elif not z2_cert.positive:
-        counterexample = z2_cert.counterexample
-    return CertRecord(
-        id="z-interval-containment",
-        status=_status(claims),
-        margin=z2_quad(t0),
-        polys=claims,
+    # side: both sides positive before squaring, the radicand positive on the ray
+    return _ray_record(
+        "z-interval-containment", [z1_cleared, z2_quad], t0, side=[z1_lhs, rhs, _RAD_Z],
         side_conditions=[
             "t^2 - t - 1 > 0 on the ray (z_1 comparison squared legitimately)",
             "((1-c)/c) t^2 + t > 0 on the ray (z_2 comparison squared legitimately)",
@@ -423,7 +401,6 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
             "z1_cleared_margin_at_t0": z1_cleared(t0),
             "z2_surd_margin_at_t0": surd_margin,
         },
-        counterexample=counterexample,
     )
 
 
@@ -434,23 +411,13 @@ def g_positive_cert(c: RatLike, delta: RatLike, t0: int = BINDING_T) -> CertReco
     obstruction analysis fails precisely when g stays positive, and the
     3-decimal round-down of the slack makes or breaks it.
     """
-    c = as_rat(c)
+    c = _unit(c)
     delta = as_rat(delta)
-    if not (0 < c < 1):
-        raise ValueError("c must lie in (0, 1)")
     if delta <= 0:
         raise ValueError("delta must be positive")
     lin = Poly([1, 1 / delta])  # 1 + t/delta
     g = _TWO_T2P3_SQ.scale(1 / c) - lin * lin
-    cert = poly_positive_on_ray(g, t0)
-    return CertRecord(
-        id="g-positive",
-        status=_status([cert]),
-        margin=g(t0),
-        polys=[cert],
-        details={"g_at_t0": g(t0), "c": c, "delta": delta},
-        counterexample=cert.counterexample,
-    )
+    return _ray_record("g-positive", [g], t0, details={"g_at_t0": g(t0), "c": c, "delta": delta})
 
 
 def sigma_bound(t: int, delta: RatLike) -> Fraction:
@@ -475,9 +442,7 @@ def pipeline_certs(c: RatLike, t0: int = BINDING_T) -> tuple[bool, Fraction | No
     rounded down to 3 decimals before it enters the g-positivity check;
     reproducing the canonical constants requires exactly this protocol.
     """
-    c = as_rat(c)
-    if not (0 < c < 1):
-        raise ValueError("c must lie in (0, 1)")
+    c = _unit(c)
 
     def refuted(margin, reason):
         return False, None, [CertRecord("delta-positive", "refuted", margin,
@@ -529,13 +494,12 @@ def c_max_search(grid_step: RatLike = Fraction(1, 1000), kmin: int = 2) -> Const
             "use a larger grid step", n)
     while n >= 1:
         c = n * grid_step
-        if c < 1:
-            scanned += 1
-            ok, delta, certs = pipeline_certs(c, t0)
-            if ok:
-                assert delta is not None
-                winner = (c, delta, certs)
-                break
+        scanned += 1
+        ok, delta, certs = pipeline_certs(c, t0)
+        if ok:
+            assert delta is not None
+            winner = (c, delta, certs)
+            break
         n -= 1
 
     per_constraint: list[CertRecord] = [ceiling_rec, lhs_increasing_cert(), z1_decreasing_cert()]

@@ -16,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kvacert
+from kvacert.blowup import search_obstruction
 from kvacert.cli import main
 from kvacert.constants import certify_instance
+from kvacert.hyperell import DivisorClass
 
 #: the environment of a fresh interpreter that imports this kvacert
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -288,7 +290,9 @@ class TestConstants:
         assert payload["c_max"] is None and payload["feasible"] is False
 
     def test_bad_grid_step_exit_two(self, runner):
-        assert run(runner, ["constants", "verify", "--grid-step", "0"]).exit_code == 2
+        result = run(runner, ["constants", "verify", "--grid-step", "0"])
+        assert result.exit_code == 2
+        assert result.output.endswith("Error: grid_step must lie in (0, 1)\n")
 
     @pytest.mark.parametrize("step,points", [
         ("1/1000000", 954_000),
@@ -332,6 +336,20 @@ class TestObstructions:
     def test_invalid_inputs(self, runner):
         assert run(runner, ["obstructions", "-a", "3", "-b", "3", "-k", "1", "-r", "4"]).exit_code == 2
         assert run(runner, ["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4", "--delta", "0"]).exit_code == 2
+
+    @pytest.mark.parametrize("args,k,r,delta", [
+        (["-a", "3", "-b", "3", "-k", "1", "-r", "4"], 1, 4, Fraction(178, 1000)),
+        (["-a", "3", "-b", "3", "-k", "2", "-r", "-1"], 2, -1, Fraction(178, 1000)),
+        (["-a", "3", "-b", "3", "-k", "2", "-r", "4", "--delta", "0"], 2, 4, Fraction(0)),
+        (["-a", "0", "-b", "3", "-k", "2", "-r", "4"], 2, 4, Fraction(178, 1000)),
+    ])
+    def test_invalid_input_prints_the_library_message(self, runner, args, k, r, delta):
+        a, b = int(args[1]), int(args[3])
+        with pytest.raises(ValueError) as exc:
+            search_obstruction(DivisorClass(a, b, 1), k, r, delta)
+        result = run(runner, ["obstructions", *args])
+        assert result.exit_code == 2
+        assert result.output.endswith(f"Error: {exc.value}\n")
 
     def test_oversized_search_refused_with_estimate(self, runner):
         result = run(

@@ -334,6 +334,21 @@ class TestPipeline:
         assert report.c_max == Fraction(926, 1000)
         assert report.delta_max == Fraction(150, 1000)
 
+    def test_verified_at_the_defaults_needs_the_published_constants(self):
+        report = c_max_search()
+        assert report.verified
+        for field, value in (("c_max", Fraction(886, 1000)), ("delta_max", Fraction(177, 1000)),
+                             ("c_ceiling", Fraction(955, 1000))):
+            off = report._replace(**{field: value})
+            assert off.feasible and not off.verified, field
+
+    def test_verified_elsewhere_means_feasible(self):
+        kmin_three = c_max_search(Fraction(1, 1000), 3)
+        assert kmin_three.c_max != C and kmin_three.verified
+        coarse = c_max_search(Fraction(1, 10), 2)
+        assert not coarse.feasible and not coarse.verified
+        assert c_max_search(Fraction(1, 10000), 2).verified  # c_max 8871/10000
+
     @pytest.mark.parametrize("c", [Fraction(3), Fraction(1), Fraction(0), Fraction(-1, 2)])
     def test_c_outside_unit_interval_rejected(self, c):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
