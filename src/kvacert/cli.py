@@ -5,15 +5,17 @@ Subcommands: ``check``, ``max-r``, ``seshadri``, ``constants``, ``obstructions``
 that ran and failed, 2 for usage errors.  ``--json`` emits a single canonical
 JSON object (fixed key order, exact rationals as "num/den" strings, decimal
 fields suffixed ``_approx``); ``--quiet`` trims the human-readable detail.
+Both flags are accepted before and after the subcommand.  The parser is the
+standard library's ``argparse``, with abbreviated long options refused.
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
+import sys
 from fractions import Fraction
-
-import click
 
 from .blowup import search_obstruction, seshadri_lower_sq
 from .constants import (
@@ -30,30 +32,40 @@ from .exactmath import QuadExpr, as_rat, decimal_str, frac_str
 from .hyperell import DivisorClass, is_ample, self_intersection, surface_by_id, surface_table
 
 
-def _rat_arg(value: str, name: str) -> Fraction:
+class UsageError(Exception):
+    """An input the command refuses: :func:`main` prints ``Error: <message>`` and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """``argparse`` parser whose errors print the usage line and raise :class:`UsageError`."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+def _rational(value: str) -> Fraction:
     try:
         return as_rat(value)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise click.UsageError(f"{name} must be an exact rational like 887/1000 or 0.887")
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not an exact rational like 887/1000 or 0.887") from None
+
+
+def _library(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, with an input the library rejects as a usage error."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _sqrt_approx(x: Fraction) -> str:
     return QuadExpr(0, 1, x).approx_str()
 
 
-def output_options(f):
-    f = click.option("--json", "json_out", is_flag=True, help="Emit a single JSON object.")(f)
-    f = click.option("--quiet", is_flag=True, help="Suppress detail lines.")(f)
-    return f
-
-
-def _merged_flags(ctx: click.Context, json_out: bool, quiet: bool) -> tuple[bool, bool]:
-    obj = ctx.obj or {}
-    return json_out or obj.get("json", False), quiet or obj.get("quiet", False)
-
-
 def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))
 
 
 def _exact_fields(name: str, value) -> dict:
@@ -100,48 +112,17 @@ def _report_to_dict(report: ConstantsReport) -> dict:
     }
 
 
-@click.group()
-@click.option("--json", "json_out", is_flag=True, help="Emit JSON from subcommands.")
-@click.option("--quiet", is_flag=True, help="Suppress detail lines.")
-@click.pass_context
-def main(ctx: click.Context, json_out: bool, quiet: bool) -> None:
-    """Exact-arithmetic k-very-ampleness certification on blown-up bielliptic surfaces."""
-    ctx.obj = {"json": json_out, "quiet": quiet}
-
-
-# ---------------------------------------------------------------------------
-# check
-# ---------------------------------------------------------------------------
-
-
-@main.command()
-@click.option("--surface", type=click.IntRange(1, 7), default=1, show_default=True)
-@click.option("-a", "a", type=int, required=True, help="First coordinate of the polarization.")
-@click.option("-b", "b", type=int, required=True, help="Second coordinate of the polarization.")
-@click.option("-k", "k", type=int, required=True, help="Order of the embedding to certify.")
-@click.option("-d", "d", type=int, required=True, help="Very-ampleness order of the polarization.")
-@click.option("-r", "r", type=int, required=True, help="Number of blown-up (very general) points.")
-@click.option("--c", "c_str", default="887/1000", show_default=True, help="Point-count constant.")
-@click.option("--delta", "delta_str", default="178/1000", show_default=True, help="Seshadri slack.")
-@output_options
-@click.pass_context
-def check(ctx, surface, a, b, k, d, r, c_str, delta_str, json_out, quiet):
+def check(args) -> int:
     """Certify k-very ampleness of pi^*(a,b) - k*sum(E_i) on the blow-up at r points.
 
     Exit 0 when every hypothesis and certificate check holds (certified), 1
     otherwise; the output lists each check either way.
     """
-    json_out, quiet = _merged_flags(ctx, json_out, quiet)
-    c = _rat_arg(c_str, "--c")
-    delta = _rat_arg(delta_str, "--delta")
-    if not (0 < c < 1):
-        raise click.UsageError("--c must lie in (0, 1)")
-    if delta <= 0:
-        raise click.UsageError("--delta must be positive")
-    cert = certify_instance(surface, a, b, k, d, r, c, delta)
+    surface, a, b, k, d, r = args.surface, args.a, args.b, args.k, args.d, args.r
+    c, delta = args.c, args.delta
+    cert = _library(certify_instance, surface, a, b, k, d, r, c, delta)
     ses_sq, threshold_sq = cert.seshadri_lower_sq, cert.threshold_sq
-
-    if json_out:
+    if args.json:
         _emit_json(
             {
                 "inputs": {"surface": surface, "a": a, "b": b, "k": k, "d": d, "r": r},
@@ -163,48 +144,34 @@ def check(ctx, surface, a, b, k, d, r, c_str, delta_str, json_out, quiet):
         )
     else:
         group = surface_by_id(surface).group_name
-        click.echo(f"inputs: surface={surface} ({group}) a={a} b={b} k={k} d={d} r={r}")
-        if not quiet:
+        print(f"inputs: surface={surface} ({group}) a={a} b={b} k={k} d={d} r={r}")
+        if not args.quiet:
             for name, ok, detail in cert.hypothesis_checks + cert.certificate_checks:
-                click.echo(f"  [{'ok' if ok else 'FAIL'}] {name}: {detail}")
-            click.echo(f"  L^2 = {cert.l2}, r_max = {cert.r_max}, N^2 = {cert.n2}")
+                print(f"  [{'ok' if ok else 'FAIL'}] {name}: {detail}")
+            print(f"  L^2 = {cert.l2}, r_max = {cert.r_max}, N^2 = {cert.n2}")
             if ses_sq is not None:
-                click.echo(
+                print(
                     f"  Seshadri lower bound^2 = {frac_str(ses_sq)}"
                     f" (~{decimal_str(ses_sq)}), bound ~ {_sqrt_approx(ses_sq)}"
                 )
-                click.echo(
+                print(
                     f"  threshold (k+1+delta)^2 = {frac_str(threshold_sq)}"
                     f" (~{decimal_str(threshold_sq)}), exceeded: {cert.star}"
                 )
-        click.echo(f"verdict: {cert.verdict}")
-    ctx.exit(0 if cert.certified else 1)
+        print(f"verdict: {cert.verdict}")
+    return 0 if cert.certified else 1
 
 
-# ---------------------------------------------------------------------------
-# max-r
-# ---------------------------------------------------------------------------
-
-
-@main.command(name="max-r")
-@click.option("--surface", type=click.IntRange(1, 7), default=1, show_default=True)
-@click.option("-a", "a", type=int, required=True)
-@click.option("-b", "b", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
-@click.option("--c", "c_str", default="887/1000", show_default=True)
-@output_options
-@click.pass_context
-def max_r(ctx, surface, a, b, k, c_str, json_out, quiet):
+def max_r(args) -> int:
     """Largest admissible number of points, floor(c * L^2 / (k+1)^2)."""
-    json_out, quiet = _merged_flags(ctx, json_out, quiet)
-    c = _rat_arg(c_str, "--c")
+    a, b, k, c = args.a, args.b, args.k, args.c
     if not (0 < c < 1):
-        raise click.UsageError("--c must lie in (0, 1)")
+        raise UsageError("--c must lie in (0, 1)")
     if k < 0:
-        raise click.UsageError("k must be nonnegative")
-    l_s = DivisorClass(a, b, surface)
+        raise UsageError("k must be nonnegative")
+    l_s = DivisorClass(a, b, args.surface)
     if not is_ample(l_s):
-        raise click.UsageError(f"class ({a},{b}) is not ample (need a > 0 and b > 0)")
+        raise UsageError(f"class ({a},{b}) is not ample (need a > 0 and b > 0)")
     l2 = self_intersection(l_s)
     r_max = max_points(l2, k, c)
     warnings = []
@@ -220,38 +187,25 @@ def max_r(ctx, surface, a, b, k, c_str, json_out, quiet):
         warnings.append(
             f"full hypotheses also need a, b >= d+2 > (k+1)^2+2; here that means >= {min_coord}"
         )
-    if json_out:
+    if args.json:
         _emit_json({"r_max": r_max, "L2": l2, "k": k, "c": frac_str(c), "warnings": warnings})
     else:
-        click.echo(str(r_max))
-        if not quiet:
+        print(str(r_max))
+        if not args.quiet:
             for w in warnings:
-                click.echo(f"warning: {w}")
-    ctx.exit(0)
+                print(f"warning: {w}")
+    return 0
 
 
-# ---------------------------------------------------------------------------
-# seshadri
-# ---------------------------------------------------------------------------
-
-
-@main.command()
-@click.option("--surface", type=click.IntRange(1, 7), default=1, show_default=True)
-@click.option("-a", "a", type=int, required=True)
-@click.option("-b", "b", type=int, required=True)
-@click.option("-r", "r", type=int, required=True)
-@output_options
-@click.pass_context
-def seshadri(ctx, surface, a, b, r, json_out, quiet):
+def seshadri(args) -> int:
     """Exact square of the multi-point Seshadri lower bound at r very general points."""
-    json_out, quiet = _merged_flags(ctx, json_out, quiet)
-    l_s = DivisorClass(a, b, surface)
+    l_s = DivisorClass(args.a, args.b, args.surface)
     if not is_ample(l_s):
-        raise click.UsageError(f"class ({a},{b}) is not ample (need a > 0 and b > 0)")
-    if r < 1:
-        raise click.UsageError("r must be at least 1")
-    ses_sq = seshadri_lower_sq(l_s, r)
-    if json_out:
+        raise UsageError(f"class ({args.a},{args.b}) is not ample (need a > 0 and b > 0)")
+    if args.r < 1:
+        raise UsageError("r must be at least 1")
+    ses_sq = seshadri_lower_sq(l_s, args.r)
+    if args.json:
         _emit_json(
             {
                 **_exact_fields("seshadri_lower_sq", ses_sq),
@@ -259,24 +213,13 @@ def seshadri(ctx, surface, a, b, r, json_out, quiet):
             }
         )
     else:
-        click.echo(f"seshadri lower bound^2 = {frac_str(ses_sq)} (~{decimal_str(ses_sq)})")
-        if not quiet:
-            click.echo(f"seshadri lower bound   ~ {_sqrt_approx(ses_sq)}")
-    ctx.exit(0)
+        print(f"seshadri lower bound^2 = {frac_str(ses_sq)} (~{decimal_str(ses_sq)})")
+        if not args.quiet:
+            print(f"seshadri lower bound   ~ {_sqrt_approx(ses_sq)}")
+    return 0
 
 
-# ---------------------------------------------------------------------------
-# constants
-# ---------------------------------------------------------------------------
-
-
-@main.command()
-@click.argument("action", type=click.Choice(["verify"]), default="verify")
-@click.option("--grid-step", default="1/1000", show_default=True, help="Scan resolution for c.")
-@click.option("--kmin", type=click.IntRange(min=2), default=2, show_default=True)
-@output_options
-@click.pass_context
-def constants(ctx, action, grid_step, kmin, json_out, quiet):
+def constants(args) -> int:
     """Re-derive the point-count constant, its slack and the hard ceiling.
 
     With default settings this is a self-verification: exit 0 only when the
@@ -285,56 +228,30 @@ def constants(ctx, action, grid_step, kmin, json_out, quiet):
     a feasible constant was found.  Exit 2 when the grid has more points
     below the ceiling than the scan budget (the count is printed).
     """
-    json_out, quiet = _merged_flags(ctx, json_out, quiet)
-    step = _rat_arg(grid_step, "--grid-step")
-    try:
-        report = c_max_search(step, kmin)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    if json_out:
+    report = _library(c_max_search, args.grid_step, args.kmin)
+    if args.json:
         _emit_json(_report_to_dict(report))
     else:
         def show(label, value):
             if value is None:
-                click.echo(f"{label}: none (empty feasible set)")
+                print(f"{label}: none (empty feasible set)")
             else:
-                click.echo(f"{label} = {frac_str(value)} (~{decimal_str(value)})")
+                print(f"{label} = {frac_str(value)} (~{decimal_str(value)})")
 
         show("c_max", report.c_max)
         show("delta_max", report.delta_max)
         show("c_ceiling", report.c_ceiling)
-        if not quiet:
-            click.echo(f"grid step {frac_str(report.grid_step)}, kmin {report.kmin}, "
-                       f"{report.scanned} grid points scanned")
+        if not args.quiet:
+            print(f"grid step {frac_str(report.grid_step)}, kmin {report.kmin}, "
+                  f"{report.scanned} grid points scanned")
             for rec in report.per_constraint:
-                click.echo(f"  [{rec.status}] {rec.id}: margin {render_margin(rec.margin)}")
+                print(f"  [{rec.status}] {rec.id}: margin {render_margin(rec.margin)}")
             for disc in report.discrepancies:
-                click.echo(f"  [recomputed] {disc.id}: quoted {disc.quoted!r}; {disc.recomputed}")
-    ctx.exit(0 if report.verified else 1)
+                print(f"  [recomputed] {disc.id}: quoted {disc.quoted!r}; {disc.recomputed}")
+    return 0 if report.verified else 1
 
 
-# ---------------------------------------------------------------------------
-# obstructions
-# ---------------------------------------------------------------------------
-
-
-@main.command()
-@click.option("--surface", type=click.IntRange(1, 7), default=1, show_default=True)
-@click.option("-a", "a", type=int, required=True)
-@click.option("-b", "b", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
-@click.option("-r", "r", type=int, required=True)
-@click.option("--delta", "delta_str", default="178/1000", show_default=True)
-@click.option(
-    "--formula",
-    type=click.Choice(["paper", "standard"]),
-    default="paper",
-    show_default=True,
-    help="D^2 convention: D_S^2 - (sum m_i)^2 or D_S^2 - sum m_i^2.",
-)
-@output_options
-@click.pass_context
-def obstructions(ctx, surface, a, b, k, r, delta_str, formula, json_out, quiet):
+def obstructions(args) -> int:
     """Brute-force search for numerical obstruction divisors within the proof bounds.
 
     Exit 0 when no candidate exists inside the bounds, 1 when witnesses are
@@ -342,13 +259,10 @@ def obstructions(ctx, surface, a, b, k, r, delta_str, formula, json_out, quiet):
     estimated search exceeds the work budget or its witnesses would carry more
     than the output budget of multiplicities (the size is printed).
     """
-    json_out, quiet = _merged_flags(ctx, json_out, quiet)
-    delta = _rat_arg(delta_str, "--delta")
-    try:
-        witnesses = search_obstruction(DivisorClass(a, b, surface), k, r, delta, formula=formula)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    if json_out:
+    formula = args.formula
+    witnesses = _library(search_obstruction, DivisorClass(args.a, args.b, args.surface), args.k,
+                         args.r, args.delta, formula=formula)
+    if args.json:
         _emit_json(
             {
                 "formula": formula,
@@ -366,30 +280,21 @@ def obstructions(ctx, surface, a, b, k, r, delta_str, formula, json_out, quiet):
         )
     else:
         if not witnesses:
-            click.echo("none found within proof bounds")
+            print("none found within proof bounds")
         else:
-            click.echo(f"{len(witnesses)} witness(es) within proof bounds ({formula} formula):")
+            print(f"{len(witnesses)} witness(es) within proof bounds ({formula} formula):")
             for w in witnesses:
-                click.echo(
+                print(
                     f"  D_S = ({w.d_s.a},{w.d_s.b}), m = {list(w.mults)}, "
                     f"N.D = {w.nd}, D^2 = {w.d2}"
                 )
-    ctx.exit(0 if not witnesses else 1)
+    return 0 if not witnesses else 1
 
 
-# ---------------------------------------------------------------------------
-# surfaces
-# ---------------------------------------------------------------------------
-
-
-@main.command()
-@output_options
-@click.pass_context
-def surfaces(ctx, json_out, quiet):
+def surfaces(args) -> int:
     """The seven types of bielliptic surfaces with their lattice metadata."""
-    json_out, quiet = _merged_flags(ctx, json_out, quiet)
     rows = surface_table()
-    if json_out:
+    if args.json:
         _emit_json(
             {
                 "surfaces": [
@@ -408,21 +313,115 @@ def surfaces(ctx, json_out, quiet):
     else:
         for s in rows:
             mults = ",".join(str(m) for m in s.fiber_multiplicities)
-            click.echo(
+            print(
                 f"{s.id}: G = {s.group_name}; fibres {mults}; "
                 f"mu = {s.mu}, gamma = {s.gamma}; basis {s.basis_label}"
             )
-    ctx.exit(0)
+    return 0
+
+
+_POINT_COUNT = ("--c", "887/1000", "Point-count constant")
+_SLACK = ("--delta", "178/1000", "Seshadri slack")
+
+#: subcommand -> (its function, the required int options of its polarization,
+#: its exact rational options as (flag, default, help))
+_COMMANDS = {
+    "check": (check, "abkdr", (_POINT_COUNT, _SLACK)),
+    "max-r": (max_r, "abk", (_POINT_COUNT,)),
+    "seshadri": (seshadri, "abr", ()),
+    "constants": (constants, "", (("--grid-step", "1/1000", "Scan resolution for c"),)),
+    "obstructions": (obstructions, "abkr", (_SLACK,)),
+    "surfaces": (surfaces, "", ()),
+}
+
+_INT_HELP = {
+    "a": "First coordinate of the polarization.",
+    "b": "Second coordinate of the polarization.",
+    "k": "Order of the embedding to certify.",
+    "d": "Very-ampleness order of the polarization.",
+    "r": "Number of blown-up (very general) points.",
+}
+
+
+def _top_parser() -> argparse.ArgumentParser:
+    """``kvacert [--json] [--quiet] COMMAND ...``: the flags, the subcommand and its arguments."""
+    table = "\n".join(f"  {name:14}{run.__doc__.splitlines()[0]}"
+                      for name, (run, _, _) in _COMMANDS.items())
+    parser = _Parser(prog="kvacert", allow_abbrev=False, add_help=False,
+                     formatter_class=argparse.RawDescriptionHelpFormatter, description=(
+                         "Exact-arithmetic k-very-ampleness certification on blown-up"
+                         f" bielliptic surfaces.\n\ncommands:\n{table}"))
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.add_argument("--json", action="store_true", help="Emit JSON from subcommands.")
+    parser.add_argument("--quiet", action="store_true", help="Suppress detail lines.")
+    parser.add_argument("command", metavar="COMMAND", choices=_COMMANDS,
+                        help="One of the commands listed above.")
+    # may be empty (``kvacert surfaces``), so never reported as a missing argument
+    parser.add_argument("args", nargs=argparse.REMAINDER,
+                        help="Its options; see kvacert COMMAND --help.").required = False
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The options of subcommand ``name``, ``--json`` and ``--quiet`` again among them.
+
+    Only the chosen subcommand's parser is built, because building all six
+    costs a process about a millisecond.
+    """
+    run, ints, rationals = _COMMANDS[name]
+    sub = _Parser(prog=f"kvacert {name}", description=run.__doc__, allow_abbrev=False,
+                  add_help=False)
+    sub.add_argument("--help", action="help", help="Show this message and exit.")
+    sub.add_argument("--json", action="store_true", help="Emit a single JSON object.")
+    sub.add_argument("--quiet", action="store_true", help="Suppress detail lines.")
+    if ints:
+        sub.add_argument("--surface", type=int, choices=range(1, 8), default=1,
+                         help="Bielliptic surface type (default 1).")
+    for flag in ints:
+        sub.add_argument(f"-{flag}", type=int, required=True, help=_INT_HELP[flag])
+    for flag, default, what in rationals:
+        sub.add_argument(flag, type=_rational, default=default, help=f"{what} (default {default}).")
+    if name == "constants":
+        sub.add_argument("action", nargs="?", choices=["verify"], default="verify")
+        sub.add_argument("--kmin", type=int, default=2, help="Smallest k of the scan (default 2).")
+    elif name == "obstructions":
+        sub.add_argument("--formula", choices=["paper", "standard"], default="paper", help=(
+            "D^2 convention: D_S^2 - (sum m_i)^2 or D_S^2 - sum m_i^2 (default paper)."))
+    return sub
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
+    """Parse ``argv`` (default ``sys.argv[1:]``), run the subcommand and exit with its code.
+
+    A usage error, the parser's own included, prints ``Error: <message>`` on
+    stderr and gives code 2; ``--help`` gives 0.  With ``standalone_mode=False``
+    the code is returned instead of passed to ``sys.exit``, so in-process
+    callers never see ``SystemExit``.
+    """
+    try:
+        args = _top_parser().parse_args(argv)
+        # The group-level flags are already in ``args``, so the subcommand's
+        # parser does not reset them to False: the two placements merge.
+        _command_parser(args.command).parse_args(args.args, namespace=args)
+        code = _COMMANDS[args.command][0](args)
+    except UsageError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 2
+    except SystemExit as exc:  # argparse exits only after printing --help
+        code = exc.code
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 def run() -> None:
     """Entry point of the ``kvacert`` process: :func:`main` with the import-time heap frozen.
 
-    What the imports built (click, the modules, their constants) lives until
+    What the imports built (the modules and their constants) lives until
     exit.  ``gc.freeze()`` moves it to the permanent generation, so neither a
     collection during the command nor the ones at interpreter shutdown
-    traverse it again.  ``main`` itself never freezes, so ``CliRunner`` and
-    other in-process callers keep an ordinary heap.
+    traverse it again.  ``main`` itself never freezes, so tests and other
+    in-process callers keep an ordinary heap.
     """
     gc.freeze()
     main()

@@ -79,9 +79,7 @@ class ProofInstanceParams(Value):
             raise ValueError("t must equal k + 1")
         if d < (k + 1) ** 2 + 1:
             raise ValueError("d must exceed (k+1)^2")
-        c = _unit(c)
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        c, delta = _unit(c), _positive(delta)
         for name, value in zip(self.__slots__, (k, t, d, c, delta)):
             object.__setattr__(self, name, value)
 
@@ -161,6 +159,14 @@ def _unit(c: RatLike) -> Fraction:
     if not (0 < c < 1):
         raise ValueError("c must lie in (0, 1)")
     return c
+
+
+def _positive(delta: RatLike) -> Fraction:
+    """``delta`` as a Fraction; it must be positive."""
+    delta = as_rat(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    return delta
 
 
 def _status(claims: Sequence[PolyRayResult]) -> str:
@@ -411,10 +417,7 @@ def g_positive_cert(c: RatLike, delta: RatLike, t0: int = BINDING_T) -> CertReco
     obstruction analysis fails precisely when g stays positive, and the
     3-decimal round-down of the slack makes or breaks it.
     """
-    c = _unit(c)
-    delta = as_rat(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    c, delta = _unit(c), _positive(delta)
     lin = Poly([1, 1 / delta])  # 1 + t/delta
     g = _TWO_T2P3_SQ.scale(1 / c) - lin * lin
     return _ray_record("g-positive", [g], t0, details={"g_at_t0": g(t0), "c": c, "delta": delta})
@@ -424,10 +427,7 @@ def sigma_bound(t: int, delta: RatLike) -> Fraction:
     """Enumeration ceiling t/delta for the total multiplicity of a candidate."""
     if t < 3:
         raise ValueError("t must be at least 3")
-    delta = as_rat(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return Fraction(t) / delta
+    return Fraction(t) / _positive(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +572,10 @@ def certify_instance(
     2 <= r <= r_max.  The certificate checks are the Seshadri condition
     sqrt(L^2/r)*sqrt(1-1/(8r)) > k+1+delta, and c and delta at most the
     pair (887/1000, 178/1000) that :func:`pipeline_certs` certifies.
+    ``c`` must lie in (0, 1) and ``delta`` must be positive (the argument
+    bounds sum m_i by (k+1)/delta); otherwise :class:`ValueError` is raised.
     """
-    c, delta = as_rat(c), as_rat(delta)
+    c, delta = _unit(c), _positive(delta)
     l_s = DivisorClass(a, b, surface)
     l2 = self_intersection(l_s)
     t = k + 1

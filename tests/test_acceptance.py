@@ -14,10 +14,8 @@ from fractions import Fraction
 from math import floor
 
 import numpy as np
-from click.testing import CliRunner
 
 from kvacert.blowup import BlowupClass, blowup_intersect, n_class, search_obstruction
-from kvacert.cli import main
 from kvacert.constants import (
     C_MAX_DEFAULT,
     DELTA_DEFAULT,
@@ -31,6 +29,7 @@ from kvacert.constants import (
 )
 from kvacert.exactmath import Poly, QuadExpr, quad_floor_milli
 from kvacert.hyperell import DivisorClass, intersect, self_intersection
+from test_cli import invoke
 
 DELTA = Fraction(178, 1000)
 
@@ -243,19 +242,14 @@ def test_certificates_reevaluate():
 
 @criterion(9, "end-to-end instance certification")
 def test_cli_end_to_end():
-    runner = CliRunner()
-    ok = runner.invoke(
-        main, ["check", "-a", "12", "-b", "12", "-k", "2", "-d", "10", "-r", "28", "--json"]
-    )
+    ok = invoke(["check", "-a", "12", "-b", "12", "-k", "2", "-d", "10", "-r", "28", "--json"])
     assert ok.exit_code == 0
     payload = json.loads(ok.output)
     assert payload["derived"]["N2"] == 36
     assert Fraction(payload["derived"]["seshadri_lower_sq"]) == Fraction(2007, 196)
     assert payload["verdict"] == "k-very-ample-certified"
 
-    over = runner.invoke(
-        main, ["check", "-a", "12", "-b", "12", "-k", "2", "-d", "10", "-r", "29", "--json"]
-    )
+    over = invoke(["check", "-a", "12", "-b", "12", "-k", "2", "-d", "10", "-r", "29", "--json"])
     assert over.exit_code == 1
     failed = [c["name"] for c in json.loads(over.output)["hypothesis_checks"] if not c["ok"]]
     assert failed == ["r-le-r_max"]

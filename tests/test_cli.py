@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, JSON schemas, output values."""
 
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,9 @@ import time
 from fractions import Fraction
 from math import floor, isqrt
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,13 +33,36 @@ def python(*args) -> subprocess.CompletedProcess:
                           timeout=60)
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved, in the order they were written
 
 
-def run(runner, args):
-    return runner.invoke(main, args)
+class _Tee(io.StringIO):
+    """A stream that also copies every write to ``both``."""
+
+    def __init__(self, both: io.StringIO) -> None:
+        super().__init__()
+        self.both = both
+
+    def write(self, s: str) -> int:
+        self.both.write(s)
+        return super().write(s)
+
+
+def invoke(args) -> Result:
+    """Run ``main(args)`` in this process and capture what it prints.
+
+    ``main`` runs with ``standalone_mode=False``, so it returns its exit code;
+    any exception it raises propagates and fails the test.
+    """
+    both = io.StringIO()
+    out, err = _Tee(both), _Tee(both)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args), standalone_mode=False)
+    return Result(code, out.getvalue(), err.getvalue(), both.getvalue())
 
 
 def parse(result):
@@ -60,13 +85,13 @@ def sqrt_decimal(x: Fraction, places: int = 6) -> str:
 class TestCheck:
     BASE = ["check", "-a", "12", "-b", "12", "-k", "2", "-d", "10", "-r", "28"]
 
-    def test_certified_exit_zero(self, runner):
-        result = run(runner, self.BASE)
+    def test_certified_exit_zero(self):
+        result = invoke(self.BASE)
         assert result.exit_code == 0
         assert "k-very-ample-certified" in result.output
 
-    def test_certified_json_payload(self, runner):
-        result = run(runner, self.BASE + ["--json"])
+    def test_certified_json_payload(self):
+        result = invoke(self.BASE + ["--json"])
         assert result.exit_code == 0
         payload = parse(result)
         assert payload["verdict"] == "k-very-ample-certified"
@@ -77,16 +102,16 @@ class TestCheck:
         assert payload["derived"]["star_holds"] is True
         assert all(c["ok"] for c in payload["hypothesis_checks"])
 
-    def test_too_many_points_exit_one_names_bound(self, runner):
-        result = run(runner, ["check", "-a", "12", "-b", "12", "-k", "2", "-d", "10", "-r", "29", "--json"])
+    def test_too_many_points_exit_one_names_bound(self):
+        result = invoke(["check", "-a", "12", "-b", "12", "-k", "2", "-d", "10", "-r", "29", "--json"])
         assert result.exit_code == 1
         payload = parse(result)
         assert payload["verdict"] == "hypotheses-not-met"
         failed = [c["name"] for c in payload["hypothesis_checks"] if not c["ok"]]
         assert failed == ["r-le-r_max"]
 
-    def test_c_above_certified_constant_exit_one(self, runner):
-        result = run(runner, self.BASE[:-1] + ["31", "--c", "99/100", "--json"])
+    def test_c_above_certified_constant_exit_one(self):
+        result = invoke(self.BASE[:-1] + ["31", "--c", "99/100", "--json"])
         assert result.exit_code == 1
         payload = parse(result)
         assert payload["verdict"] == "hypotheses-not-met"
@@ -94,41 +119,49 @@ class TestCheck:
         failed = [c["name"] for c in payload["certificate_checks"] if not c["ok"]]
         assert failed == ["star", "c-certified"]
 
-    def test_delta_above_certified_slack_exit_one(self, runner):
-        result = run(runner, self.BASE + ["--delta", "5"])
+    def test_delta_above_certified_slack_exit_one(self):
+        result = invoke(self.BASE + ["--delta", "5"])
         assert result.exit_code == 1
         failed = [line.split()[1] for line in result.output.splitlines() if "[FAIL]" in line]
         assert failed == ["star:", "delta-certified:"]
         assert result.output.splitlines()[-1] == "verdict: hypotheses-not-met"
 
-    def test_certificate_checks_follow_hypothesis_checks(self, runner):
-        payload = parse(run(runner, self.BASE + ["--json"]))
+    def test_certificate_checks_follow_hypothesis_checks(self):
+        payload = parse(invoke(self.BASE + ["--json"]))
         assert list(payload)[:3] == ["inputs", "hypothesis_checks", "certificate_checks"]
         assert [c["name"] for c in payload["certificate_checks"]] == [
             "star", "c-certified", "delta-certified"]
         assert all(c["ok"] for c in payload["certificate_checks"])
 
-    def test_small_coordinate_exit_one(self, runner):
-        result = run(runner, ["check", "-a", "11", "-b", "12", "-k", "2", "-d", "10", "-r", "2", "--json"])
+    def test_small_coordinate_exit_one(self):
+        result = invoke(["check", "-a", "11", "-b", "12", "-k", "2", "-d", "10", "-r", "2", "--json"])
         assert result.exit_code == 1
         failed = [c["name"] for c in parse(result)["hypothesis_checks"] if not c["ok"]]
         assert failed == ["a-ge-d+2"]
 
-    def test_unknown_surface_exit_two(self, runner):
-        result = run(runner, ["check", "--surface", "9"] + self.BASE[1:])
+    @pytest.mark.parametrize("option,value", [("--c", Fraction(1)), ("--delta", Fraction(0))])
+    def test_out_of_range_constant_prints_the_library_message(self, option, value):
+        c, delta = (value, Fraction(178, 1000)) if option == "--c" else (Fraction(887, 1000), value)
+        with pytest.raises(ValueError) as exc:
+            certify_instance(1, 12, 12, 2, 10, 28, c, delta)
+        result = invoke(self.BASE + [option, str(value)])
+        assert result.exit_code == 2
+        assert result.output.endswith(f"Error: {exc.value}\n")
+
+    def test_unknown_surface_exit_two(self):
+        result = invoke(["check", "--surface", "9"] + self.BASE[1:])
         assert result.exit_code == 2
 
-    def test_non_integer_input_exit_two(self, runner):
-        result = run(runner, ["check", "-a", "twelve", "-b", "12", "-k", "2", "-d", "10", "-r", "28"])
+    def test_non_integer_input_exit_two(self):
+        result = invoke(["check", "-a", "twelve", "-b", "12", "-k", "2", "-d", "10", "-r", "28"])
         assert result.exit_code == 2
 
-    def test_consistency_with_max_r(self, runner):
+    def test_consistency_with_max_r(self):
         # with r set to the reported maximum, the remaining hypotheses certify
         for a, b, k in ((12, 12, 2), (19, 21, 3), (40, 40, 2)):
-            r_max = int(run(runner, ["max-r", "-a", str(a), "-b", str(b), "-k", str(k), "--quiet"]).output.split()[0])
+            r_max = int(invoke(["max-r", "-a", str(a), "-b", str(b), "-k", str(k), "--quiet"]).output.split()[0])
             d = (k + 1) ** 2 + 1
-            result = run(
-                runner,
+            result = invoke(
                 ["check", "-a", str(a), "-b", str(b), "-k", str(k), "-d", str(d), "-r", str(r_max)],
             )
             assert result.exit_code == 0, result.output
@@ -180,88 +213,88 @@ class TestVerdictOracle:
         assert (0 if cert.certified else 1) == want
         args = ["check", "--surface", str(surface), "-a", str(a), "-b", str(b), "-k", str(k),
                 "-d", str(d), "-r", str(r), "--c", str(c), "--delta", str(delta)]
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == want, result.output
         assert result.output.splitlines()[-1] == f"verdict: {cert.verdict}"
 
 
 class TestMaxR:
-    def test_base_instance(self, runner):
-        result = run(runner, ["max-r", "-a", "12", "-b", "12", "-k", "2"])
+    def test_base_instance(self):
+        result = invoke(["max-r", "-a", "12", "-b", "12", "-k", "2"])
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "28"
 
-    def test_thirteen(self, runner):
+    def test_thirteen(self):
         # floor(887 * 338 / 9000) = 33
-        result = run(runner, ["max-r", "-a", "13", "-b", "13", "-k", "2"])
+        result = invoke(["max-r", "-a", "13", "-b", "13", "-k", "2"])
         assert result.output.splitlines()[0] == "33"
 
-    def test_small_class_warns(self, runner):
-        result = run(runner, ["max-r", "-a", "4", "-b", "4", "-k", "2"])
+    def test_small_class_warns(self):
+        result = invoke(["max-r", "-a", "4", "-b", "4", "-k", "2"])
         lines = result.output.splitlines()
         assert lines[0] == "3"
         assert any("a, b >= d+2" in line for line in lines[1:])
 
-    def test_below_two_points_warns(self, runner):
+    def test_below_two_points_warns(self):
         # floor(887 * 2 / 9000) = 0 admissible points
-        result = run(runner, ["max-r", "-a", "1", "-b", "1", "-k", "2"])
+        result = invoke(["max-r", "-a", "1", "-b", "1", "-k", "2"])
         lines = result.output.splitlines()
         assert lines[0] == "0"
         assert any("r >= 2" in line for line in lines[1:])
 
-    def test_non_ample_rejected(self, runner):
-        result = run(runner, ["max-r", "-a", "0", "-b", "4", "-k", "2"])
+    def test_non_ample_rejected(self):
+        result = invoke(["max-r", "-a", "0", "-b", "4", "-k", "2"])
         assert result.exit_code == 2
 
-    def test_c_above_certified_constant_warns(self, runner):
+    def test_c_above_certified_constant_warns(self):
         # floor(99/100 * 288 / 9) = 31, but check refuses to certify at this c
-        result = run(runner, ["max-r", "-a", "12", "-b", "12", "-k", "2", "--c", "99/100"])
+        result = invoke(["max-r", "-a", "12", "-b", "12", "-k", "2", "--c", "99/100"])
         assert result.exit_code == 0
         lines = result.output.splitlines()
         assert lines[0] == "31"
         assert any("exceeds the certified c_max = 887/1000" in line for line in lines[1:])
-        payload = parse(run(runner, ["max-r", "-a", "12", "-b", "12", "-k", "2",
+        payload = parse(invoke(["max-r", "-a", "12", "-b", "12", "-k", "2",
                                      "--c", "99/100", "--json"]))
         assert payload["r_max"] == 31
         assert any("887/1000" in w for w in payload["warnings"])
 
-    def test_certified_constant_does_not_warn(self, runner):
-        payload = parse(run(runner, ["max-r", "-a", "12", "-b", "12", "-k", "2",
+    def test_certified_constant_does_not_warn(self):
+        payload = parse(invoke(["max-r", "-a", "12", "-b", "12", "-k", "2",
                                      "--c", "887/1000", "--json"]))
         assert payload["warnings"] == []
 
     @pytest.mark.parametrize("c", ["5", "-1/2", "0", "1"])
-    def test_c_outside_unit_interval_exit_two(self, runner, c):
-        result = run(runner, ["max-r", "-a", "12", "-b", "12", "-k", "2", f"--c={c}"])
+    def test_c_outside_unit_interval_exit_two(self, c):
+        result = invoke(["max-r", "-a", "12", "-b", "12", "-k", "2", f"--c={c}"])
         assert result.exit_code == 2
         assert "--c must lie in (0, 1)" in result.output
 
 
 class TestSeshadri:
-    def test_exact_and_decimal_output(self, runner):
-        result = run(runner, ["seshadri", "-a", "12", "-b", "12", "-r", "28", "--json"])
+    def test_exact_and_decimal_output(self):
+        result = invoke(["seshadri", "-a", "12", "-b", "12", "-r", "28", "--json"])
         payload = parse(result)
         assert Fraction(payload["seshadri_lower_sq"]) == Fraction(2007, 196)
         assert payload["seshadri_lower_approx"] == sqrt_decimal(Fraction(2007, 196))
 
-    def test_single_point(self, runner):
-        payload = parse(run(runner, ["seshadri", "-a", "1", "-b", "1", "-r", "1", "--json"]))
+    def test_single_point(self):
+        payload = parse(invoke(["seshadri", "-a", "1", "-b", "1", "-r", "1", "--json"]))
         assert Fraction(payload["seshadri_lower_sq"]) == Fraction(7, 4)
         assert payload["seshadri_lower_approx"] == sqrt_decimal(Fraction(7, 4)) == "1.322876"
 
-    def test_one_point_large_class(self, runner):
-        payload = parse(run(runner, ["seshadri", "-a", "12", "-b", "12", "-r", "1", "--json"]))
+    def test_one_point_large_class(self):
+        payload = parse(invoke(["seshadri", "-a", "12", "-b", "12", "-r", "1", "--json"]))
         assert Fraction(payload["seshadri_lower_sq"]) == 252
         assert payload["seshadri_lower_approx"] == sqrt_decimal(Fraction(252)) == "15.874508"
 
-    def test_invalid_inputs(self, runner):
-        assert run(runner, ["seshadri", "-a", "0", "-b", "1", "-r", "1"]).exit_code == 2
-        assert run(runner, ["seshadri", "-a", "1", "-b", "1", "-r", "0"]).exit_code == 2
+    def test_invalid_inputs(self):
+        assert invoke(["seshadri", "-a", "0", "-b", "1", "-r", "1"]).exit_code == 2
+        assert invoke(["seshadri", "-a", "1", "-b", "1", "-r", "0"]).exit_code == 2
 
 
 class TestConstants:
-    def test_self_verification_defaults(self, runner):
-        result = run(runner, ["constants", "verify", "--json"])
+    def test_self_verification_defaults(self):
+        result = invoke(["constants", "verify", "--json"])
         assert result.exit_code == 0
         payload = parse(result)
         assert Fraction(payload["c_max"]) == Fraction(887, 1000)
@@ -273,24 +306,24 @@ class TestConstants:
                 "g-positive", "delta-positive", "lhs-increasing", "z1-decreasing"} <= ids
         assert any(d["id"] == "z2-threshold-value" for d in payload["discrepancies"])
 
-    def test_action_argument_optional(self, runner):
-        assert run(runner, ["constants", "--quiet"]).exit_code == 0
+    def test_action_argument_optional(self):
+        assert invoke(["constants", "--quiet"]).exit_code == 0
 
-    def test_kmin_three(self, runner):
-        result = run(runner, ["constants", "verify", "--kmin", "3", "--json"])
+    def test_kmin_three(self):
+        result = invoke(["constants", "verify", "--kmin", "3", "--json"])
         assert result.exit_code == 0  # feasible (self-verification applies only at defaults)
         payload = parse(result)
         assert Fraction(payload["c_ceiling"]) == Fraction(976, 1000)
         assert Fraction(payload["c_max"]) == Fraction(926, 1000)
 
-    def test_coarse_grid_infeasible_exit_one(self, runner):
-        result = run(runner, ["constants", "verify", "--grid-step", "1/10", "--json"])
+    def test_coarse_grid_infeasible_exit_one(self):
+        result = invoke(["constants", "verify", "--grid-step", "1/10", "--json"])
         assert result.exit_code == 1
         payload = parse(result)
         assert payload["c_max"] is None and payload["feasible"] is False
 
-    def test_bad_grid_step_exit_two(self, runner):
-        result = run(runner, ["constants", "verify", "--grid-step", "0"])
+    def test_bad_grid_step_exit_two(self):
+        result = invoke(["constants", "verify", "--grid-step", "0"])
         assert result.exit_code == 2
         assert result.output.endswith("Error: grid_step must lie in (0, 1)\n")
 
@@ -299,9 +332,9 @@ class TestConstants:
         ("1/100000000", 95_400_000),
         ("1e-400", 954 * 10**397),
     ])
-    def test_oversized_scan_refused_promptly(self, runner, step, points):
+    def test_oversized_scan_refused_promptly(self, step, points):
         start = time.monotonic()
-        result = run(runner, ["constants", "verify", "--grid-step", step])
+        result = invoke(["constants", "verify", "--grid-step", step])
         assert result.exit_code == 2
         assert (f"constants scan too large: {points} grid points exceed the budget of 100000"
                 in result.output)
@@ -309,20 +342,19 @@ class TestConstants:
 
 
 class TestObstructions:
-    def test_certified_instance_clear(self, runner):
-        result = run(runner, ["obstructions", "-a", "12", "-b", "12", "-k", "2", "-r", "28"])
+    def test_certified_instance_clear(self):
+        result = invoke(["obstructions", "-a", "12", "-b", "12", "-k", "2", "-r", "28"])
         assert result.exit_code == 0
         assert "none found within proof bounds" in result.output
 
-    def test_certified_instance_clear_standard_formula(self, runner):
-        result = run(
-            runner,
+    def test_certified_instance_clear_standard_formula(self):
+        result = invoke(
             ["obstructions", "-a", "12", "-b", "12", "-k", "2", "-r", "28", "--formula", "standard"],
         )
         assert result.exit_code == 0
 
-    def test_witnesses_reported_exit_one(self, runner):
-        result = run(runner, ["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4", "--json"])
+    def test_witnesses_reported_exit_one(self):
+        result = invoke(["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4", "--json"])
         assert result.exit_code == 1
         payload = parse(result)
         assert payload["count"] == len(payload["witnesses"]) > 0
@@ -333,9 +365,9 @@ class TestObstructions:
             "d2": 1,
         } in payload["witnesses"]
 
-    def test_invalid_inputs(self, runner):
-        assert run(runner, ["obstructions", "-a", "3", "-b", "3", "-k", "1", "-r", "4"]).exit_code == 2
-        assert run(runner, ["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4", "--delta", "0"]).exit_code == 2
+    def test_invalid_inputs(self):
+        assert invoke(["obstructions", "-a", "3", "-b", "3", "-k", "1", "-r", "4"]).exit_code == 2
+        assert invoke(["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4", "--delta", "0"]).exit_code == 2
 
     @pytest.mark.parametrize("args,k,r,delta", [
         (["-a", "3", "-b", "3", "-k", "1", "-r", "4"], 1, 4, Fraction(178, 1000)),
@@ -343,26 +375,25 @@ class TestObstructions:
         (["-a", "3", "-b", "3", "-k", "2", "-r", "4", "--delta", "0"], 2, 4, Fraction(0)),
         (["-a", "0", "-b", "3", "-k", "2", "-r", "4"], 2, 4, Fraction(178, 1000)),
     ])
-    def test_invalid_input_prints_the_library_message(self, runner, args, k, r, delta):
+    def test_invalid_input_prints_the_library_message(self, args, k, r, delta):
         a, b = int(args[1]), int(args[3])
         with pytest.raises(ValueError) as exc:
             search_obstruction(DivisorClass(a, b, 1), k, r, delta)
-        result = run(runner, ["obstructions", *args])
+        result = invoke(["obstructions", *args])
         assert result.exit_code == 2
         assert result.output.endswith(f"Error: {exc.value}\n")
 
-    def test_oversized_search_refused_with_estimate(self, runner):
-        result = run(
-            runner,
+    def test_oversized_search_refused_with_estimate(self):
+        result = invoke(
             ["obstructions", "-a", "12", "-b", "12", "-k", "2", "-r", "28", "--delta", "1/10000000"],
         )
         assert result.exit_code == 2
         # 112500041250001 cells of one D^2 option each, 18 steps a cell
         assert "estimated 2025000742500018 steps exceed the budget" in result.output
 
-    def test_oversized_output_refused_promptly(self, runner):
+    def test_oversized_output_refused_promptly(self):
         start = time.monotonic()
-        result = run(runner, ["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "1000000",
+        result = invoke(["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "1000000",
                               "--json"])
         assert result.exit_code == 2
         assert ("5 witnesses x 1000000 multiplicities = 5000000 exceed the bound of 1000000"
@@ -371,13 +402,13 @@ class TestObstructions:
 
 
 class TestSurfaces:
-    def test_seven_rows(self, runner):
-        result = run(runner, ["surfaces"])
+    def test_seven_rows(self):
+        result = invoke(["surfaces"])
         assert result.exit_code == 0
         assert len(result.output.splitlines()) == 7
 
-    def test_row_contents(self, runner):
-        payload = parse(run(runner, ["surfaces", "--json"]))
+    def test_row_contents(self):
+        payload = parse(invoke(["surfaces", "--json"]))
         rows = payload["surfaces"]
         assert len(rows) == 7
         assert rows[4] == {
@@ -403,19 +434,19 @@ class TestJsonRoundTrip:
     ]
 
     @pytest.mark.parametrize("args", CASES, ids=lambda a: a[0] + ("-fail" if "29" in a else ""))
-    def test_parse_and_reserialize_is_byte_identical(self, runner, args):
-        out = run(runner, args).output
+    def test_parse_and_reserialize_is_byte_identical(self, args):
+        out = invoke(args).output
         assert out.endswith("\n")
         body = out[:-1]
         assert json.dumps(json.loads(body), indent=2) == body
 
 
 class TestGlobalFlags:
-    def test_group_level_json_flag(self, runner):
-        result = run(runner, ["--json", "surfaces"])
+    def test_group_level_json_flag(self):
+        result = invoke(["--json", "surfaces"])
         assert parse(result)["surfaces"][0]["id"] == 1
 
-    def test_exit_code_matrix(self, runner):
+    def test_exit_code_matrix(self):
         matrix = [
             (["surfaces"], 0),
             (["check", "-a", "12", "-b", "12", "-k", "2", "-d", "10", "-r", "28"], 0),
@@ -429,23 +460,118 @@ class TestGlobalFlags:
             (["nonsense"], 2),
         ]
         for args, expected in matrix:
-            assert run(runner, args).exit_code == expected, args
+            assert invoke(args).exit_code == expected, args
 
 
 class TestEntryPoint:
+    CHECK = ["check", "-a", "12", "-b", "12", "-k", "2", "-d", "10", "-r", "28"]
+
     def test_import_does_not_load_dataclasses(self):
         result = python("-c", "import sys, kvacert.cli; print('dataclasses' in sys.modules)")
         assert (result.returncode, result.stdout) == (0, "False\n")
 
-    def test_run_freezes_the_heap_and_renders_like_main(self, runner):
+    def test_import_does_not_load_click(self):
+        result = python("-c", "import sys, kvacert.cli; print('click' in sys.modules)")
+        assert (result.returncode, result.stdout) == (0, "False\n")
+
+    @pytest.mark.parametrize("args", [
+        ["check", "-b", "12", "-k", "2", "-d", "10", "-r", "28"],  # missing -a
+        CHECK + ["--surface", "8"],
+        CHECK + ["--frobnicate"],
+        ["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4", "--form", "paper"],
+        ["--qui", "surfaces"],
+    ], ids=["missing-a", "surface-8", "unknown-option", "abbreviated-formula", "abbreviated-quiet"])
+    def test_usage_error_returns_two(self, args):
+        result = invoke(args)  # main(args, standalone_mode=False); nothing may escape it
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1].startswith("Error: ")
+
+    @pytest.mark.parametrize("args", [["--help"], ["check", "--help"]])
+    def test_help_returns_zero(self, args):
+        result = invoke(args)
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: kvacert")
+
+    @pytest.mark.parametrize("flags", [["--json"], ["--quiet"], ["--json", "--quiet"]])
+    def test_group_and_subcommand_flags_print_identical_bytes(self, flags):
+        before, after = invoke([*flags, *self.CHECK]), invoke([*self.CHECK, *flags])
+        assert before.exit_code == after.exit_code == 0
+        assert before.stdout == after.stdout != invoke(self.CHECK).stdout
+        split = invoke([flags[0], *self.CHECK, *flags[1:]])
+        assert split.stdout == before.stdout
+
+    def test_standalone_mode_exits_with_the_code(self):
+        for args, code in ((self.CHECK, 0), (self.CHECK[:-1] + ["29"], 1), (["nonsense"], 2)):
+            with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                main(args)
+            assert exc.value.code == code
+
+    def test_run_freezes_the_heap_and_renders_like_main(self):
         code = ("import atexit, gc, sys; from kvacert.cli import run; "
                 "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); "
                 "sys.argv = ['kvacert', 'surfaces']; run()")
         result = python("-c", code)
         assert (result.returncode, result.stderr) == (0, "True\n")
-        assert result.stdout == run(runner, ["surfaces"]).output
+        assert result.stdout == invoke(["surfaces"]).output
 
-    def test_main_does_not_freeze(self, runner):
+    def test_main_does_not_freeze(self):
         before = gc.get_freeze_count()
-        assert run(runner, ["surfaces"]).exit_code == 0
+        assert invoke(["surfaces"]).exit_code == 0
         assert gc.get_freeze_count() == before
+
+
+_INTS = st.integers(-3, 40)
+#: exact rationals on both sides of every range check, and strings that are none
+_RATIONALS = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=1000).map(str),
+    st.sampled_from(["0.887", "178/1000", "1e-400", "1/0", "abc", ""]),
+)
+_SURFACE = st.integers(0, 8)
+#: each subcommand's options; the ranges keep every search within the work and
+#: output budgets and well under a second, and every scan within the scan budget
+_OPTIONS = {
+    "check": {"--surface": _SURFACE, "-a": _INTS, "-b": _INTS, "-k": st.integers(-1, 5),
+              "-d": _INTS, "-r": _INTS, "--c": _RATIONALS, "--delta": _RATIONALS},
+    "max-r": {"--surface": _SURFACE, "-a": _INTS, "-b": _INTS, "-k": st.integers(-1, 5),
+              "--c": _RATIONALS},
+    "seshadri": {"--surface": _SURFACE, "-a": _INTS, "-b": _INTS, "-r": _INTS},
+    "constants": {"--grid-step": st.one_of(_RATIONALS, st.just("1/1000000")),
+                  "--kmin": st.integers(-1, 12)},
+    "obstructions": {"--surface": _SURFACE, "-a": st.integers(0, 30),
+                     "-b": st.integers(0, 30), "-k": st.integers(1, 3),
+                     "-r": st.integers(-1, 40),
+                     "--delta": st.sampled_from(["1/2", "1/4", "178/1000", "1", "3/2", "0",
+                                                 "-1/3", "1/10000000", "abc"]),
+                     "--formula": st.sampled_from(["paper", "standard"] * 4 + ["other"])},
+    "surfaces": {},
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command line of one subcommand: random values, now and then an option left out,
+    and ``--json``/``--quiet`` before or after the subcommand."""
+    name = draw(st.sampled_from(sorted(_OPTIONS)))
+    args = [name]
+    for option, values in _OPTIONS[name].items():
+        if draw(st.integers(0, 19)):  # one option in twenty is left out
+            value = str(draw(values))
+            # ``--c=-1/2`` passes a negative rational; argparse reads ``--c -1/2`` as two options
+            args += [f"{option}={value}"] if option.startswith("--") else [option, value]
+    flags = draw(st.lists(st.sampled_from(["--json", "--quiet"]), max_size=2))
+    return [*flags, *args] if draw(st.booleans()) else [*args, *flags]
+
+
+class TestExitCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(args=_argv())
+    def test_every_command_line_exits_zero_one_or_two(self, args):
+        result = invoke(args)  # an exception escaping main fails the test
+        assert result.exit_code in (0, 1, 2)
+        assert "Traceback" not in result.stderr
+        if result.exit_code == 2:
+            assert result.stderr.splitlines()[-1].startswith("Error: ")
+        else:
+            assert result.stderr == ""

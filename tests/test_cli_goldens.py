@@ -17,10 +17,7 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from kvacert.cli import main
-from test_cli import python
+from test_cli import invoke, python
 
 GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())
 CERTIFICATE_CHECKS = ("star", "c-certified", "delta-certified")
@@ -47,7 +44,7 @@ def _without_certificate_checks(args, output: str) -> str:
 @pytest.mark.parametrize("golden", GOLDENS, ids=lambda g: " ".join(g["args"]))
 def test_output_matches_golden(golden):
     args = golden["args"]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     if args[0] != "check":
         assert (result.exit_code, result.output) == (golden["exit"], golden["output"])
         return
@@ -69,7 +66,7 @@ def test_module_entry_point_renders_like_main(golden):
     """A fresh ``python -m kvacert.cli`` process (it goes through ``run``) prints what
     ``main`` prints in process, which :func:`test_output_matches_golden` checks."""
     proc = python("-m", "kvacert.cli", *golden["args"])
-    result = CliRunner().invoke(main, golden["args"])
+    result = invoke(golden["args"])
     assert (proc.returncode, proc.stdout) == (result.exit_code, result.output)
     if golden["args"][0] != "check":
         assert (proc.returncode, proc.stdout) == (golden["exit"], golden["output"])

@@ -19,6 +19,7 @@ from kvacert.constants import (
     case1_cert,
     case_ds2_zero_cert,
     ceiling_from_n2,
+    certify_instance,
     delta_raw,
     delta_raw_at,
     g_positive_cert,
@@ -449,6 +450,25 @@ class TestMarginRendering:
         assert render_margin(None) == "n/a"
         assert render_margin(Fraction(-53, 5)) == "-53/5 (~ -10.600000)"
         assert render_margin(surd) == "6 + -1*sqrt(27) (~ 0.803848)"
+
+
+class TestCertifyInstance:
+    #: the README's certified instance: surface 1, (12, 12), k = 2, d = 10, r = 28
+    INSTANCE = (1, 12, 12, 2, 10, 28)
+
+    def test_certified_at_the_published_constants(self):
+        assert certify_instance(*self.INSTANCE, C, DELTA_DEFAULT).certified
+
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(-1)])
+    def test_nonpositive_delta_rejected(self, delta):
+        # the argument bounds sum m_i by (k+1)/delta, which needs delta > 0
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            certify_instance(*self.INSTANCE, C, delta)
+
+    @pytest.mark.parametrize("c", [Fraction(0), Fraction(1), Fraction(5, 4)])
+    def test_c_outside_unit_interval_rejected(self, c):
+        with pytest.raises(ValueError, match=r"^c must lie in \(0, 1\)$"):
+            certify_instance(*self.INSTANCE, c, DELTA_DEFAULT)
 
 
 class TestProofInstanceParams:
