@@ -21,9 +21,9 @@ from fractions import Fraction
 from math import floor, isqrt
 from typing import NamedTuple
 
-from .constants import sigma_bound
+from .constants import DELTA_DEFAULT, sigma_bound
 from .exactmath import RatLike, Value, as_rat
-from .hyperell import DivisorClass, intersect, self_intersection
+from .hyperell import DivisorClass, intersect, is_ample, self_intersection
 
 
 class BlowupClass(Value):
@@ -211,7 +211,7 @@ def search_obstruction(
     l_s: DivisorClass,
     k: int,
     r: int,
-    delta: RatLike = Fraction(178, 1000),
+    delta: RatLike = DELTA_DEFAULT,
     formula: str = "paper",
 ) -> list[ObstructionWitness]:
     """Enumerate all numerical obstruction candidates within the a-priori bounds.
@@ -263,17 +263,15 @@ def search_obstruction(
         raise ValueError("k must be at least 2")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    delta = as_rat(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive (the search bounds are 1/delta-sized)")
+    sigma = sigma_bound(k + 1, delta)  # raises unless delta > 0
     if formula not in ("paper", "standard"):
         raise ValueError(f"unknown D^2 formula variant: {formula!r}")
-    a, b = l_s.a, l_s.b
-    if a < 1 or b < 1:
+    if not is_ample(l_s):
         raise ValueError("the polarization must be ample (a >= 1 and b >= 1)")
+    a, b = l_s.a, l_s.b
 
     t = k + 1
-    m_max = floor(sigma_bound(t, delta)) if r >= 1 else 0
+    m_max = floor(sigma) if r >= 1 else 0
     estimate = _search_estimate(a, b, t, r, m_max, formula)
     if estimate > SEARCH_BUDGET:
         raise SearchTooLarge(

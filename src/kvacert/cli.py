@@ -7,6 +7,9 @@ JSON object (fixed key order, exact rationals as "num/den" strings, decimal
 fields suffixed ``_approx``); ``--quiet`` trims the human-readable detail.
 Both flags are accepted before and after the subcommand.  The parser is the
 standard library's ``argparse``, with abbreviated long options refused.
+Every verdict, bound, warning and range check is the library's; the command
+itself refuses only what the parser rejects, numbers over the digit cap, and a
+class that is not ample where ``max-r`` and ``seshadri`` need one.
 """
 
 from __future__ import annotations
@@ -19,17 +22,21 @@ from fractions import Fraction
 
 from .blowup import search_obstruction, seshadri_lower_sq
 from .constants import (
-    C_MAX_DEFAULT,
     CertRecord,
     ConstantsReport,
     c_max_search,
     certify_instance,
     margin_fields,
-    max_points,
+    point_bound,
     render_margin,
 )
 from .exactmath import QuadExpr, as_rat, decimal_str, frac_str
-from .hyperell import DivisorClass, is_ample, self_intersection, surface_by_id, surface_table
+from .hyperell import DivisorClass, is_ample, surface_by_id, surface_table
+
+#: The digit cap on numbers in arguments (1e-400 is within it).  It keeps every number
+#: derived from them cheap and far below Python's 4300-digit int-to-str limit: the
+#: largest, the obstruction search's estimate, grows like k^6 / delta^4 (< 2700 digits).
+MAX_DIGITS, MAX_EXPONENT = 100, 400
 
 
 class UsageError(Exception):
@@ -44,6 +51,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _capped(parse):
+    """The argument type ``parse``, refusing a number over the digit cap before it is built."""
+
+    def capped(value: str):
+        mantissa, _, exponent = value.lower().partition("e")
+        digits = sum(ch.isdigit() for ch in mantissa)
+        # four digits exceed MAX_EXPONENT already, and converting more could be slow
+        power = int("".join(ch for ch in exponent if ch.isdigit()).lstrip("0")[:4] or 0)
+        if digits > MAX_DIGITS or power > MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"numbers are limited to {MAX_DIGITS} digits and exponents to {MAX_EXPONENT}")
+        return parse(value)
+
+    capped.__name__ = parse.__name__  # argparse names the type in its errors: "invalid int value"
+    return capped
+
+
+@_capped
 def _rational(value: str) -> Fraction:
     try:
         return as_rat(value)
@@ -112,6 +137,14 @@ def _report_to_dict(report: ConstantsReport) -> dict:
     }
 
 
+def _polarization(args) -> DivisorClass:
+    """The class (a, b) on the chosen surface; one that is not ample is a usage error."""
+    l_s = DivisorClass(args.a, args.b, args.surface)
+    if not is_ample(l_s):
+        raise UsageError(f"class ({args.a},{args.b}) is not ample (need a > 0 and b > 0)")
+    return l_s
+
+
 def check(args) -> int:
     """Certify k-very ampleness of pi^*(a,b) - k*sum(E_i) on the blow-up at r points.
 
@@ -164,31 +197,10 @@ def check(args) -> int:
 
 def max_r(args) -> int:
     """Largest admissible number of points, floor(c * L^2 / (k+1)^2)."""
-    a, b, k, c = args.a, args.b, args.k, args.c
-    if not (0 < c < 1):
-        raise UsageError("--c must lie in (0, 1)")
-    if k < 0:
-        raise UsageError("k must be nonnegative")
-    l_s = DivisorClass(a, b, args.surface)
-    if not is_ample(l_s):
-        raise UsageError(f"class ({a},{b}) is not ample (need a > 0 and b > 0)")
-    l2 = self_intersection(l_s)
-    r_max = max_points(l2, k, c)
-    warnings = []
-    if c > C_MAX_DEFAULT:
-        warnings.append(
-            f"c = {frac_str(c)} exceeds the certified c_max = {frac_str(C_MAX_DEFAULT)};"
-            " check does not certify at this c"
-        )
-    if r_max < 2:
-        warnings.append(f"r_max = {r_max} is below the theorem's floor r >= 2")
-    min_coord = (k + 1) ** 2 + 3  # smallest admissible d+2
-    if a < min_coord or b < min_coord:
-        warnings.append(
-            f"full hypotheses also need a, b >= d+2 > (k+1)^2+2; here that means >= {min_coord}"
-        )
+    l2, r_max, warnings = _library(point_bound, _polarization(args), args.k, args.c)
     if args.json:
-        _emit_json({"r_max": r_max, "L2": l2, "k": k, "c": frac_str(c), "warnings": warnings})
+        _emit_json({"r_max": r_max, "L2": l2, "k": args.k, "c": frac_str(args.c),
+                    "warnings": warnings})
     else:
         print(str(r_max))
         if not args.quiet:
@@ -199,12 +211,7 @@ def max_r(args) -> int:
 
 def seshadri(args) -> int:
     """Exact square of the multi-point Seshadri lower bound at r very general points."""
-    l_s = DivisorClass(args.a, args.b, args.surface)
-    if not is_ample(l_s):
-        raise UsageError(f"class ({args.a},{args.b}) is not ample (need a > 0 and b > 0)")
-    if args.r < 1:
-        raise UsageError("r must be at least 1")
-    ses_sq = seshadri_lower_sq(l_s, args.r)
+    ses_sq = _library(seshadri_lower_sq, _polarization(args), args.r)
     if args.json:
         _emit_json(
             {
@@ -375,15 +382,16 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     sub.add_argument("--json", action="store_true", help="Emit a single JSON object.")
     sub.add_argument("--quiet", action="store_true", help="Suppress detail lines.")
     if ints:
-        sub.add_argument("--surface", type=int, choices=range(1, 8), default=1,
+        sub.add_argument("--surface", type=_capped(int), choices=range(1, 8), default=1,
                          help="Bielliptic surface type (default 1).")
     for flag in ints:
-        sub.add_argument(f"-{flag}", type=int, required=True, help=_INT_HELP[flag])
+        sub.add_argument(f"-{flag}", type=_capped(int), required=True, help=_INT_HELP[flag])
     for flag, default, what in rationals:
         sub.add_argument(flag, type=_rational, default=default, help=f"{what} (default {default}).")
     if name == "constants":
         sub.add_argument("action", nargs="?", choices=["verify"], default="verify")
-        sub.add_argument("--kmin", type=int, default=2, help="Smallest k of the scan (default 2).")
+        sub.add_argument("--kmin", type=_capped(int), default=2,
+                         help="Smallest k of the scan (default 2).")
     elif name == "obstructions":
         sub.add_argument("--formula", choices=["paper", "standard"], default="paper", help=(
             "D^2 convention: D_S^2 - (sum m_i)^2 or D_S^2 - sum m_i^2 (default paper)."))

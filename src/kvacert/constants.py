@@ -46,7 +46,6 @@ from .exactmath import (
     PolyRayResult,
     QuadExpr,
     RatLike,
-    Value,
     as_rat,
     decimal_str,
     frac_str,
@@ -65,23 +64,6 @@ DELTA_DEFAULT = Fraction(178, 1000)
 #: Most grid points :func:`c_max_search` scans.  A step of 1/100000 or larger
 #: stays within it for every kmin, because the ceiling is below 1.
 SCAN_BUDGET = 10**5
-
-
-class ProofInstanceParams(Value):
-    """Validated parameter bundle (k, t, d, c, delta) for one theorem instance."""
-
-    __slots__ = ("k", "t", "d", "c", "delta")
-
-    def __init__(self, k: int, t: int, d: int, c: Fraction, delta: Fraction) -> None:
-        if k < 2:
-            raise ValueError("k must be at least 2")
-        if t != k + 1:
-            raise ValueError("t must equal k + 1")
-        if d < (k + 1) ** 2 + 1:
-            raise ValueError("d must exceed (k+1)^2")
-        c, delta = _unit(c), _positive(delta)
-        for name, value in zip(self.__slots__, (k, t, d, c, delta)):
-            object.__setattr__(self, name, value)
 
 
 #: the default of the mapping fields of the records below: empty and read-only
@@ -153,11 +135,11 @@ class ConstantsReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _unit(c: RatLike) -> Fraction:
+def _unit(c: RatLike, name: str = "c") -> Fraction:
     """``c`` as a Fraction; it must lie in (0, 1)."""
     c = as_rat(c)
     if not (0 < c < 1):
-        raise ValueError("c must lie in (0, 1)")
+        raise ValueError(f"{name} must lie in (0, 1)")
     return c
 
 
@@ -258,9 +240,7 @@ def case_ds2_zero_cert(k: int, d: int) -> CertRecord:
     t2 = (k + 1) ** 2
     if d < t2 + 1:
         raise ValueError(f"d must exceed (k+1)^2 = {t2}")
-    lower_ok = t2 + 3 <= d + 2
     gap = d + 2 - t2
-    assert lower_ok and gap >= 3
     return CertRecord(
         id="case-ds2-zero",
         status="certified",
@@ -477,11 +457,7 @@ def c_max_search(grid_step: RatLike = Fraction(1, 1000), kmin: int = 2) -> Const
     below the ceiling raises :class:`kvacert.blowup.SearchTooLarge` before
     any point is scanned.
     """
-    grid_step = as_rat(grid_step)
-    if not (0 < grid_step < 1):
-        raise ValueError("grid_step must lie in (0, 1)")
-    if kmin < 2:
-        raise ValueError("kmin must be at least 2")
+    grid_step = _unit(grid_step, "grid_step")
     t0 = kmin + 1
     ceiling, ceiling_rec = _ceiling_with_cert(kmin)
 
@@ -521,12 +497,6 @@ def c_max_search(grid_step: RatLike = Fraction(1, 1000), kmin: int = 2) -> Const
 # ---------------------------------------------------------------------------
 # one instance of the theorem
 # ---------------------------------------------------------------------------
-
-
-def max_points(l2: int, k: int, c: RatLike) -> int:
-    """The point-count bound r_max = floor(c * L^2/(k+1)^2); 0 when k < 0 or L^2 <= 0."""
-    t = k + 1
-    return floor(as_rat(c) * l2 / (t * t)) if (k >= 0 and l2 > 0) else 0
 
 
 @cache
@@ -579,7 +549,7 @@ def certify_instance(
     l_s = DivisorClass(a, b, surface)
     l2 = self_intersection(l_s)
     t = k + 1
-    r_max = max_points(l2, k, c)
+    r_max = floor(c * l2 / (t * t)) if k >= 0 and l2 > 0 else 0
     hypotheses = [
         ("k-ge-2", k >= 2, f"k = {k}"),
         ("d-gt-(k+1)^2", d > t * t, f"d = {d}, (k+1)^2 = {t * t}"),
@@ -604,6 +574,31 @@ def certify_instance(
     ]
     return InstanceCertificate(hypotheses, certificates, l2, r_max, l2 - t * t * r, ses_sq,
                                threshold_sq, star)
+
+
+def point_bound(l_s: DivisorClass, k: int, c: RatLike) -> tuple[int, int, list[str]]:
+    """L^2, r_max = floor(c * L^2/(k+1)^2), and a warning per check that no d and r pass.
+
+    Those are the checks of :func:`certify_instance` that fail at the smallest
+    d and r their own bounds allow, d = (k+1)^2+1 and r = 2: each of them only
+    gets harder as d and r grow.  ``c`` must lie in (0, 1) and ``k`` must be
+    nonnegative; otherwise :class:`ValueError` is raised.
+    """
+    c = _unit(c)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    d = (k + 1) ** 2 + 1
+    cert = certify_instance(l_s.surface_id, l_s.a, l_s.b, k, d, 2, c, DELTA_DEFAULT)
+    failed = {name for name, ok, _ in cert.hypothesis_checks + cert.certificate_checks if not ok}
+    warnings = [text for names, text in (
+        ({"k-ge-2"}, f"k = {k} is below the theorem's floor k >= 2"),
+        ({"c-certified"}, f"c = {frac_str(c)} exceeds the certified c_max ="
+                          f" {frac_str(C_MAX_DEFAULT)}; check does not certify at this c"),
+        ({"r-le-r_max"}, f"r_max = {cert.r_max} is below the theorem's floor r >= 2"),
+        ({"a-ge-d+2", "b-ge-d+2"}, "full hypotheses also need a, b >= d+2 > (k+1)^2+2;"
+                                   f" here that means >= {d + 2}"),
+    ) if names & failed]
+    return cert.l2, cert.r_max, warnings
 
 
 # ---------------------------------------------------------------------------

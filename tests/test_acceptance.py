@@ -19,8 +19,8 @@ from kvacert.blowup import BlowupClass, blowup_intersect, n_class, search_obstru
 from kvacert.constants import (
     C_MAX_DEFAULT,
     DELTA_DEFAULT,
-    ProofInstanceParams,
     c_max_search,
+    certify_instance,
     delta_raw,
     g_positive_cert,
     pipeline_certs,
@@ -133,8 +133,8 @@ def test_obstruction_oracle():
     instances = _theorem_instances()
     assert len(instances) == 21 and instances[0] == (12, 12, 2, 10, 28)
     for a, b, k, d, r in instances:
-        # hypotheses of the certified statement hold for the instance
-        ProofInstanceParams(k, k + 1, d, C_MAX_DEFAULT, DELTA)
+        # the instance is certified: its hypotheses and certificate checks hold
+        assert certify_instance(1, a, b, k, d, r, C_MAX_DEFAULT, DELTA).certified
         assert a >= d + 2 and b >= d + 2
         assert 2 <= r <= floor(Fraction(887, 1000) * 2 * a * b / (k + 1) ** 2)
         for formula in ("paper", "standard"):

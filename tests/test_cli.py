@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kvacert
-from kvacert.blowup import search_obstruction
-from kvacert.cli import main
-from kvacert.constants import certify_instance
+from kvacert.blowup import search_obstruction, seshadri_lower_sq
+from kvacert.cli import MAX_DIGITS, MAX_EXPONENT, main
+from kvacert.constants import DELTA_DEFAULT, c_max_search, certify_instance
 from kvacert.hyperell import DivisorClass
 
 #: the environment of a fresh interpreter that imports this kvacert
@@ -267,7 +267,37 @@ class TestMaxR:
     def test_c_outside_unit_interval_exit_two(self, c):
         result = invoke(["max-r", "-a", "12", "-b", "12", "-k", "2", f"--c={c}"])
         assert result.exit_code == 2
-        assert "--c must lie in (0, 1)" in result.output
+        assert result.output == "Error: c must lie in (0, 1)\n"
+
+    def test_negative_k_exit_two(self):
+        result = invoke(["max-r", "-a", "12", "-b", "12", "-k", "-1"])
+        assert (result.exit_code, result.output) == (2, "Error: k must be nonnegative\n")
+
+    @pytest.mark.parametrize("k,r_max", [(0, 255), (1, 63)])
+    def test_k_below_two_warns(self, k, r_max):
+        # floor(887 * 288 / (1000 (k+1)^2)); the theorem needs k >= 2 whatever d and r are
+        payload = parse(invoke(["max-r", "-a", "12", "-b", "12", "-k", str(k), "--json"]))
+        assert payload["r_max"] == r_max
+        assert payload["warnings"][0] == f"k = {k} is below the theorem's floor k >= 2"
+
+    #: the checks of certify_instance that max-r warns about, with a phrase of each warning
+    WARNED = [({"k-ge-2"}, "k >= 2"), ({"c-certified"}, "exceeds the certified c_max"),
+              ({"r-ge-2"}, "r >= 2"), ({"a-ge-d+2", "b-ge-d+2"}, "a, b >= d+2")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(surface=st.integers(1, 7), a=st.integers(1, 60), b=st.integers(1, 60),
+           k=st.integers(0, 6), c=_ratios(1, 500, 886, 887, 888, 954, 999))
+    def test_warns_exactly_when_a_check_fails_for_every_d_and_r(self, surface, a, b, k, c):
+        payload = parse(invoke(["max-r", "--surface", str(surface), "-a", str(a), "-b", str(b),
+                                "-k", str(k), f"--c={c}", "--json"]))
+        d = (k + 1) ** 2 + 1  # the smallest d > (k+1)^2
+        cert = certify_instance(surface, a, b, k, d, payload["r_max"], c, DELTA_DEFAULT)
+        assert payload["r_max"] == cert.r_max
+        failed = {name for name, ok, _ in cert.hypothesis_checks + cert.certificate_checks
+                  if not ok}
+        want = [phrase for names, phrase in self.WARNED if names & failed]
+        assert len(payload["warnings"]) == len(want)
+        assert all(any(phrase in w for w in payload["warnings"]) for phrase in want)
 
 
 class TestSeshadri:
@@ -290,6 +320,12 @@ class TestSeshadri:
     def test_invalid_inputs(self):
         assert invoke(["seshadri", "-a", "0", "-b", "1", "-r", "1"]).exit_code == 2
         assert invoke(["seshadri", "-a", "1", "-b", "1", "-r", "0"]).exit_code == 2
+
+    def test_too_few_points_prints_the_library_message(self):
+        with pytest.raises(ValueError) as exc:
+            seshadri_lower_sq(DivisorClass(1, 1, 1), 0)
+        result = invoke(["seshadri", "-a", "1", "-b", "1", "-r", "0"])
+        assert (result.exit_code, result.output) == (2, f"Error: {exc.value}\n")
 
 
 class TestConstants:
@@ -326,6 +362,12 @@ class TestConstants:
         result = invoke(["constants", "verify", "--grid-step", "0"])
         assert result.exit_code == 2
         assert result.output.endswith("Error: grid_step must lie in (0, 1)\n")
+
+    def test_kmin_below_two_prints_the_library_message(self):
+        with pytest.raises(ValueError) as exc:
+            c_max_search(kmin=1)
+        result = invoke(["constants", "verify", "--kmin", "1"])
+        assert (result.exit_code, result.output) == (2, f"Error: {exc.value}\n")
 
     @pytest.mark.parametrize("step,points", [
         ("1/1000000", 954_000),
@@ -522,26 +564,76 @@ class TestEntryPoint:
         assert gc.get_freeze_count() == before
 
 
-_INTS = st.integers(-3, 40)
-#: exact rationals on both sides of every range check, and strings that are none
+#: a number of 4000 digits: Python refuses to convert an int of over 4300 digits to str
+_HUGE = "1" + "0" * 3999
+CAP_ERROR = f"numbers are limited to {MAX_DIGITS} digits and exponents to {MAX_EXPONENT}"
+
+
+class TestDigitCap:
+    @pytest.mark.parametrize("args", [
+        ["max-r", "-a", "12", "-b", "12", "-k", "2", "--c", "1e-5000", "--json"],
+        ["max-r", "-a", _HUGE, "-b", _HUGE, "-k", "2"],
+        ["seshadri", "-a", _HUGE, "-b", _HUGE, "-r", "28"],
+        ["check", "-a", _HUGE, "-b", _HUGE, "-k", "2", "-d", "10", "-r", "28"],
+        ["constants", "verify", "--kmin", "1" + "0" * 999],
+        ["constants", "verify", "--grid-step", "1e-10000000"],
+    ], ids=["max-r-c", "max-r-ab", "seshadri-ab", "check-ab", "constants-kmin",
+            "constants-grid-step"])
+    def test_oversized_number_refused_promptly(self, args):
+        start = time.monotonic()
+        result = invoke(args)  # an exception escaping main fails the test
+        assert time.monotonic() - start < 1.0
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and errors[0].endswith(CAP_ERROR)
+
+    def test_at_the_cap_the_library_decides(self):
+        at_cap = "9" * MAX_DIGITS
+        result = invoke(["check", "-a", at_cap, "-b", at_cap, "-k", "2", "-d", "10", "-r", at_cap])
+        assert result.exit_code == 0 and result.output.endswith("verdict: k-very-ample-certified\n")
+        result = invoke(["max-r", "-a", "12", "-b", "12", "-k", "2", f"--c=1e-{MAX_EXPONENT}"])
+        assert result.output.splitlines()[0] == "0"
+
+    @pytest.mark.parametrize("option,args", [
+        ("-a", ["-a", "1" + "0" * MAX_DIGITS, "-b", "12"]),
+        ("--c", ["-a", "12", "-b", "12", "--c=1/" + "9" * MAX_DIGITS]),
+        ("--c", ["-a", "12", "-b", "12", f"--c=1e-{MAX_EXPONENT + 1}"]),
+        ("--c", ["-a", "12", "-b", "12", f"--c=1e-0000{MAX_EXPONENT + 1}"]),
+    ], ids=["int", "rational", "exponent", "exponent-leading-zeros"])
+    def test_just_past_the_cap_refused(self, option, args):
+        result = invoke(["max-r", "-k", "2", *args])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == f"Error: argument {option}: {CAP_ERROR}"
+
+
+#: integers at and just past the digit cap
+_CAP_INTS = st.sampled_from([10**MAX_DIGITS - 1, 10**MAX_DIGITS, -(10**MAX_DIGITS)])
+_INTS = st.one_of(st.integers(-3, 40), _CAP_INTS)
+#: exact rationals on both sides of every range check and of the digit cap, and
+#: strings that are none
 _RATIONALS = st.one_of(
     st.fractions(min_value=-1, max_value=2, max_denominator=1000).map(str),
-    st.sampled_from(["0.887", "178/1000", "1e-400", "1/0", "abc", ""]),
+    st.sampled_from(["0.887", "178/1000", "1e-400", "1/0", "abc", "",
+                     f"1e-{MAX_EXPONENT + 1}", "1/" + "9" * (MAX_DIGITS - 1),
+                     "1/" + "9" * MAX_DIGITS]),
 )
 _SURFACE = st.integers(0, 8)
-#: each subcommand's options; the ranges keep every search within the work and
-#: output budgets and well under a second, and every scan within the scan budget
+#: each subcommand's options; the ranges keep every search well under a second and
+#: every scan within the scan budget (a k or r at the digit cap meets the work or
+#: output budget, or leaves nothing to search)
 _OPTIONS = {
-    "check": {"--surface": _SURFACE, "-a": _INTS, "-b": _INTS, "-k": st.integers(-1, 5),
-              "-d": _INTS, "-r": _INTS, "--c": _RATIONALS, "--delta": _RATIONALS},
-    "max-r": {"--surface": _SURFACE, "-a": _INTS, "-b": _INTS, "-k": st.integers(-1, 5),
-              "--c": _RATIONALS},
+    "check": {"--surface": _SURFACE, "-a": _INTS, "-b": _INTS,
+              "-k": st.one_of(st.integers(-1, 5), _CAP_INTS), "-d": _INTS, "-r": _INTS,
+              "--c": _RATIONALS, "--delta": _RATIONALS},
+    "max-r": {"--surface": _SURFACE, "-a": _INTS, "-b": _INTS,
+              "-k": st.one_of(st.integers(-1, 5), _CAP_INTS), "--c": _RATIONALS},
     "seshadri": {"--surface": _SURFACE, "-a": _INTS, "-b": _INTS, "-r": _INTS},
     "constants": {"--grid-step": st.one_of(_RATIONALS, st.just("1/1000000")),
-                  "--kmin": st.integers(-1, 12)},
+                  "--kmin": st.one_of(st.integers(-1, 12), _CAP_INTS)},
     "obstructions": {"--surface": _SURFACE, "-a": st.integers(0, 30),
-                     "-b": st.integers(0, 30), "-k": st.integers(1, 3),
-                     "-r": st.integers(-1, 40),
+                     "-b": st.integers(0, 30), "-k": st.one_of(st.integers(1, 3), _CAP_INTS),
+                     "-r": st.one_of(st.integers(-1, 40), _CAP_INTS),
                      "--delta": st.sampled_from(["1/2", "1/4", "178/1000", "1", "3/2", "0",
                                                  "-1/3", "1/10000000", "abc"]),
                      "--formula": st.sampled_from(["paper", "standard"] * 4 + ["other"])},

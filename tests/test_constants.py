@@ -14,7 +14,6 @@ from kvacert.constants import (
     C_MAX_DEFAULT,
     DELTA_DEFAULT,
     SCAN_BUDGET,
-    ProofInstanceParams,
     c_max_search,
     case1_cert,
     case_ds2_zero_cert,
@@ -469,24 +468,6 @@ class TestCertifyInstance:
     def test_c_outside_unit_interval_rejected(self, c):
         with pytest.raises(ValueError, match=r"^c must lie in \(0, 1\)$"):
             certify_instance(*self.INSTANCE, c, DELTA_DEFAULT)
-
-
-class TestProofInstanceParams:
-    def test_valid_instance(self):
-        params = ProofInstanceParams(2, 3, 10, C, DELTA_DEFAULT)
-        assert params.d == 10
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            ProofInstanceParams(1, 2, 10, C, DELTA_DEFAULT)
-        with pytest.raises(ValueError):
-            ProofInstanceParams(2, 4, 10, C, DELTA_DEFAULT)
-        with pytest.raises(ValueError):
-            ProofInstanceParams(2, 3, 9, C, DELTA_DEFAULT)
-        with pytest.raises(ValueError):
-            ProofInstanceParams(2, 3, 10, Fraction(1), DELTA_DEFAULT)
-        with pytest.raises(ValueError):
-            ProofInstanceParams(2, 3, 10, C, Fraction(0))
 
 
 class TestGeneralizedBindingCase:

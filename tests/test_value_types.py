@@ -1,8 +1,7 @@
 """The value types and records: field-value equality, immutability, validation.
 
-``QuadExpr``, ``Poly``, ``DivisorClass``, ``BlowupClass`` and
-``ProofInstanceParams`` are ``__slots__`` classes on :class:`kvacert.exactmath.Value`;
-the records are ``NamedTuple``s.
+``QuadExpr``, ``Poly``, ``DivisorClass`` and ``BlowupClass`` are ``__slots__``
+classes on :class:`kvacert.exactmath.Value`; the records are ``NamedTuple``s.
 """
 
 import copy
@@ -14,18 +13,13 @@ import pytest
 
 from kvacert.blowup import BlowupClass, ObstructionWitness
 from kvacert.constants import (
-    C_MAX_DEFAULT,
-    DELTA_DEFAULT,
     CertRecord,
     ConstantsReport,
     Discrepancy,
     InstanceCertificate,
-    ProofInstanceParams,
 )
 from kvacert.exactmath import Poly, PolyRayResult, QuadExpr
 from kvacert.hyperell import DivisorClass, SurfaceType
-
-C, D = C_MAX_DEFAULT, DELTA_DEFAULT
 
 #: (class, field values, the same values with one field changed)
 VALUES = [
@@ -33,7 +27,6 @@ VALUES = [
     (Poly, ([1, 2, Fraction(1, 3)],), ([1, 2],)),
     (DivisorClass, (1, 2, 3), (1, 2)),
     (BlowupClass, (DivisorClass(1, 2), (1, 0)), (DivisorClass(1, 2), (0, 1))),
-    (ProofInstanceParams, (2, 3, 10, C, D), (2, 3, 11, C, D)),
 ]
 IDS = [cls.__name__ for cls, _, _ in VALUES]
 
@@ -88,8 +81,7 @@ def test_normalised_fields_compare_equal():
     assert DivisorClass(1, 2) != DivisorClass(1, 2, 1)
 
 
-# the negative radicand and ProofInstanceParams are rejected in test_exactmath and
-# test_constants
+# the negative radicand is rejected in test_exactmath
 @pytest.mark.parametrize("make,error", [
     (lambda: QuadExpr(0.5), TypeError),
     (lambda: Poly([0.5]), TypeError),
