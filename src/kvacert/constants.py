@@ -138,7 +138,7 @@ class ConstantsReport(NamedTuple):
 def _unit(c: RatLike, name: str = "c") -> Fraction:
     """``c`` as a Fraction; it must lie in (0, 1)."""
     c = as_rat(c)
-    if not (0 < c < 1):
+    if not (0 < c.numerator < c.denominator):
         raise ValueError(f"{name} must lie in (0, 1)")
     return c
 
@@ -146,7 +146,7 @@ def _unit(c: RatLike, name: str = "c") -> Fraction:
 def _positive(delta: RatLike) -> Fraction:
     """``delta`` as a Fraction; it must be positive."""
     delta = as_rat(delta)
-    if delta <= 0:
+    if delta.numerator <= 0:
         raise ValueError("delta must be positive")
     return delta
 
@@ -167,6 +167,7 @@ def _ray_record(id: str, claims: Sequence[Poly], t0: RatLike, side: Sequence[Pol
     the last claim at t0 unless given, and the counterexample is that of the
     first claim that fails.  ``fields`` fill the record's remaining fields.
     """
+    t0 = as_rat(t0)
     rays = [poly_positive_on_ray(p, t0) for p in (*claims, *side)]
     failed = next((ray for ray in rays[: len(claims)] if not ray.positive), None)
     return CertRecord(id, _status(rays), claims[-1](t0) if margin is None else margin, rays,
@@ -178,13 +179,18 @@ def _radicand(c: Fraction, t0: int) -> Fraction:
     return c - Fraction(t0 * t0, 16 * (t0 * t0 + 3) ** 2)
 
 
+def _slack(c: Fraction, t0: int, radicand: Fraction) -> QuadExpr:
+    # t0*((1/c)*sqrt(radicand) - 1), radicand = _radicand(c, t0)
+    return QuadExpr(-t0, Fraction(t0) / c, radicand)
+
+
 def delta_raw_at(c: RatLike, t0: int) -> QuadExpr:
     """Seshadri slack t0*((1/c)*sqrt(c - t0^2/(16(t0^2+3)^2)) - 1) at a binding t0."""
     c = _unit(c)
     rad = _radicand(c, t0)
     if rad <= 0:
         raise ValueError(f"radicand {rad} is not positive at c = {c}")
-    return QuadExpr(-t0, Fraction(t0) / c, rad)
+    return _slack(c, t0, rad)
 
 
 def delta_raw(c: RatLike) -> QuadExpr:
@@ -197,22 +203,36 @@ _TWO_T2P3_SQ = Poly([18, 0, 12, 0, 2])
 #: t^4 - 2t^3, the radicand of the roots z_1, z_2
 _RAD_Z = Poly([0, 0, 0, -2, 1])
 _TWO_T_MINUS_1 = Poly([-1, 2])
+_FOUR_T_PLUS_1 = Poly([1, 4])
+#: (2t-1)^2
+_TWO_T_MINUS_1_SQ = _TWO_T_MINUS_1 * _TWO_T_MINUS_1
+#: t^2 - t - 1, and t^4-2t^3 - (t^2-t-1)^2: z_1(t) < 1 with its radical cleared
+_Z1_LHS = Poly([-1, -1, 1])
+_Z1_CLEARED = _RAD_Z - _Z1_LHS * _Z1_LHS
 
 
-def _n2_margin_poly(c: Fraction) -> Poly:
-    # (1-c)*2*(t^2+3)^2 - (4t+1)
-    return _TWO_T2P3_SQ.scale(1 - c) - Poly([1, 4])
+# The claim polynomials that depend on c (and delta) are built at every grid
+# point straight from the integer numerators and denominators of c and delta,
+# at about a third of the cost of the same Poly arithmetic on Fractions.
+
+
+def _chain_poly(c: Fraction, rhs: Poly) -> Poly:
+    """(1-c)*2*(t^2+3)^2 - rhs(t) for an integer polynomial rhs, over den(c)."""
+    n, d = c.numerator, c.denominator
+    num = [(d - n) * a for a in _TWO_T2P3_SQ.num]
+    for i, a in enumerate(rhs.num):
+        num[i] -= d * a
+    return Poly._of(num, d)
 
 
 def n2_chain_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     """Certify (1-c)*2*(t^2+3)^2 >= 4t+1 for all t >= t0 (gives N^2 >= 4k+5)."""
     c = _unit(c)
-    details = {
-        "two_t2p3_sq_at_t0": _TWO_T2P3_SQ(t0),
-        "lhs_at_t0": _TWO_T2P3_SQ.scale(1 - c)(t0),
-        "rhs_at_t0": Fraction(4 * t0 + 1),
-    }
-    return _ray_record("n2-chain", [_n2_margin_poly(c)], t0, details=details)
+    two_t2p3_sq = _TWO_T2P3_SQ(t0)
+    lhs, rhs = (1 - c) * two_t2p3_sq, Fraction(4 * t0 + 1)
+    return _ray_record("n2-chain", [_chain_poly(c, _FOUR_T_PLUS_1)], t0, margin=lhs - rhs,
+                       details={"two_t2p3_sq_at_t0": two_t2p3_sq, "lhs_at_t0": lhs,
+                                "rhs_at_t0": rhs})
 
 
 def case1_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
@@ -223,10 +243,9 @@ def case1_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     N^2 >= (1-c)*L^2 >= (1-c)*2((k+1)^2+3)^2.
     """
     c = _unit(c)
-    lhs = _TWO_T2P3_SQ.scale(1 - c)
-    rhs = _TWO_T_MINUS_1 * _TWO_T_MINUS_1
-    return _ray_record("case1-hodge", [lhs - rhs], t0,
-                       details={"lhs_at_t0": lhs(t0), "rhs_at_t0": rhs(t0)})
+    lhs, rhs = (1 - c) * _TWO_T2P3_SQ(t0), _TWO_T_MINUS_1_SQ(t0)
+    return _ray_record("case1-hodge", [_chain_poly(c, _TWO_T_MINUS_1_SQ)], t0, margin=lhs - rhs,
+                       details={"lhs_at_t0": lhs, "rhs_at_t0": rhs})
 
 
 def case_ds2_zero_cert(k: int, d: int) -> CertRecord:
@@ -276,7 +295,7 @@ def z1_decreasing_cert() -> CertRecord:
     (2t-1)^2 (t^4-2t^3) < (2t^3-3t^2)^2; the difference of the two sides is
     exactly -2t^3, so positivity of 2t^3 on the ray settles it.
     """
-    lhs = _TWO_T_MINUS_1 * _TWO_T_MINUS_1 * _RAD_Z
+    lhs = _TWO_T_MINUS_1_SQ * _RAD_Z
     rhs_root = Poly([0, 0, -3, 2])  # 2t^3 - 3t^2
     rhs = rhs_root * rhs_root
     return _ray_record(
@@ -334,9 +353,9 @@ def _ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
     c_exact = 1 - Fraction(4 * t0 + 1, denom)
     n = floor(c_exact * 1000)
     c = Fraction(n, 1000)
-    margin_poly = _n2_margin_poly(c)
+    margin_poly = _chain_poly(c, _FOUR_T_PLUS_1)
     binding_margin = margin_poly(t0)
-    next_margin = _n2_margin_poly(Fraction(n + 1, 1000))(t0)
+    next_margin = _chain_poly(Fraction(n + 1, 1000), _FOUR_T_PLUS_1)(t0)
     record = _ray_record(
         "n2-ceiling", [margin_poly.derivative()], t0, margin=binding_margin,
         details={
@@ -362,21 +381,17 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
       (after squaring sqrt(rad) > w t^2 + t and dividing by t^2 > 0).
     """
     c = _unit(c)
-    z1_lhs = Poly([-1, -1, 1])  # t^2 - t - 1
-    z1_cleared = _RAD_Z - z1_lhs * z1_lhs
-
-    w = (1 - c) / c
-    rhs = Poly([0, 1, w])  # w t^2 + t
+    n, d = c.numerator, c.denominator
+    rhs = Poly._of([0, n, d - n], n)  # w t^2 + t with w = (1-c)/c = (d-n)/n
     full = _RAD_Z - rhs * rhs
-    assert full.coeffs[0] == 0 and full.coeffs[1] == 0
-    z2_quad = Poly(full.coeffs[2:])  # (1-w^2)t^2 - 2(1+w)t - 1
+    assert full.num[:2] == (0, 0)
+    z2_quad = Poly._of(list(full.num[2:]), full.den)  # (1-w^2)t^2 - 2(1+w)t - 1
 
-    t0q = Fraction(t0)
-    z2_at_t0 = QuadExpr(t0q * t0q - t0q, 1, _RAD_Z(t0q))
-    surd_margin = z2_at_t0 - t0q * t0q / c
+    # z_2(t0) - t0^2/c with z_2(t0) = t0^2 - t0 + sqrt(t0^4 - 2t0^3)
+    surd_margin = QuadExpr(t0 * t0 - t0 - t0 * t0 / c, 1, _RAD_Z(t0))
     # side: both sides positive before squaring, the radicand positive on the ray
     return _ray_record(
-        "z-interval-containment", [z1_cleared, z2_quad], t0, side=[z1_lhs, rhs, _RAD_Z],
+        "z-interval-containment", [_Z1_CLEARED, z2_quad], t0, side=[_Z1_LHS, rhs, _RAD_Z],
         side_conditions=[
             "t^2 - t - 1 > 0 on the ray (z_1 comparison squared legitimately)",
             "((1-c)/c) t^2 + t > 0 on the ray (z_2 comparison squared legitimately)",
@@ -384,7 +399,7 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
             "t^2 > 0 (common factor removed from the z_2 form)",
         ],
         details={
-            "z1_cleared_margin_at_t0": z1_cleared(t0),
+            "z1_cleared_margin_at_t0": _Z1_CLEARED(t0),
             "z2_surd_margin_at_t0": surd_margin,
         },
     )
@@ -398,9 +413,16 @@ def g_positive_cert(c: RatLike, delta: RatLike, t0: int = BINDING_T) -> CertReco
     3-decimal round-down of the slack makes or breaks it.
     """
     c, delta = _unit(c), _positive(delta)
-    lin = Poly([1, 1 / delta])  # 1 + t/delta
-    g = _TWO_T2P3_SQ.scale(1 / c) - lin * lin
-    return _ray_record("g-positive", [g], t0, details={"g_at_t0": g(t0), "c": c, "delta": delta})
+    n, d = c.numerator, c.denominator
+    p, q = delta.numerator, delta.denominator
+    # ((d/n) 2(t^2+3)^2 - ((p + q t)/p)^2) * n p^2, as 1 + t/delta = (p + q t)/p
+    num = [d * p * p * a for a in _TWO_T2P3_SQ.num]
+    for i, a in enumerate((p * p, 2 * p * q, q * q)):
+        num[i] -= n * a
+    g = Poly._of(num, n * p * p)
+    g_at_t0 = g(t0)
+    return _ray_record("g-positive", [g], t0, margin=g_at_t0,
+                       details={"g_at_t0": g_at_t0, "c": c, "delta": delta})
 
 
 def sigma_bound(t: int, delta: RatLike) -> Fraction:
@@ -431,7 +453,7 @@ def pipeline_certs(c: RatLike, t0: int = BINDING_T) -> tuple[bool, Fraction | No
     radicand = _radicand(c, t0)
     if radicand <= 0:
         return refuted(radicand, "radicand not positive")
-    slack = delta_raw_at(c, t0)
+    slack = _slack(c, t0, radicand)
     if slack.sign() <= 0:
         return refuted(slack, "raw slack not positive")
     delta = quad_floor_milli(slack)

@@ -55,7 +55,7 @@ def _num_den(x: RatLike) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
@@ -129,16 +129,18 @@ class QuadExpr(Value):
 
         Cases on the signs of p and q; only when they disagree is the
         comparison p^2 vs q^2*s needed (both sides of p = -q*sqrt(s) are
-        then nonnegative, so squaring is legitimate).
+        then nonnegative, so squaring is legitimate).  Denominators are
+        positive, so the comparison runs on numerators cross-multiplied.
         """
-        if self.q == 0:
-            return _sign(self.p)
-        if self.p == 0:
-            return _sign(self.q)  # s > 0 here, so sqrt(s) > 0
-        sp, sq = _sign(self.p), _sign(self.q)
-        if sp == sq:
+        a, b = self.p.numerator, self.p.denominator
+        e, f = self.q.numerator, self.q.denominator
+        sp, sq = _sign(a), _sign(e)
+        if sq == 0 or sp == sq:
             return sp
-        d = self.p * self.p - self.q * self.q * self.s
+        if sp == 0:
+            return sq  # s > 0 here, so sqrt(s) > 0
+        s = self.s
+        d = a * a * f * f * s.denominator - e * e * s.numerator * b * b
         if d == 0:
             return 0
         return sp if d > 0 else sq
@@ -243,7 +245,8 @@ def quad_floor_milli(e: QuadExpr) -> Fraction:
     """
     if e.sign() < 0:
         raise ValueError("quad_floor_milli requires a nonnegative input")
-    n = (e * 1000).floor()
+    # 1000*e term by term, without the general QuadExpr product
+    n = QuadExpr(1000 * e.p, 1000 * e.q, e.s).floor()
     return Fraction(n, 1000)
 
 
@@ -367,16 +370,19 @@ class Poly(Value):
 
         With t0 = a/b, the integer polynomial m(x) = b^n num(x/b) is shifted
         by a with Horner's synthetic division, m(a + v) = sum s_j v^j; then
-        p(t0 + u) = sum s_j b^j u^j / (den b^n).
+        p(t0 + u) = sum s_j b^j u^j / (den b^n).  An integer t0 (b = 1) needs
+        no rescaling.
         """
         if self.is_zero:
             return self
         a, b = _num_den(t0)
         n = self.degree
-        s = [c * b ** (n - i) for i, c in enumerate(self.num)]
+        s = list(self.num) if b == 1 else [c * b ** (n - i) for i, c in enumerate(self.num)]
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
                 s[j] += a * s[j + 1]
+        if b == 1:
+            return Poly._of(s, self.den)
         return Poly._of([c * b**j for j, c in enumerate(s)], self.den * b**n)
 
     def __str__(self) -> str:

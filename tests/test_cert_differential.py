@@ -1,0 +1,67 @@
+"""Differential tests: the integer-built certificates of ``kvacert.constants`` against the oracle.
+
+``fraction_certs`` holds the Fraction-built forms of the grid-point
+certificates that ``constants`` replaced.  For every drawn c in (0, 1), slack
+delta and binding t0 both must return records with the same ``repr`` (every
+field, the ray certificates with their shifts and methods included), or raise
+the same error.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_certs
+from kvacert import constants
+
+unit_cs = st.fractions(min_value=0, max_value=1, max_denominator=10**5).filter(
+    lambda c: 0 < c < 1)
+deltas = st.one_of(
+    st.sampled_from([Fraction(1, 10**6), Fraction(178, 1000), Fraction(5)]),
+    st.fractions(min_value=0, max_value=20, max_denominator=10**4).filter(bool),
+)
+t0s = st.integers(0, 12)
+
+
+def outcome(f, *args) -> str:
+    """``repr`` of what ``f(*args)`` returns, or of the error it raises."""
+    try:
+        return repr(f(*args))
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_same(name, *args):
+    assert outcome(getattr(constants, name), *args) == outcome(getattr(fraction_certs, name),
+                                                                  *args)
+
+
+class TestCertificatesAgainstFractionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(unit_cs, t0s)
+    def test_c_only_certificates(self, c, t0):
+        for name in ("n2_chain_cert", "case1_cert", "interval_containment_cert"):
+            assert_same(name, c, t0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_cs, deltas, t0s)
+    def test_g_positive(self, c, delta, t0):
+        assert_same("g_positive_cert", c, delta, t0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_cs, t0s)
+    def test_pipeline(self, c, t0):
+        assert_same("pipeline_certs", c, t0)
+
+    def test_fixed_points_reach_every_branch(self):
+        # fixed points that reach each branch of pipeline_certs at least once
+        reasons = set()
+        for c, t0 in ((Fraction(1, 1000), 3), (Fraction(1, 2), 0), (Fraction(1991, 2000), 3),
+                      (Fraction(887, 1000), 3), (Fraction(888, 1000), 3), (Fraction(1, 2), 1)):
+            assert_same("pipeline_certs", c, t0)
+            result = outcome(constants.pipeline_certs, c, t0)
+            reasons |= {r for r in ("radicand not positive", "raw slack not positive",
+                                    "slack floors to zero", "'certified'", "'refuted'",
+                                    "ValueError") if r in result}
+        assert len(reasons) == 6

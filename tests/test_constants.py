@@ -321,6 +321,13 @@ class TestPipeline:
             g = next(rec for rec in certs if rec.id == "g-positive")
             assert g.counterexample == 3
 
+    def test_ten_thousandth_grid(self):
+        # the floor of c* ~ 0.8877545 at grid step 1/10000
+        report = c_max_search(Fraction(1, 10000))
+        assert report.c_max == Fraction(8877, 10000)
+        assert report.delta_max == Fraction(177, 1000)
+        assert report.scanned == 664
+
     def test_coarse_grid_is_infeasible(self):
         # on the 1/10 grid, 9/10 fails g-positivity with its floored slack and
         # 8/10 already violates the interval containment (8/10 < 6 - sqrt(27))

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_kernel import FracPoly, positive_on_ray, quad_floor
+from fraction_kernel import FracPoly, positive_on_ray, quad_floor, quad_sign
 from kvacert.constants import delta_raw_at
-from kvacert.exactmath import Poly, QuadExpr, poly_positive_on_ray
+from kvacert.exactmath import Poly, QuadExpr, poly_positive_on_ray, quad_floor_milli
 
 rats = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 coefficients = st.one_of(st.just(Fraction(0)), st.integers(-20, 20).map(Fraction), rats)
@@ -83,6 +83,14 @@ class TestPolyAgainstFractionKernel:
         assert shifted(0) == Poly(cs)(t0)
 
     @settings(max_examples=300, deadline=None)
+    @given(coefficient_lists(), st.integers(-12, 12))
+    def test_shift_by_int(self, cs, n):
+        # an integer t0, as in every pipeline shift, takes the path without rescaling
+        p = Poly(cs)
+        assert p.shift(n) == p.shift(Fraction(n))
+        assert p.shift(n).coeffs == FracPoly(cs).shift(Fraction(n)).coeffs
+
+    @settings(max_examples=300, deadline=None)
     @given(coefficient_lists(), points)
     def test_positive_on_ray(self, cs, t0):
         p, f = Poly(cs), FracPoly(cs)
@@ -143,6 +151,20 @@ class TestFloorAgainstFractionKernel:
         assert QuadExpr(p, q, s).floor() == quad_floor(p, q, s)
 
     @settings(max_examples=300, deadline=None)
+    @given(surd_parts, surd_parts, radicands)
+    def test_sign(self, p, q, s):
+        assert QuadExpr(p, q, s).sign() == quad_sign(p, q, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(surd_parts, surd_parts, radicands)
+    def test_floor_milli(self, p, q, s):
+        # quad_floor_milli scales p and q by 1000 without the general QuadExpr product
+        e = QuadExpr(p, q, s)
+        if e.sign() >= 0:
+            assert quad_floor_milli(e) == Fraction(quad_floor(1000 * p, 1000 * q, s), 1000)
+            assert quad_floor_milli(e) == Fraction((e * 1000).floor(), 1000)
+
+    @settings(max_examples=300, deadline=None)
     @given(st.integers(-50, 50), surd_parts, st.fractions(min_value=0, max_value=50,
                                                           max_denominator=30))
     def test_floor_at_integer_values(self, n, q, r):
@@ -150,6 +172,9 @@ class TestFloorAgainstFractionKernel:
         p = n - q * r
         for eps in (Fraction(0), Fraction(1, 10**9), Fraction(-1, 10**9)):
             assert QuadExpr(p + eps, q, r * r).floor() == quad_floor(p + eps, q, r * r)
+            # at n = 0 the sign needs the exact comparison p^2 = q^2 s
+            e = QuadExpr(p - n + eps, q, r * r)
+            assert e.sign() == quad_sign(e.p, e.q, e.s)
 
     def test_floor_of_every_scanned_slack(self):
         # the floors the constants scan takes: 1000 * delta_raw(c) on the 1/1000 grid
