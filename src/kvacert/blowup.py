@@ -114,7 +114,7 @@ SEARCH_BUDGET = 2 * 10**8
 OUTPUT_BUDGET = 10**6
 
 #: Steps a cell with a single D^2 option counts for: such a cell (every cell
-#: under the paper formula) costs about 650 ns, a condition test in a cell with
+#: under the paper formula) costs about 600 ns, a condition test in a cell with
 #: many options about 36 ns (2-CPU Xeon VM, Python 3.11).
 PAPER_CELL_STEPS = 18
 
@@ -228,12 +228,14 @@ def search_obstruction(
     the bounds.
 
     With t = k+1 and M = sum m_i, N.D = L.D_S - t*M, so the two bounds on
-    L.D_S = a*beta + b*alpha leave 1 <= N.D <= t.  For each (M, alpha) the
-    walk therefore visits only the beta window
+    L.D_S = a*beta + b*alpha leave 1 <= N.D <= t.  For each (M, alpha), with
+    rest = t*M - b*alpha, the walk therefore visits only the beta window
 
-        ceil((t*M + 1 - b*alpha)/a) <= beta <= floor((t*(M+1) - b*alpha)/a)
+        max(0, floor(rest/a) + 1) <= beta <= floor((rest + t)/a)
 
-    and tests every D^2 option on each of its cells.
+    and tests every D^2 option on each of its cells.  Along the window N.D
+    grows by a and D_S^2 = 2*alpha*beta by 2*alpha, so both are stepped by
+    addition.
 
     Multiplicity vectors are represented up to permutation by sorted
     multisets.  Only sum(m_i) enters N.D; for D^2 the two supported
@@ -283,16 +285,17 @@ def search_obstruction(
     found = []  # (alpha, beta, M, D^2, N.D, D^2 option)
     for m_sum in range(0, m_max + 1):
         q_values = [m_sum * m_sum] if table is None else table.values(m_sum, min(r, m_sum))
-        low = t * m_sum + 1  # N.D >= 1
-        high = t * m_sum + t  # L.D_S <= t(1 + M), i.e. N.D <= t
-        for alpha in range(0, high // b + 1):
-            b_alpha = b * alpha
-            for beta in range(max(0, -((b_alpha - low) // a)), (high - b_alpha) // a + 1):
-                nd = a * beta + b_alpha - t * m_sum
-                ds2 = 2 * alpha * beta
+        for alpha in range(0, (t * m_sum + t) // b + 1):
+            # N.D = a*beta - rest, and 1 <= N.D <= t is the beta window of the row
+            rest = t * m_sum - b * alpha
+            lo = max(0, rest // a + 1)
+            nd, ds2, ds2_step = a * lo - rest, 2 * alpha * lo, 2 * alpha
+            for beta in range(lo, (rest + t) // a + 1):
                 for sq in q_values:
                     if condition(nd, ds2 - sq, k):
                         found.append((alpha, beta, m_sum, ds2 - sq, nd, sq))
+                nd += a
+                ds2 += ds2_step
     size = len(found) * r
     if size > OUTPUT_BUDGET:
         raise SearchTooLarge(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from fractions import Fraction
 
@@ -90,6 +89,8 @@ def _sqrt_approx(x: Fraction) -> str:
 
 
 def _emit_json(payload: dict) -> None:
+    import json  # only here: a command that prints text skips the import
+
     print(json.dumps(payload, indent=2))
 
 
@@ -258,6 +259,29 @@ def constants(args) -> int:
     return 0 if report.verified else 1
 
 
+def _json_mults(mults: tuple[int, ...]) -> str:
+    """``mults`` as ``json.dumps(..., indent=2)`` renders it as the value of a witness key."""
+    if not mults:
+        return "[]"
+    # the repr of a list of ints, with each ", " broken onto the next line
+    return "[\n        " + str(list(mults))[1:-1].replace(", ", ",\n        ") + "\n      ]"
+
+
+def _rendered_once(witnesses, render):
+    """Each witness with ``render(witness.mults)``, rendering every distinct tuple once.
+
+    :func:`search_obstruction` shares one ``mults`` tuple among the witnesses of
+    one (M, D^2 option), so a rendering is looked up by the tuple's identity;
+    ``witnesses`` keeps every tuple, and so every identity, alive meanwhile.
+    """
+    rendered = {}
+    for w in witnesses:
+        text = rendered.get(id(w.mults))
+        if text is None:
+            text = rendered[id(w.mults)] = render(w.mults)
+        yield w, text
+
+
 def obstructions(args) -> int:
     """Brute-force search for numerical obstruction divisors within the proof bounds.
 
@@ -269,32 +293,25 @@ def obstructions(args) -> int:
     formula = args.formula
     witnesses = _library(search_obstruction, DivisorClass(args.a, args.b, args.surface), args.k,
                          args.r, args.delta, formula=formula)
+    # streamed one witness at a time; a vector is written as rendered, never copied into a line
+    write = sys.stdout.write
     if args.json:
-        _emit_json(
-            {
-                "formula": formula,
-                "count": len(witnesses),
-                "witnesses": [
-                    {
-                        "d_s": {"a": w.d_s.a, "b": w.d_s.b},
-                        "mults": list(w.mults),
-                        "nd": w.nd,
-                        "d2": w.d2,
-                    }
-                    for w in witnesses
-                ],
-            }
-        )
+        # the bytes of json.dumps(payload, indent=2) and a newline (the formula is a plain word)
+        write(f'{{\n  "formula": "{formula}",\n  "count": {len(witnesses)},\n  "witnesses": [')
+        for i, (w, mults) in enumerate(_rendered_once(witnesses, _json_mults)):
+            write(f'{"," if i else ""}\n    {{\n      "d_s": {{\n        "a": {w.d_s.a},\n'
+                  f'        "b": {w.d_s.b}\n      }},\n      "mults": ')
+            write(mults)
+            write(f',\n      "nd": {w.nd},\n      "d2": {w.d2}\n    }}')
+        write("\n  ]\n}\n" if witnesses else "]\n}\n")
+    elif not witnesses:
+        write("none found within proof bounds\n")
     else:
-        if not witnesses:
-            print("none found within proof bounds")
-        else:
-            print(f"{len(witnesses)} witness(es) within proof bounds ({formula} formula):")
-            for w in witnesses:
-                print(
-                    f"  D_S = ({w.d_s.a},{w.d_s.b}), m = {list(w.mults)}, "
-                    f"N.D = {w.nd}, D^2 = {w.d2}"
-                )
+        write(f"{len(witnesses)} witness(es) within proof bounds ({formula} formula):\n")
+        for w, mults in _rendered_once(witnesses, lambda m: str(list(m))):
+            write(f"  D_S = ({w.d_s.a},{w.d_s.b}), m = ")
+            write(mults)
+            write(f", N.D = {w.nd}, D^2 = {w.d2}\n")
     return 0 if not witnesses else 1
 
 

@@ -325,9 +325,11 @@ def _box_walk_search(a, b, k, r, delta, formula, condition):
 
 
 class TestSearchAgainstBoxWalk:
+    # a or b above t = k+1, as in (7, 2), (12, 12) and (30, 5), leaves rows whose
+    # beta window is empty (lo > hi) and, at r = 0, searches with no witness at all
     GRID = [
         (a, b, k, r, delta)
-        for a, b in ((1, 1), (1, 3), (2, 2), (3, 3), (5, 4))
+        for a, b in ((1, 1), (1, 3), (2, 2), (3, 3), (5, 4), (7, 2), (12, 12), (30, 5))
         for k in (2, 3)
         for r in (0, 1, 2, 4, 7)
         for delta in (DELTA, Fraction(1, 3), Fraction(1))

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kvacert
@@ -443,6 +443,46 @@ class TestObstructions:
         assert time.monotonic() - start < 1.0
 
 
+def _dumped_obstructions(formula, witnesses) -> str:
+    """The ``obstructions --json`` output as ``json.dumps`` of the whole payload renders it."""
+    return json.dumps({
+        "formula": formula,
+        "count": len(witnesses),
+        "witnesses": [
+            {"d_s": {"a": w.d_s.a, "b": w.d_s.b}, "mults": list(w.mults), "nd": w.nd, "d2": w.d2}
+            for w in witnesses
+        ],
+    }, indent=2) + "\n"
+
+
+def _printed_obstructions(formula, witnesses) -> str:
+    """The ``obstructions`` text output as one formatted line per witness renders it."""
+    if not witnesses:
+        return "none found within proof bounds\n"
+    lines = [f"{len(witnesses)} witness(es) within proof bounds ({formula} formula):"]
+    lines += [f"  D_S = ({w.d_s.a},{w.d_s.b}), m = {list(w.mults)}, N.D = {w.nd}, D^2 = {w.d2}"
+              for w in witnesses]
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamedObstructions:
+    """The streamed witness list against the renderings it replaced, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(1, 6), b=st.integers(1, 6), k=st.sampled_from([2, 3]),
+           r=st.integers(0, 8), formula=st.sampled_from(["paper", "standard"]))
+    @example(a=6, b=6, k=2, r=1, formula="paper")  # no witness
+    @example(a=3, b=3, k=2, r=0, formula="standard")  # witnesses with empty mults
+    def test_same_bytes_as_the_whole_payload_renderings(self, a, b, k, r, formula):
+        witnesses = search_obstruction(DivisorClass(a, b), k, r, formula=formula)
+        args = ["obstructions", "-a", str(a), "-b", str(b), "-k", str(k), "-r", str(r),
+                "--formula", formula]
+        for flags, want in (["--json"], _dumped_obstructions), ([], _printed_obstructions):
+            result = invoke(args + flags)
+            assert (result.exit_code, result.stderr) == (1 if witnesses else 0, "")
+            assert result.stdout == want(formula, witnesses)
+
+
 class TestSurfaces:
     def test_seven_rows(self):
         result = invoke(["surfaces"])
@@ -511,6 +551,25 @@ class TestEntryPoint:
     def test_import_does_not_load_dataclasses(self):
         result = python("-c", "import sys, kvacert.cli; print('dataclasses' in sys.modules)")
         assert (result.returncode, result.stdout) == (0, "False\n")
+
+    def test_json_is_imported_only_to_dump_a_payload(self):
+        # obstructions streams its JSON, so it needs the module no more than the import does
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "bare = 'json' in sys.modules",
+            "from kvacert.cli import main",
+            "seen = ['json' in sys.modules]",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    main(['obstructions', '-a', '3', '-b', '3', '-k', '2', '-r', '4', '--json'],",
+            "         standalone_mode=False)",
+            "    seen.append('json' in sys.modules)",
+            "    main(['surfaces', '--json'], standalone_mode=False)",
+            "    seen.append('json' in sys.modules)",
+            "print('bare' if bare else seen)",
+        ])
+        result = python("-c", code)
+        assert result.returncode == 0
+        assert result.stdout in ("bare\n", "[False, False, True]\n")
 
     def test_import_does_not_load_click(self):
         result = python("-c", "import sys, kvacert.cli; print('click' in sys.modules)")
