@@ -196,17 +196,6 @@ class _SquareSums:
         return tuple(rep)
 
 
-def _square_sum_options(m_sum: int, max_parts: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Distinct values of sum(m_i^2) over partitions of m_sum into <= max_parts parts.
-
-    Returns (value, representative partition) pairs sorted by value; the
-    representative is the lexicographically largest descending partition.
-    """
-    parts = min(max_parts, m_sum)
-    table = _SquareSums(parts, m_sum)
-    return tuple((q, table.representative(q, m_sum, parts)) for q in table.values(m_sum, parts))
-
-
 def search_obstruction(
     l_s: DivisorClass,
     k: int,

@@ -25,9 +25,9 @@ Each inequality that argument needs is certified here as an exact object:
 
 Every "for all k >= kmin" claim is reduced to an exact check at the binding
 t0 = kmin + 1 plus a polynomial positivity certificate on the ray
-[t0, oo); see :mod:`kvacert.exactmath` for the certificate machinery.  One
-builder, ``_ray_record``, turns those ray claims into every ray-based
-:class:`CertRecord` and decides its status, margin and counterexample.
+[t0, oo); see :mod:`kvacert.exactmath`.  The claims that depend on c are one
+integer table, ``_CLAIMS``; one builder, ``_ray_record``, turns ray claims into
+every ray-based :class:`CertRecord` with its status, margin and counterexample.
 """
 
 from __future__ import annotations
@@ -203,26 +203,38 @@ _TWO_T2P3_SQ = Poly([18, 0, 12, 0, 2])
 #: t^4 - 2t^3, the radicand of the roots z_1, z_2
 _RAD_Z = Poly([0, 0, 0, -2, 1])
 _TWO_T_MINUS_1 = Poly([-1, 2])
-_FOUR_T_PLUS_1 = Poly([1, 4])
-#: (2t-1)^2
-_TWO_T_MINUS_1_SQ = _TWO_T_MINUS_1 * _TWO_T_MINUS_1
 #: t^2 - t - 1, and t^4-2t^3 - (t^2-t-1)^2: z_1(t) < 1 with its radical cleared
 _Z1_LHS = Poly([-1, -1, 1])
 _Z1_CLEARED = _RAD_Z - _Z1_LHS * _Z1_LHS
 
 
-# The claim polynomials that depend on c (and delta) are built at every grid
-# point straight from the integer numerators and denominators of c and delta,
-# at about a third of the cost of the same Poly arithmetic on Fractions.
+#: The claims that depend on c (and delta): name -> (rows, den), the claim sum(rows[i] t^i)/x_den.
+#: rows[i][m] is the coefficient of t^i x_m, x_m = c^j delta^-k for m = j + 3k (i <= 4, j, k <= 2).
+_CLAIMS = {
+    "n2-chain": (((17, -18), (-4,), (12, -12), (), (2, -2)), 0),  # (1-c)*2(t^2+3)^2 - (4t+1)
+    "case1-hodge": (((17, -18), (4,), (8, -12), (), (2, -2)), 0),  # ... - (2t-1)^2
+    "z2": (((0, 0, -1), (0, -2), (-1, 2)), 2),  # ((2c-1)t^2 - 2ct - c^2)/c^2
+    "z2-side": (((), (0, 1), (1, -1)), 1),  # ((1-c)t^2 + ct)/c = w t^2 + t
+    # (2(t^2+3)^2 - c(1 + t/delta)^2)/c = g(t)
+    "g-positive": (((18, -1), (0, 0, 0, 0, -2), (12, 0, 0, 0, 0, 0, 0, -1), (), (2,)), 1),
+}
+#: the nonzero entries of each claim as terms (a, i, m), a x_m t^i, the form :func:`_claim` sums
+_TERMS = {name: ([(a, i, m) for i, row in enumerate(rows) for m, a in enumerate(row) if a], den)
+          for name, (rows, den) in _CLAIMS.items()}
 
 
-def _chain_poly(c: Fraction, rhs: Poly) -> Poly:
-    """(1-c)*2*(t^2+3)^2 - rhs(t) for an integer polynomial rhs, over den(c)."""
+def _claim(name: str, c: Fraction, delta: Fraction | None = None) -> Poly:
+    """Claim ``name`` at c = n/d (and delta = p/q): d^2 p^2 x_m = n^j d^(2-j) q^k p^(2-k)."""
     n, d = c.numerator, c.denominator
-    num = [(d - n) * a for a in _TWO_T2P3_SQ.num]
-    for i, a in enumerate(rhs.num):
-        num[i] -= d * a
-    return Poly._of(num, d)
+    x = (d * d, n * d, n * n)  # without delta, only the columns with k = 0
+    if delta is not None:
+        p, q = delta.numerator, delta.denominator
+        x = [u * v for v in (p * p, p * q, q * q) for u in x]
+    terms, den = _TERMS[name]
+    num = [0] * 5
+    for a, i, m in terms:
+        num[i] += a * x[m]
+    return Poly.over(num, x[den])
 
 
 def n2_chain_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
@@ -230,7 +242,7 @@ def n2_chain_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     c = _unit(c)
     two_t2p3_sq = _TWO_T2P3_SQ(t0)
     lhs, rhs = (1 - c) * two_t2p3_sq, Fraction(4 * t0 + 1)
-    return _ray_record("n2-chain", [_chain_poly(c, _FOUR_T_PLUS_1)], t0, margin=lhs - rhs,
+    return _ray_record("n2-chain", [_claim("n2-chain", c)], t0, margin=lhs - rhs,
                        details={"two_t2p3_sq_at_t0": two_t2p3_sq, "lhs_at_t0": lhs,
                                 "rhs_at_t0": rhs})
 
@@ -243,8 +255,8 @@ def case1_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     N^2 >= (1-c)*L^2 >= (1-c)*2((k+1)^2+3)^2.
     """
     c = _unit(c)
-    lhs, rhs = (1 - c) * _TWO_T2P3_SQ(t0), _TWO_T_MINUS_1_SQ(t0)
-    return _ray_record("case1-hodge", [_chain_poly(c, _TWO_T_MINUS_1_SQ)], t0, margin=lhs - rhs,
+    lhs, rhs = (1 - c) * _TWO_T2P3_SQ(t0), Fraction((2 * t0 - 1) ** 2)
+    return _ray_record("case1-hodge", [_claim("case1-hodge", c)], t0, margin=lhs - rhs,
                        details={"lhs_at_t0": lhs, "rhs_at_t0": rhs})
 
 
@@ -295,7 +307,7 @@ def z1_decreasing_cert() -> CertRecord:
     (2t-1)^2 (t^4-2t^3) < (2t^3-3t^2)^2; the difference of the two sides is
     exactly -2t^3, so positivity of 2t^3 on the ray settles it.
     """
-    lhs = _TWO_T_MINUS_1_SQ * _RAD_Z
+    lhs = _TWO_T_MINUS_1 * _TWO_T_MINUS_1 * _RAD_Z
     rhs_root = Poly([0, 0, -3, 2])  # 2t^3 - 3t^2
     rhs = rhs_root * rhs_root
     return _ray_record(
@@ -349,13 +361,12 @@ def _ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
     if kmin < 2:
         raise ValueError("kmin must be at least 2")
     t0 = kmin + 1
-    denom = 2 * (t0 * t0 + 3) ** 2
-    c_exact = 1 - Fraction(4 * t0 + 1, denom)
+    c_exact = 1 - (4 * t0 + 1) / _TWO_T2P3_SQ(t0)
     n = floor(c_exact * 1000)
     c = Fraction(n, 1000)
-    margin_poly = _chain_poly(c, _FOUR_T_PLUS_1)
+    margin_poly = _claim("n2-chain", c)
     binding_margin = margin_poly(t0)
-    next_margin = _chain_poly(Fraction(n + 1, 1000), _FOUR_T_PLUS_1)(t0)
+    next_margin = _claim("n2-chain", Fraction(n + 1, 1000))(t0)
     record = _ray_record(
         "n2-ceiling", [margin_poly.derivative()], t0, margin=binding_margin,
         details={
@@ -381,17 +392,11 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
       (after squaring sqrt(rad) > w t^2 + t and dividing by t^2 > 0).
     """
     c = _unit(c)
-    n, d = c.numerator, c.denominator
-    rhs = Poly._of([0, n, d - n], n)  # w t^2 + t with w = (1-c)/c = (d-n)/n
-    full = _RAD_Z - rhs * rhs
-    assert full.num[:2] == (0, 0)
-    z2_quad = Poly._of(list(full.num[2:]), full.den)  # (1-w^2)t^2 - 2(1+w)t - 1
-
     # z_2(t0) - t0^2/c with z_2(t0) = t0^2 - t0 + sqrt(t0^4 - 2t0^3)
     surd_margin = QuadExpr(t0 * t0 - t0 - t0 * t0 / c, 1, _RAD_Z(t0))
-    # side: both sides positive before squaring, the radicand positive on the ray
     return _ray_record(
-        "z-interval-containment", [_Z1_CLEARED, z2_quad], t0, side=[_Z1_LHS, rhs, _RAD_Z],
+        "z-interval-containment", [_Z1_CLEARED, _claim("z2", c)], t0,
+        side=[_Z1_LHS, _claim("z2-side", c), _RAD_Z],
         side_conditions=[
             "t^2 - t - 1 > 0 on the ray (z_1 comparison squared legitimately)",
             "((1-c)/c) t^2 + t > 0 on the ray (z_2 comparison squared legitimately)",
@@ -413,13 +418,7 @@ def g_positive_cert(c: RatLike, delta: RatLike, t0: int = BINDING_T) -> CertReco
     3-decimal round-down of the slack makes or breaks it.
     """
     c, delta = _unit(c), _positive(delta)
-    n, d = c.numerator, c.denominator
-    p, q = delta.numerator, delta.denominator
-    # ((d/n) 2(t^2+3)^2 - ((p + q t)/p)^2) * n p^2, as 1 + t/delta = (p + q t)/p
-    num = [d * p * p * a for a in _TWO_T2P3_SQ.num]
-    for i, a in enumerate((p * p, 2 * p * q, q * q)):
-        num[i] -= n * a
-    g = Poly._of(num, n * p * p)
+    g = _claim("g-positive", c, delta)
     g_at_t0 = g(t0)
     return _ray_record("g-positive", [g], t0, margin=g_at_t0,
                        details={"g_at_t0": g_at_t0, "c": c, "delta": delta})

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
 
@@ -278,9 +278,9 @@ class Poly(Value):
 
     Coefficients ascend; trailing zeros are stripped and (num, den) is in
     lowest terms with den > 0, so equal polynomials have equal fields (the
-    zero polynomial is ``((), 1)``).  ``coeffs`` is the same polynomial as a
-    tuple of Fractions.  Arithmetic, evaluation and the Taylor shift run on
-    the integers and normalise once by a gcd.
+    zero polynomial is ``((), 1)``); other modules use :meth:`over` or ``coeffs``
+    (the Fractions), not the fields.  Arithmetic, evaluation and the Taylor shift
+    run on the integers and normalise once by a gcd.
     """
 
     __slots__ = ("num", "den")
@@ -290,19 +290,19 @@ class Poly(Value):
         den = lcm(*(c.denominator for c in cs))
         self._set([c.numerator * (den // c.denominator) for c in cs], den)
 
-    def _set(self, num: list[int], den: int) -> None:
-        while num and num[-1] == 0:
-            num.pop()
+    def _set(self, num: Sequence[int], den: int) -> None:
         g = gcd(den, *num)
-        if g > 1:
-            num = [n // g for n in num]
-            den //= g
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", den)
+        num = tuple(num) if g == 1 else tuple([n // g for n in num])
+        while num and num[-1] == 0:
+            num = num[:-1]
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den // g)
 
     @classmethod
-    def _of(cls, num: list[int], den: int) -> "Poly":
-        """The polynomial sum(num[i] t^i)/den, normalised; den > 0."""
+    def over(cls, num: Sequence[int], den: int) -> "Poly":
+        """The polynomial sum(num[i] t^i)/den of integers, normalised; den must be positive."""
+        if den <= 0:
+            raise ValueError("denominator must be positive")
         out = object.__new__(cls)
         out._set(num, den)
         return out
@@ -339,10 +339,10 @@ class Poly(Value):
         num = [x * fa for x in a]
         for i, y in enumerate(b):
             num[i] += y * fb
-        return Poly._of(num, den)
+        return Poly.over(num, den)
 
     def __neg__(self) -> "Poly":
-        return Poly._of([-n for n in self.num], self.den)
+        return Poly.over([-n for n in self.num], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -356,14 +356,14 @@ class Poly(Value):
                 continue
             for j, b in enumerate(other.num):
                 out[i + j] += a * b
-        return Poly._of(out, self.den * other.den)
+        return Poly.over(out, self.den * other.den)
 
     def scale(self, r: RatLike) -> "Poly":
         r = as_rat(r)
-        return Poly._of([r.numerator * n for n in self.num], r.denominator * self.den)
+        return Poly.over([r.numerator * n for n in self.num], r.denominator * self.den)
 
     def derivative(self) -> "Poly":
-        return Poly._of([i * n for i, n in enumerate(self.num) if i > 0], self.den)
+        return Poly.over([i * n for i, n in enumerate(self.num) if i > 0], self.den)
 
     def shift(self, t0: RatLike) -> "Poly":
         """Taylor shift: the polynomial u -> p(t0 + u).
@@ -382,8 +382,8 @@ class Poly(Value):
             for j in range(n - 1, i - 1, -1):
                 s[j] += a * s[j + 1]
         if b == 1:
-            return Poly._of(s, self.den)
-        return Poly._of([c * b**j for j, c in enumerate(s)], self.den * b**n)
+            return Poly.over(s, self.den)
+        return Poly.over([c * b**j for j, c in enumerate(s)], self.den * b**n)
 
     def __str__(self) -> str:
         if self.is_zero:

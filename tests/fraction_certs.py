@@ -1,16 +1,19 @@
-"""The Fraction-built certificates that ``kvacert.constants`` replaced, kept as a test oracle.
+"""The Fraction-built certificates of ``kvacert.constants``, kept as a test oracle.
 
 Every c-dependent claim polynomial here is assembled from ``Poly`` values of
 Fraction coefficients (``scale``, products, differences), every value at t0
 is a polynomial evaluation, and the slack is floored by ``fraction_kernel``'s
-sign walk.  ``kvacert.constants`` builds the same records from the integer
-numerators and denominators of c and delta; the differential test in
-``test_cert_differential.py`` asserts that both give the same ``repr``.
+sign walk.  ``kvacert.constants`` instead instantiates each claim from its
+table of integer polynomials in c and 1/delta, cleared over the numerators and
+denominators of c and delta.  The differential tests in
+``test_cert_differential.py``, and ``TestCeiling`` in ``test_constants.py``
+for the n2 ceiling, assert that both give the same ``repr``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 
 from fraction_kernel import quad_floor
 from kvacert.constants import CertRecord
@@ -56,6 +59,23 @@ def n2_chain_cert(c, t0: int = 3) -> CertRecord:
         "rhs_at_t0": Fraction(4 * t0 + 1),
     }
     return ray_record("n2-chain", [TWO_T2P3_SQ.scale(1 - c) - Poly([1, 4])], t0, details=details)
+
+
+def ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
+    t0 = kmin + 1
+    c_exact = 1 - Fraction(4 * t0 + 1, 2 * (t0 * t0 + 3) ** 2)
+    n = floor(c_exact * 1000)
+    c, next_c = Fraction(n, 1000), Fraction(n + 1, 1000)
+    margin = TWO_T2P3_SQ.scale(1 - c) - Poly([1, 4])
+    details = {
+        "ceiling": c,
+        "exact_bound": c_exact,
+        "binding_t": Fraction(t0),
+        "next_candidate": next_c,
+        "next_candidate_margin": (TWO_T2P3_SQ.scale(1 - next_c) - Poly([1, 4]))(t0),
+    }
+    return c, ray_record("n2-ceiling", [margin.derivative()], t0, margin=margin(t0),
+                         details=details)
 
 
 def case1_cert(c, t0: int = 3) -> CertRecord:

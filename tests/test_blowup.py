@@ -17,7 +17,7 @@ from kvacert.blowup import (
     ObstructionWitness,
     SearchTooLarge,
     _search_estimate,
-    _square_sum_options,
+    _SquareSums,
     blowup_intersect,
     bs_condition3,
     n_class,
@@ -229,6 +229,18 @@ class TestSearchOracle:
             search_obstruction(DivisorClass(0, 3), 2, 4, DELTA)
         with pytest.raises(ValueError):
             search_obstruction(DivisorClass(3, 3), 2, 4, DELTA, formula="other")
+
+
+def _square_sum_options(m_sum: int, max_parts: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Distinct values of sum(m_i^2) over partitions of m_sum into <= max_parts parts.
+
+    Returns (value, representative partition) pairs sorted by value, read from
+    one ``_SquareSums`` table; the representative is the lexicographically
+    largest descending partition.
+    """
+    parts = min(max_parts, m_sum)
+    table = _SquareSums(parts, m_sum)
+    return tuple((q, table.representative(q, m_sum, parts)) for q in table.values(m_sum, parts))
 
 
 class TestSquareSumOptions:

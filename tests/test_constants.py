@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_certs
 from kvacert import constants
 from kvacert.blowup import SearchTooLarge
 from kvacert.constants import (
@@ -107,6 +108,11 @@ class TestCeiling:
     def test_kmin_below_two_rejected(self):
         with pytest.raises(ValueError):
             ceiling_from_n2(1)
+
+    def test_records_agree_with_the_fraction_oracle(self):
+        for kmin in range(2, 41):
+            assert repr(constants._ceiling_with_cert(kmin)) == repr(
+                fraction_certs.ceiling_with_cert(kmin)), kmin
 
 
 class TestN2Chain:

@@ -194,6 +194,16 @@ class TestPolyAlgebra:
         p, q = Poly([1, 1]), Poly([-1, 1])
         assert (p * q) == Poly([-1, 0, 1])
 
+    def test_over_normalises_and_leaves_its_argument_alone(self):
+        num = [2, 4, 0]
+        assert Poly.over(num, 6) == Poly([Fraction(1, 3), Fraction(2, 3)])
+        assert num == [2, 4, 0]
+
+    @pytest.mark.parametrize("den", [0, -1, -6])
+    def test_over_rejects_a_denominator_that_is_not_positive(self, den):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            Poly.over([1, 2], den)
+
 
 class TestRendering:
     def test_decimal_six_places(self):

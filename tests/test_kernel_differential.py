@@ -74,6 +74,8 @@ class TestPolyAgainstFractionKernel:
             assert mine == Poly(theirs.coeffs)
         assert p(t) == f(t)
         assert (p.degree, p.is_zero) == (f.degree, f.is_zero)
+        num, den = [c.numerator for c in cs], t.denominator
+        assert Poly.over(num, den) == Poly([Fraction(n, den) for n in num])
 
     @settings(max_examples=300, deadline=None)
     @given(coefficient_lists(), points)

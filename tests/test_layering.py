@@ -1,0 +1,61 @@
+"""Static checks on the layering of ``src/kvacert``, read from each module's syntax tree.
+
+* ``Poly``'s storage -- its integer numerators ``num``, its denominator ``den``
+  and any private constructor -- is known to ``exactmath`` alone; every other
+  module builds a ``Poly`` through its public constructors.
+* Every module-level private name is used somewhere in the package, so no
+  helper survives only for the tests.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import kvacert
+
+PACKAGE = Path(kvacert.__file__).parent
+TREES = {path.name: ast.parse(path.read_text(), str(path))
+         for path in sorted(PACKAGE.glob("*.py"))}
+POLY_STORAGE = {"num", "den", "_of"}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def module_level_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def references() -> set[str]:
+    """Every name read, and every attribute taken, anywhere in the package."""
+    used = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("module", [name for name in TREES if name != "exactmath.py"])
+def test_poly_storage_stays_inside_exactmath(module):
+    touches = [f"{module}:{node.lineno}: .{node.attr}" for node in ast.walk(TREES[module])
+               if isinstance(node, ast.Attribute) and node.attr in POLY_STORAGE]
+    assert touches == []
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    used = references()
+    unused = [f"{module}: {name}" for module, tree in TREES.items()
+              for name in module_level_names(tree) if is_private(name) and name not in used]
+    assert unused == []
