@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import cache
-from math import floor
+from functools import cache, lru_cache
+from math import floor, isqrt
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -50,7 +50,6 @@ from .exactmath import (
     decimal_str,
     frac_str,
     poly_positive_on_ray,
-    quad_floor_milli,
 )
 from .hyperell import DivisorClass, self_intersection
 
@@ -159,29 +158,29 @@ def _status(claims: Sequence[PolyRayResult]) -> str:
 
 
 def _ray_record(id: str, claims: Sequence[Poly], t0: RatLike, side: Sequence[Poly] = (),
-                margin: Fraction | QuadExpr | None = None, **fields) -> CertRecord:
+                margin: Fraction | QuadExpr | None = None, side_conditions: Sequence[str] = (),
+                details: Mapping = _EMPTY) -> CertRecord:
     """The record of "every claim and every side condition is positive on [t0, oo)".
 
     ``polys`` holds the ray certificates of the claims, then of the side
-    conditions; the status is :func:`_status` of all of them.  The margin is
-    the last claim at t0 unless given, and the counterexample is that of the
-    first claim that fails.  ``fields`` fill the record's remaining fields.
+    conditions; the status is :func:`_status` of all of them.  Unless given,
+    the margin is the last claim at t0, read off its certificate: the shifted
+    polynomial's constant term is p(t0), so no claim is evaluated twice.  The
+    counterexample is that of the first claim that fails.
     """
-    t0 = as_rat(t0)
     rays = [poly_positive_on_ray(p, t0) for p in (*claims, *side)]
-    failed = next((ray for ray in rays[: len(claims)] if not ray.positive), None)
-    return CertRecord(id, _status(rays), claims[-1](t0) if margin is None else margin, rays,
-                      counterexample=failed.counterexample if failed else None, **fields)
+    status = _status(rays)
+    failed = None if status == "certified" else next(
+        (ray for ray in rays[: len(claims)] if not ray.positive), None)
+    if margin is None:
+        margin = rays[len(claims) - 1].value_at_t0
+    return CertRecord(id, status, margin, rays, side_conditions, details,
+                      failed.counterexample if failed else None)
 
 
 def _radicand(c: Fraction, t0: int) -> Fraction:
     # c - t0^2 / (16 (t0^2+3)^2): the quantity under the root in the Seshadri slack
     return c - Fraction(t0 * t0, 16 * (t0 * t0 + 3) ** 2)
-
-
-def _slack(c: Fraction, t0: int, radicand: Fraction) -> QuadExpr:
-    # t0*((1/c)*sqrt(radicand) - 1), radicand = _radicand(c, t0)
-    return QuadExpr(-t0, Fraction(t0) / c, radicand)
 
 
 def delta_raw_at(c: RatLike, t0: int) -> QuadExpr:
@@ -190,7 +189,7 @@ def delta_raw_at(c: RatLike, t0: int) -> QuadExpr:
     rad = _radicand(c, t0)
     if rad <= 0:
         raise ValueError(f"radicand {rad} is not positive at c = {c}")
-    return _slack(c, t0, rad)
+    return QuadExpr(-t0, Fraction(t0) / c, rad)
 
 
 def delta_raw(c: RatLike) -> QuadExpr:
@@ -208,6 +207,31 @@ _Z1_LHS = Poly([-1, -1, 1])
 _Z1_CLEARED = _RAD_Z - _Z1_LHS * _Z1_LHS
 
 
+class _AtT0(NamedTuple):
+    """The values at t0 that no grid point changes."""
+
+    t: Fraction  # t0 itself
+    t2: int  # t0^2
+    f: int  # 4(t0^2+3): the radicand c - t0^2/(16(t0^2+3)^2) is c - t2/f^2
+    two_t2p3_sq: Fraction  # 2(t0^2+3)^2
+    n2_rhs: Fraction  # 4t0 + 1
+    case1_rhs: Fraction  # (2t0 - 1)^2
+    rad_z: Fraction  # t0^4 - 2t0^3
+    z1_cleared: Fraction
+
+
+@lru_cache(maxsize=128)  # bounded, since t0 is the caller's; a scan uses one
+def _at(t0: int) -> _AtT0:
+    return _AtT0(Fraction(t0), t0 * t0, 4 * (t0 * t0 + 3), _TWO_T2P3_SQ(t0), Fraction(4 * t0 + 1),
+                 Fraction((2 * t0 - 1) ** 2), _RAD_Z(t0), _Z1_CLEARED(t0))
+
+
+def _lhs(c: Fraction, at: _AtT0) -> Fraction:
+    """(1-c)*2(t0^2+3)^2, with one normalisation."""
+    d = c.denominator
+    return Fraction((d - c.numerator) * at.two_t2p3_sq.numerator, d)
+
+
 #: The claims that depend on c (and delta): name -> (rows, den), the claim sum(rows[i] t^i)/x_den.
 #: rows[i][m] is the coefficient of t^i x_m, x_m = c^j delta^-k for m = j + 3k (i <= 4, j, k <= 2).
 _CLAIMS = {
@@ -218,19 +242,46 @@ _CLAIMS = {
     # (2(t^2+3)^2 - c(1 + t/delta)^2)/c = g(t)
     "g-positive": (((18, -1), (0, 0, 0, 0, -2), (12, 0, 0, 0, 0, 0, 0, -1), (), (2,)), 1),
 }
-#: the nonzero entries of each claim as terms (a, i, m), a x_m t^i, the form :func:`_claim` sums
-_TERMS = {name: ([(a, i, m) for i, row in enumerate(rows) for m, a in enumerate(row) if a], den)
-          for name, (rows, den) in _CLAIMS.items()}
+
+
+def _terms(rows, den) -> tuple[list[tuple[int, int, int]], int, int, int]:
+    """A claim as the form :func:`_claim` sums: (terms (a, i, col), den col, J, K).
+
+    J and K are the claim's own degrees in c and in 1/delta, and x_m sits in
+    column j + (J+1) k of the products that clear them.
+    """
+    entries = [(a, i, m) for i, row in enumerate(rows) for m, a in enumerate(row) if a]
+    ms = [m for _, _, m in entries] + [den]
+    jmax, kmax = max(m % 3 for m in ms), max(m // 3 for m in ms)
+
+    def col(m):
+        j, k = m % 3, m // 3
+        return j + (jmax + 1) * k
+
+    return [(a, i, col(m)) for a, i, m in entries], col(den), jmax, kmax
+
+
+_TERMS = {name: _terms(rows, den) for name, (rows, den) in _CLAIMS.items()}
+
+
+def _cleared(top: int, bottom: int, degree: int) -> list[int]:
+    """[top^j bottom^(degree-j) for j = 0..degree], degree <= 2: x^j cleared at x = top/bottom."""
+    if degree == 1:
+        return [bottom, top]
+    if degree == 2:
+        return [bottom * bottom, top * bottom, top * top]
+    return [1]
 
 
 def _claim(name: str, c: Fraction, delta: Fraction | None = None) -> Poly:
-    """Claim ``name`` at c = n/d (and delta = p/q): d^2 p^2 x_m = n^j d^(2-j) q^k p^(2-k)."""
-    n, d = c.numerator, c.denominator
-    x = (d * d, n * d, n * n)  # without delta, only the columns with k = 0
-    if delta is not None:
-        p, q = delta.numerator, delta.denominator
-        x = [u * v for v in (p * p, p * q, q * q) for u in x]
-    terms, den = _TERMS[name]
+    """Claim ``name`` at c = n/d (and delta = p/q), cleared to its own degrees J and K.
+
+    The column of x_m = c^j delta^-k is d^J p^K x_m = n^j d^(J-j) q^k p^(K-k).
+    """
+    terms, den, jmax, kmax = _TERMS[name]
+    x = _cleared(c.numerator, c.denominator, jmax)
+    if kmax:
+        x = [u * v for v in _cleared(delta.denominator, delta.numerator, kmax) for u in x]
     num = [0] * 5
     for a, i, m in terms:
         num[i] += a * x[m]
@@ -239,12 +290,10 @@ def _claim(name: str, c: Fraction, delta: Fraction | None = None) -> Poly:
 
 def n2_chain_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     """Certify (1-c)*2*(t^2+3)^2 >= 4t+1 for all t >= t0 (gives N^2 >= 4k+5)."""
-    c = _unit(c)
-    two_t2p3_sq = _TWO_T2P3_SQ(t0)
-    lhs, rhs = (1 - c) * two_t2p3_sq, Fraction(4 * t0 + 1)
-    return _ray_record("n2-chain", [_claim("n2-chain", c)], t0, margin=lhs - rhs,
-                       details={"two_t2p3_sq_at_t0": two_t2p3_sq, "lhs_at_t0": lhs,
-                                "rhs_at_t0": rhs})
+    c, at = _unit(c), _at(t0)
+    return _ray_record("n2-chain", [_claim("n2-chain", c)], at.t,
+                       details={"two_t2p3_sq_at_t0": at.two_t2p3_sq, "lhs_at_t0": _lhs(c, at),
+                                "rhs_at_t0": at.n2_rhs})
 
 
 def case1_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
@@ -254,10 +303,9 @@ def case1_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     with D^2 > 0 would force N^2 <= (N.D)^2 <= (2k+1)^2 while
     N^2 >= (1-c)*L^2 >= (1-c)*2((k+1)^2+3)^2.
     """
-    c = _unit(c)
-    lhs, rhs = (1 - c) * _TWO_T2P3_SQ(t0), Fraction((2 * t0 - 1) ** 2)
-    return _ray_record("case1-hodge", [_claim("case1-hodge", c)], t0, margin=lhs - rhs,
-                       details={"lhs_at_t0": lhs, "rhs_at_t0": rhs})
+    c, at = _unit(c), _at(t0)
+    return _ray_record("case1-hodge", [_claim("case1-hodge", c)], at.t,
+                       details={"lhs_at_t0": _lhs(c, at), "rhs_at_t0": at.case1_rhs})
 
 
 def case_ds2_zero_cert(k: int, d: int) -> CertRecord:
@@ -361,7 +409,8 @@ def _ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
     if kmin < 2:
         raise ValueError("kmin must be at least 2")
     t0 = kmin + 1
-    c_exact = 1 - (4 * t0 + 1) / _TWO_T2P3_SQ(t0)
+    at = _at(t0)
+    c_exact = 1 - at.n2_rhs / at.two_t2p3_sq
     n = floor(c_exact * 1000)
     c = Fraction(n, 1000)
     margin_poly = _claim("n2-chain", c)
@@ -391,11 +440,12 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     * z_2(t) > t^2/c  <=>  (1-w^2)t^2 - 2(1+w)t - 1 > 0 with w = (1-c)/c
       (after squaring sqrt(rad) > w t^2 + t and dividing by t^2 > 0).
     """
-    c = _unit(c)
+    c, at = _unit(c), _at(t0)
+    n = c.numerator
     # z_2(t0) - t0^2/c with z_2(t0) = t0^2 - t0 + sqrt(t0^4 - 2t0^3)
-    surd_margin = QuadExpr(t0 * t0 - t0 - t0 * t0 / c, 1, _RAD_Z(t0))
+    surd_margin = QuadExpr(Fraction((at.t2 - t0) * n - at.t2 * c.denominator, n), 1, at.rad_z)
     return _ray_record(
-        "z-interval-containment", [_Z1_CLEARED, _claim("z2", c)], t0,
+        "z-interval-containment", [_Z1_CLEARED, _claim("z2", c)], at.t,
         side=[_Z1_LHS, _claim("z2-side", c), _RAD_Z],
         side_conditions=[
             "t^2 - t - 1 > 0 on the ray (z_1 comparison squared legitimately)",
@@ -404,7 +454,7 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
             "t^2 > 0 (common factor removed from the z_2 form)",
         ],
         details={
-            "z1_cleared_margin_at_t0": _Z1_CLEARED(t0),
+            "z1_cleared_margin_at_t0": at.z1_cleared,
             "z2_surd_margin_at_t0": surd_margin,
         },
     )
@@ -418,10 +468,8 @@ def g_positive_cert(c: RatLike, delta: RatLike, t0: int = BINDING_T) -> CertReco
     3-decimal round-down of the slack makes or breaks it.
     """
     c, delta = _unit(c), _positive(delta)
-    g = _claim("g-positive", c, delta)
-    g_at_t0 = g(t0)
-    return _ray_record("g-positive", [g], t0, margin=g_at_t0,
-                       details={"g_at_t0": g_at_t0, "c": c, "delta": delta})
+    record = _ray_record("g-positive", [_claim("g-positive", c, delta)], _at(t0).t)
+    return record._replace(details={"g_at_t0": record.margin, "c": c, "delta": delta})
 
 
 def sigma_bound(t: int, delta: RatLike) -> Fraction:
@@ -436,28 +484,57 @@ def sigma_bound(t: int, delta: RatLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _slack_floor(n: int, d: int, t0: int) -> tuple[int, int, int | None]:
+    """(r, s, m) at c = n/d: the radicand is r/s, and m = floor(1000 * slack) or None.
+
+    With f = 4(t0^2+3) the radicand c - t0^2/f^2 is r/s for r = n f^2 - d t0^2
+    and s = d f^2, and the slack is t0*(sqrt(z)/w - 1) for z = d*r and w = n*f.
+    So the slack is positive iff t0 and z - w^2 have the same sign, and
+    floor(1000 * slack) = floor(1000 t0 sqrt(z)/w) - 1000 t0 takes one
+    integer square root.  m is None unless r > 0 and the slack is positive.
+    """
+    at = _at(t0)
+    f2 = at.f * at.f
+    r, s = n * f2 - d * at.t2, d * f2
+    if r <= 0:
+        return r, s, None
+    z, w = d * r, n * at.f
+    w2 = w * w
+    if not ((t0 > 0 and z > w2) or (t0 < 0 and z < w2)):
+        return r, s, None
+    y = 10**6 * at.t2 * z  # (1000 t0 sqrt(z))^2
+    # floor(1000 t0 sqrt(z)/w) = root // w, root the floor of sqrt(y) or of -sqrt(y)
+    root = isqrt(y) if t0 > 0 else -isqrt(y - 1) - 1
+    return r, s, root // w - 1000 * t0
+
+
 def pipeline_certs(c: RatLike, t0: int = BINDING_T) -> tuple[bool, Fraction | None, list[CertRecord]]:
     """Evaluate one grid point: derive the floored slack, then run all certificates.
 
     Returns (feasible, floored delta, certificate records).  The slack is
     rounded down to 3 decimals before it enters the g-positivity check;
     reproducing the canonical constants requires exactly this protocol.
+    The radicand's sign, the slack's sign and the 3-decimal floor are decided
+    on the integers of c by :func:`_slack_floor`, with one integer square
+    root; the records still carry the radicand and the slack surd exactly.
     """
     c = _unit(c)
+    n, d = c.numerator, c.denominator
 
     def refuted(margin, reason):
         return False, None, [CertRecord("delta-positive", "refuted", margin,
                                         details={"reason": reason})]
 
-    radicand = _radicand(c, t0)
-    if radicand <= 0:
+    r, s, milli = _slack_floor(n, d, t0)
+    radicand = Fraction(r, s)
+    if r <= 0:
         return refuted(radicand, "radicand not positive")
-    slack = _slack(c, t0, radicand)
-    if slack.sign() <= 0:
+    slack = QuadExpr(-t0, Fraction(t0 * d, n), radicand)
+    if milli is None:
         return refuted(slack, "raw slack not positive")
-    delta = quad_floor_milli(slack)
-    if delta <= 0:
+    if milli == 0:
         return refuted(slack, "slack floors to zero at 3 decimals")
+    delta = Fraction(milli, 1000)
     records = [
         CertRecord("delta-positive", "certified", slack, details={"delta_floor_milli": delta}),
         n2_chain_cert(c, t0),

@@ -116,9 +116,9 @@ class QuadExpr(Value):
 
     def __init__(self, p: RatLike, q: RatLike = Fraction(0), s: RatLike = Fraction(0)) -> None:
         p, q, s = as_rat(p), as_rat(q), as_rat(s)
-        if s < 0:
+        if s.numerator < 0:
             raise ValueError(f"negative radicand: {s}")
-        if q == 0 or s == 0:
+        if not q.numerator or not s.numerator:
             q, s = Fraction(0), Fraction(0)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -280,7 +280,7 @@ class Poly(Value):
     lowest terms with den > 0, so equal polynomials have equal fields (the
     zero polynomial is ``((), 1)``); other modules use :meth:`over` or ``coeffs``
     (the Fractions), not the fields.  Arithmetic, evaluation and the Taylor shift
-    run on the integers and normalise once by a gcd.
+    run on the integers and normalise once by a gcd; a shift by an integer needs none.
     """
 
     __slots__ = ("num", "den")
@@ -371,18 +371,24 @@ class Poly(Value):
         With t0 = a/b, the integer polynomial m(x) = b^n num(x/b) is shifted
         by a with Horner's synthetic division, m(a + v) = sum s_j v^j; then
         p(t0 + u) = sum s_j b^j u^j / (den b^n).  An integer t0 (b = 1) needs
-        no rescaling.
+        no rescaling, and its result is already in lowest terms.
         """
-        if self.is_zero:
+        num = self.num
+        if not num:
             return self
-        a, b = _num_den(t0)
-        n = self.degree
-        s = list(self.num) if b == 1 else [c * b ** (n - i) for i, c in enumerate(self.num)]
+        a, b = (t0.numerator, t0.denominator) if type(t0) is Fraction else _num_den(t0)
+        n = len(num) - 1
+        s = list(num) if b == 1 else [c * b ** (n - i) for i, c in enumerate(num)]
         for i in range(n):
+            acc = s[n]
             for j in range(n - 1, i - 1, -1):
-                s[j] += a * s[j + 1]
+                acc = s[j] = s[j] + a * acc
         if b == 1:
-            return Poly.over(s, self.den)
+            # a shift by an integer is unimodular: it keeps the gcd and the leading coefficient
+            out = object.__new__(Poly)
+            object.__setattr__(out, "num", tuple(s))
+            object.__setattr__(out, "den", self.den)
+            return out
         return Poly.over([c * b**j for j, c in enumerate(s)], self.den * b**n)
 
     def __str__(self) -> str:
@@ -423,6 +429,11 @@ class PolyRayResult(NamedTuple):
     shifted: Poly
     counterexample: Fraction | None = None
 
+    @property
+    def value_at_t0(self) -> Fraction:
+        """p(t0), read off the certificate: the constant term of the shift."""
+        return Fraction(self.shifted.num[0], self.shifted.den)
+
 
 def poly_positive_on_ray(p: Poly, t0: RatLike) -> PolyRayResult:
     """Decide whether p(t) > 0 for every t >= t0 from the signs of p(t0 + u).
@@ -430,13 +441,14 @@ def poly_positive_on_ray(p: Poly, t0: RatLike) -> PolyRayResult:
     Exact and sound, not complete: a shift with a negative coefficient but a
     positive constant term is ``"undecided"``.
     """
-    if p.is_zero:
+    if not p.num:
         raise ValueError("zero polynomial")
-    t0 = as_rat(t0)
+    if type(t0) is not Fraction:
+        t0 = as_rat(t0)
     shifted = p.shift(t0)
     # den > 0, so the numerators carry the signs; the constant term is p(t0)
     if shifted.num[0] <= 0:
         return PolyRayResult(False, p, t0, "endpoint", shifted, counterexample=t0)
-    if all(n >= 0 for n in shifted.num):
+    if min(shifted.num) >= 0:
         return PolyRayResult(True, p, t0, "shift-coeffs", shifted)
     return PolyRayResult(False, p, t0, "undecided", shifted)
