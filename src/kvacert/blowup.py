@@ -1,4 +1,4 @@
-"""Divisor arithmetic on blow-ups and the numerical obstruction search.
+"""Divisor arithmetic on blow-ups, the verdict on one instance, and the obstruction search.
 
 Classes on the blow-up at r points are written pi^*F - sum m_i E_i with the
 usual exceptional relations E_i^2 = -1, E_i.E_j = 0, pi^*F.E_i = 0.  On top
@@ -8,21 +8,30 @@ of the arithmetic this module provides:
   the k-very-ampleness argument,
 * the exact square of the multi-point Seshadri lower bound
   sqrt(L^2/r) * sqrt(1 - 1/(8r)),
+* :func:`certify_instance`, the verdict on one instance of the theorem: its
+  hypotheses, the Seshadri bound against k+1+delta, and (c, delta) against
+  the constants that :mod:`kvacert.constants` certifies; and
+  :func:`point_bound`, the rule of ``max-r`` built on it,
 * the numerical part of the Beltrametti-Sommese obstruction condition
   N.D - k - 1 <= D^2 < N.D/2 < k+1, and
 * a brute-force oracle enumerating every obstruction candidate inside the
   a-priori bounds that the positivity argument provides.
+
+The package's modules import one another in one direction:
+``exactmath`` <- ``hyperell``, ``constants`` <- ``blowup`` <- ``cli``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import cache
 from math import floor, isqrt
 from typing import NamedTuple
 
-from .constants import DELTA_DEFAULT, sigma_bound
-from .exactmath import RatLike, Value, as_rat
+from .constants import (C_MAX_DEFAULT, DELTA_DEFAULT, SearchTooLarge, _positive, _unit,
+                        pipeline_certs, sigma_bound)
+from .exactmath import RatLike, Value, as_rat, frac_str
 from .hyperell import DivisorClass, intersect, is_ample, self_intersection
 
 
@@ -82,6 +91,108 @@ def star_holds(l_s: DivisorClass, r: int, k: int, delta: RatLike) -> bool:
     return seshadri_lower_sq(l_s, r) > threshold * threshold
 
 
+@cache
+def _certified_constants() -> tuple[Fraction, Fraction]:
+    """(c, delta) certified by the pipeline at the default constant, once per process."""
+    feasible, delta, _ = pipeline_certs(C_MAX_DEFAULT)
+    if not feasible:
+        raise RuntimeError("the default constant failed its certificates unexpectedly")
+    return C_MAX_DEFAULT, delta
+
+
+class InstanceCertificate(NamedTuple):
+    """The verdict on one theorem instance, with every check and number behind it.
+
+    Each check is a (name, ok, detail) triple.  The instance is certified
+    only when every hypothesis check and every certificate check is ok.
+    """
+
+    hypothesis_checks: list[tuple[str, bool, str]]
+    certificate_checks: list[tuple[str, bool, str]]
+    l2: int
+    r_max: int
+    n2: int
+    seshadri_lower_sq: Fraction | None
+    threshold_sq: Fraction
+    star: bool | None
+
+    @property
+    def certified(self) -> bool:
+        return all(ok for _, ok, _ in self.hypothesis_checks + self.certificate_checks)
+
+    @property
+    def verdict(self) -> str:
+        return "k-very-ample-certified" if self.certified else "hypotheses-not-met"
+
+
+def certify_instance(
+    surface: int, a: int, b: int, k: int, d: int, r: int, c: RatLike, delta: RatLike
+) -> InstanceCertificate:
+    """Decide whether pi^*(a,b) - k*sum(E_i) is certified k-very ample at r points.
+
+    The hypotheses are k >= 2, d > (k+1)^2, a, b >= d+2 and
+    2 <= r <= r_max.  The certificate checks are the Seshadri condition
+    sqrt(L^2/r)*sqrt(1-1/(8r)) > k+1+delta, and c and delta at most the
+    pair (887/1000, 178/1000) that :func:`pipeline_certs` certifies.
+    ``c`` must lie in (0, 1) and ``delta`` must be positive (the argument
+    bounds sum m_i by (k+1)/delta); otherwise :class:`ValueError` is raised.
+    """
+    c, delta = _unit(c), _positive(delta)
+    l_s = DivisorClass(a, b, surface)
+    l2 = self_intersection(l_s)
+    t = k + 1
+    r_max = floor(c * l2 / (t * t)) if k >= 0 and l2 > 0 else 0
+    hypotheses = [
+        ("k-ge-2", k >= 2, f"k = {k}"),
+        ("d-gt-(k+1)^2", d > t * t, f"d = {d}, (k+1)^2 = {t * t}"),
+        ("a-ge-d+2", a >= d + 2, f"a = {a}, d+2 = {d + 2}"),
+        ("b-ge-d+2", b >= d + 2, f"b = {b}, d+2 = {d + 2}"),
+        ("r-ge-2", r >= 2, f"r = {r}"),
+        ("r-le-r_max", r <= r_max, f"r = {r}, r_max = floor(c*L^2/(k+1)^2) = {r_max}"),
+    ]
+    threshold_sq = (t + delta) ** 2
+    ses_sq = star = None
+    if r >= 1 and l2 > 0:
+        ses_sq = seshadri_lower_sq(l_s, r)
+        star = star_holds(l_s, r, k, delta)
+    ses = frac_str(ses_sq) if ses_sq is not None else "none (needs r >= 1 and L^2 > 0)"
+    c_cert, delta_cert = _certified_constants()
+    certificates = [
+        ("star", bool(star),
+         f"Seshadri lower bound^2 = {ses}, (k+1+delta)^2 = {frac_str(threshold_sq)}"),
+        ("c-certified", c <= c_cert, f"c = {frac_str(c)}, certified c_max = {frac_str(c_cert)}"),
+        ("delta-certified", delta <= delta_cert,
+         f"delta = {frac_str(delta)}, certified delta_max = {frac_str(delta_cert)}"),
+    ]
+    return InstanceCertificate(hypotheses, certificates, l2, r_max, l2 - t * t * r, ses_sq,
+                               threshold_sq, star)
+
+
+def point_bound(l_s: DivisorClass, k: int, c: RatLike) -> tuple[int, int, list[str]]:
+    """L^2, r_max = floor(c * L^2/(k+1)^2), and a warning per check that no d and r pass.
+
+    Those are the checks of :func:`certify_instance` that fail at the smallest
+    d and r their own bounds allow, d = (k+1)^2+1 and r = 2: each of them only
+    gets harder as d and r grow.  ``c`` must lie in (0, 1) and ``k`` must be
+    nonnegative; otherwise :class:`ValueError` is raised.
+    """
+    c = _unit(c)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    d = (k + 1) ** 2 + 1
+    cert = certify_instance(l_s.surface_id, l_s.a, l_s.b, k, d, 2, c, DELTA_DEFAULT)
+    failed = {name for name, ok, _ in cert.hypothesis_checks + cert.certificate_checks if not ok}
+    warnings = [text for names, text in (
+        ({"k-ge-2"}, f"k = {k} is below the theorem's floor k >= 2"),
+        ({"c-certified"}, f"c = {frac_str(c)} exceeds the certified c_max ="
+                          f" {frac_str(C_MAX_DEFAULT)}; check does not certify at this c"),
+        ({"r-le-r_max"}, f"r_max = {cert.r_max} is below the theorem's floor r >= 2"),
+        ({"a-ge-d+2", "b-ge-d+2"}, "full hypotheses also need a, b >= d+2 > (k+1)^2+2;"
+                                   f" here that means >= {d + 2}"),
+    ) if names & failed]
+    return cert.l2, cert.r_max, warnings
+
+
 def bs_condition3(nd: int, d2: int, k: int) -> bool:
     """Numerical obstruction condition: nd - k - 1 <= d2 < nd/2 < k + 1.
 
@@ -117,19 +228,6 @@ OUTPUT_BUDGET = 10**6
 #: under the paper formula) costs about 600 ns, a condition test in a cell with
 #: many options about 36 ns (2-CPU Xeon VM, Python 3.11).
 PAPER_CELL_STEPS = 18
-
-
-class SearchTooLarge(ValueError):
-    """A search refused for its size.
-
-    Either its estimated steps exceed :data:`SEARCH_BUDGET`, or the
-    multiplicities of its witnesses exceed :data:`OUTPUT_BUDGET`; ``estimate``
-    is the size over the bound.
-    """
-
-    def __init__(self, message: str, estimate: int) -> None:
-        super().__init__(message)
-        self.estimate = estimate
 
 
 def _search_estimate(a: int, b: int, t: int, r: int, m_max: int, formula: str) -> int:

@@ -19,16 +19,8 @@ import gc
 import sys
 from fractions import Fraction
 
-from .blowup import search_obstruction, seshadri_lower_sq
-from .constants import (
-    CertRecord,
-    ConstantsReport,
-    c_max_search,
-    certify_instance,
-    margin_fields,
-    point_bound,
-    render_margin,
-)
+from .blowup import certify_instance, point_bound, search_obstruction, seshadri_lower_sq
+from .constants import CertRecord, ConstantsReport, c_max_search, margin_fields, render_margin
 from .exactmath import QuadExpr, as_rat, decimal_str, frac_str
 from .hyperell import DivisorClass, is_ample, surface_by_id, surface_table
 
@@ -268,17 +260,12 @@ def _json_mults(mults: tuple[int, ...]) -> str:
 
 
 def _rendered_once(witnesses, render):
-    """Each witness with ``render(witness.mults)``, rendering every distinct tuple once.
-
-    :func:`search_obstruction` shares one ``mults`` tuple among the witnesses of
-    one (M, D^2 option), so a rendering is looked up by the tuple's identity;
-    ``witnesses`` keeps every tuple, and so every identity, alive meanwhile.
-    """
+    """Each witness with ``render(witness.mults)``, rendering every distinct vector once."""
     rendered = {}
     for w in witnesses:
-        text = rendered.get(id(w.mults))
+        text = rendered.get(w.mults)
         if text is None:
-            text = rendered[id(w.mults)] = render(w.mults)
+            text = rendered[w.mults] = render(w.mults)
         yield w, text
 
 

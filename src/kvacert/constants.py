@@ -28,19 +28,23 @@ t0 = kmin + 1 plus a polynomial positivity certificate on the ray
 [t0, oo); see :mod:`kvacert.exactmath`.  The claims that depend on c are one
 integer table, ``_CLAIMS``; one builder, ``_ray_record``, turns ray claims into
 every ray-based :class:`CertRecord` with its status, margin and counterexample.
+One helper, ``_slack``, derives the radicand, the slack surd and its 3-decimal
+floor from the integers of c; every slack here is read off it.
+
+This module imports no other module of the package but :mod:`kvacert.exactmath`.
+The verdict on one instance of the theorem, which checks the Seshadri bound
+against the constants certified here, is :func:`kvacert.blowup.certify_instance`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import floor, isqrt
 from types import MappingProxyType
 from typing import NamedTuple
 
-# a module import: blowup imports sigma_bound from this module
-from . import blowup
 from .exactmath import (
     Poly,
     PolyRayResult,
@@ -51,7 +55,6 @@ from .exactmath import (
     frac_str,
     poly_positive_on_ray,
 )
-from .hyperell import DivisorClass, self_intersection
 
 #: the binding case of the main theorem: k = 2, i.e. t = k + 1 = 3
 BINDING_T = 3
@@ -67,6 +70,20 @@ SCAN_BUDGET = 10**5
 
 #: the default of the mapping fields of the records below: empty and read-only
 _EMPTY: Mapping = MappingProxyType({})
+
+
+class SearchTooLarge(ValueError):
+    """A search refused for its size.
+
+    Either the grid of :func:`c_max_search` exceeds :data:`SCAN_BUDGET`, or an
+    obstruction search exceeds a budget of :mod:`kvacert.blowup` (its estimated
+    steps or the multiplicities of its witnesses); ``estimate`` is the size
+    over the bound.
+    """
+
+    def __init__(self, message: str, estimate: int) -> None:
+        super().__init__(message)
+        self.estimate = estimate
 
 
 class CertRecord(NamedTuple):
@@ -178,25 +195,6 @@ def _ray_record(id: str, claims: Sequence[Poly], t0: RatLike, side: Sequence[Pol
                       failed.counterexample if failed else None)
 
 
-def _radicand(c: Fraction, t0: int) -> Fraction:
-    # c - t0^2 / (16 (t0^2+3)^2): the quantity under the root in the Seshadri slack
-    return c - Fraction(t0 * t0, 16 * (t0 * t0 + 3) ** 2)
-
-
-def delta_raw_at(c: RatLike, t0: int) -> QuadExpr:
-    """Seshadri slack t0*((1/c)*sqrt(c - t0^2/(16(t0^2+3)^2)) - 1) at a binding t0."""
-    c = _unit(c)
-    rad = _radicand(c, t0)
-    if rad <= 0:
-        raise ValueError(f"radicand {rad} is not positive at c = {c}")
-    return QuadExpr(-t0, Fraction(t0) / c, rad)
-
-
-def delta_raw(c: RatLike) -> QuadExpr:
-    """The slack surd at the binding case t = 3 (minimality in t is certified separately)."""
-    return delta_raw_at(c, BINDING_T)
-
-
 #: 2*(t^2+3)^2 = 2t^4 + 12t^2 + 18
 _TWO_T2P3_SQ = Poly([18, 0, 12, 0, 2])
 #: t^4 - 2t^3, the radicand of the roots z_1, z_2
@@ -230,6 +228,47 @@ def _lhs(c: Fraction, at: _AtT0) -> Fraction:
     """(1-c)*2(t0^2+3)^2, with one normalisation."""
     d = c.denominator
     return Fraction((d - c.numerator) * at.two_t2p3_sq.numerator, d)
+
+
+def _slack(c: Fraction, t0: int) -> tuple[Fraction, QuadExpr | None, int | None]:
+    """(radicand, slack, m) at c = n/d and t0 >= 3, with m = floor(1000 * slack).
+
+    With f = 4(t0^2+3) the radicand c - t0^2/f^2 is r/(d f^2) for the integer
+    r = n f^2 - d t0^2, and the slack is t0*(sqrt(z)/w - 1) for z = d*r and
+    w = n*f.  So the slack is positive iff z > w^2, and then
+    floor(1000 * slack) = floor(1000 t0 sqrt(z)/w) - 1000 t0 takes one integer
+    square root.  The slack is None unless r > 0, and m is None unless the
+    slack is positive.
+    """
+    if t0 < 3:
+        raise ValueError("t0 must be at least 3")
+    n, d = c.numerator, c.denominator
+    at = _at(t0)
+    f2 = at.f * at.f
+    r = n * f2 - d * at.t2
+    radicand = Fraction(r, d * f2)
+    if r <= 0:
+        return radicand, None, None
+    slack = QuadExpr(-t0, Fraction(t0 * d, n), radicand)
+    z, w = d * r, n * at.f
+    if z <= w * w:
+        return radicand, slack, None
+    # floor(1000 t0 sqrt(z)/w) = floor(sqrt(y))//w for y = (1000 t0)^2 z
+    return radicand, slack, isqrt(10**6 * at.t2 * z) // w - 1000 * t0
+
+
+def delta_raw_at(c: RatLike, t0: int) -> QuadExpr:
+    """Seshadri slack t0*((1/c)*sqrt(c - t0^2/(16(t0^2+3)^2)) - 1) at a binding t0 >= 3."""
+    c = _unit(c)
+    radicand, slack, _ = _slack(c, t0)
+    if slack is None:
+        raise ValueError(f"radicand {radicand} is not positive at c = {c}")
+    return slack
+
+
+def delta_raw(c: RatLike) -> QuadExpr:
+    """The slack surd at the binding case t = 3 (minimality in t is certified separately)."""
+    return delta_raw_at(c, BINDING_T)
 
 
 #: The claims that depend on c (and delta): name -> (rows, den), the claim sum(rows[i] t^i)/x_den.
@@ -381,10 +420,10 @@ def lhs_increasing_cert() -> CertRecord:
     """
     c = C_MAX_DEFAULT
     deriv_poly = Poly([0, -6, 0, 2])  # 2t^3 - 6t = 2t(t^2-3)
-    f3 = QuadExpr(0, 1 / c, _radicand(c, BINDING_T))
+    slack = delta_raw(c)
+    f3 = QuadExpr(0, 1 / c, slack.s)
     f3_lo = f3.cmp_rat(Fraction(10593, 10000)) > 0
     f3_hi = f3.cmp_rat(Fraction(10595, 10000)) < 0
-    slack = delta_raw(c)
     slack_above = slack.cmp_rat(DELTA_DEFAULT) > 0
     record = _ray_record(
         "lhs-increasing", [deriv_poly], BINDING_T, margin=slack - DELTA_DEFAULT,
@@ -439,7 +478,11 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     * z_1(t) < 1  <=>  t^2 - 2t - 1 > 0 (after squaring t^2-t-1 < sqrt(rad));
     * z_2(t) > t^2/c  <=>  (1-w^2)t^2 - 2(1+w)t - 1 > 0 with w = (1-c)/c
       (after squaring sqrt(rad) > w t^2 + t and dividing by t^2 > 0).
+
+    The roots are real for t0 >= 2, where the radicand t0^4 - 2t0^3 is nonnegative.
     """
+    if t0 < 2:
+        raise ValueError("t0 must be at least 2 (nonnegative radicand)")
     c, at = _unit(c), _at(t0)
     n = c.numerator
     # z_2(t0) - t0^2/c with z_2(t0) = t0^2 - t0 + sqrt(t0^4 - 2t0^3)
@@ -484,30 +527,6 @@ def sigma_bound(t: int, delta: RatLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _slack_floor(n: int, d: int, t0: int) -> tuple[int, int, int | None]:
-    """(r, s, m) at c = n/d: the radicand is r/s, and m = floor(1000 * slack) or None.
-
-    With f = 4(t0^2+3) the radicand c - t0^2/f^2 is r/s for r = n f^2 - d t0^2
-    and s = d f^2, and the slack is t0*(sqrt(z)/w - 1) for z = d*r and w = n*f.
-    So the slack is positive iff t0 and z - w^2 have the same sign, and
-    floor(1000 * slack) = floor(1000 t0 sqrt(z)/w) - 1000 t0 takes one
-    integer square root.  m is None unless r > 0 and the slack is positive.
-    """
-    at = _at(t0)
-    f2 = at.f * at.f
-    r, s = n * f2 - d * at.t2, d * f2
-    if r <= 0:
-        return r, s, None
-    z, w = d * r, n * at.f
-    w2 = w * w
-    if not ((t0 > 0 and z > w2) or (t0 < 0 and z < w2)):
-        return r, s, None
-    y = 10**6 * at.t2 * z  # (1000 t0 sqrt(z))^2
-    # floor(1000 t0 sqrt(z)/w) = root // w, root the floor of sqrt(y) or of -sqrt(y)
-    root = isqrt(y) if t0 > 0 else -isqrt(y - 1) - 1
-    return r, s, root // w - 1000 * t0
-
-
 def pipeline_certs(c: RatLike, t0: int = BINDING_T) -> tuple[bool, Fraction | None, list[CertRecord]]:
     """Evaluate one grid point: derive the floored slack, then run all certificates.
 
@@ -515,21 +534,19 @@ def pipeline_certs(c: RatLike, t0: int = BINDING_T) -> tuple[bool, Fraction | No
     rounded down to 3 decimals before it enters the g-positivity check;
     reproducing the canonical constants requires exactly this protocol.
     The radicand's sign, the slack's sign and the 3-decimal floor are decided
-    on the integers of c by :func:`_slack_floor`, with one integer square
-    root; the records still carry the radicand and the slack surd exactly.
+    on the integers of c by :func:`_slack`, with one integer square root; the
+    records still carry the radicand and the slack surd exactly.  ``t0`` must
+    be at least 3.
     """
     c = _unit(c)
-    n, d = c.numerator, c.denominator
 
     def refuted(margin, reason):
         return False, None, [CertRecord("delta-positive", "refuted", margin,
                                         details={"reason": reason})]
 
-    r, s, milli = _slack_floor(n, d, t0)
-    radicand = Fraction(r, s)
-    if r <= 0:
+    radicand, slack, milli = _slack(c, t0)
+    if slack is None:
         return refuted(radicand, "radicand not positive")
-    slack = QuadExpr(-t0, Fraction(t0 * d, n), radicand)
     if milli is None:
         return refuted(slack, "raw slack not positive")
     if milli == 0:
@@ -552,8 +569,8 @@ def c_max_search(grid_step: RatLike = Fraction(1, 1000), kmin: int = 2) -> Const
     Every grid point is evaluated independently (the floored slack is not
     monotone in c, so no point may be skipped).  An empty feasible set is
     reported, not raised.  A grid with more than :data:`SCAN_BUDGET` points
-    below the ceiling raises :class:`kvacert.blowup.SearchTooLarge` before
-    any point is scanned.
+    below the ceiling raises :class:`SearchTooLarge` before any point is
+    scanned.
     """
     grid_step = _unit(grid_step, "grid_step")
     t0 = kmin + 1
@@ -563,7 +580,7 @@ def c_max_search(grid_step: RatLike = Fraction(1, 1000), kmin: int = 2) -> Const
     winner: tuple[Fraction, Fraction, list[CertRecord]] | None = None
     n = floor(ceiling / grid_step)
     if n > SCAN_BUDGET:
-        raise blowup.SearchTooLarge(
+        raise SearchTooLarge(
             f"constants scan too large: {n} grid points exceed the budget of {SCAN_BUDGET}; "
             "use a larger grid step", n)
     while n >= 1:
@@ -593,113 +610,6 @@ def c_max_search(grid_step: RatLike = Fraction(1, 1000), kmin: int = 2) -> Const
 
 
 # ---------------------------------------------------------------------------
-# one instance of the theorem
-# ---------------------------------------------------------------------------
-
-
-@cache
-def _certified_constants() -> tuple[Fraction, Fraction]:
-    """(c, delta) certified by the pipeline at the default constant, once per process."""
-    feasible, delta, _ = pipeline_certs(C_MAX_DEFAULT)
-    if not feasible:
-        raise RuntimeError("the default constant failed its certificates unexpectedly")
-    return C_MAX_DEFAULT, delta
-
-
-class InstanceCertificate(NamedTuple):
-    """The verdict on one theorem instance, with every check and number behind it.
-
-    Each check is a (name, ok, detail) triple.  The instance is certified
-    only when every hypothesis check and every certificate check is ok.
-    """
-
-    hypothesis_checks: list[tuple[str, bool, str]]
-    certificate_checks: list[tuple[str, bool, str]]
-    l2: int
-    r_max: int
-    n2: int
-    seshadri_lower_sq: Fraction | None
-    threshold_sq: Fraction
-    star: bool | None
-
-    @property
-    def certified(self) -> bool:
-        return all(ok for _, ok, _ in self.hypothesis_checks + self.certificate_checks)
-
-    @property
-    def verdict(self) -> str:
-        return "k-very-ample-certified" if self.certified else "hypotheses-not-met"
-
-
-def certify_instance(
-    surface: int, a: int, b: int, k: int, d: int, r: int, c: RatLike, delta: RatLike
-) -> InstanceCertificate:
-    """Decide whether pi^*(a,b) - k*sum(E_i) is certified k-very ample at r points.
-
-    The hypotheses are k >= 2, d > (k+1)^2, a, b >= d+2 and
-    2 <= r <= r_max.  The certificate checks are the Seshadri condition
-    sqrt(L^2/r)*sqrt(1-1/(8r)) > k+1+delta, and c and delta at most the
-    pair (887/1000, 178/1000) that :func:`pipeline_certs` certifies.
-    ``c`` must lie in (0, 1) and ``delta`` must be positive (the argument
-    bounds sum m_i by (k+1)/delta); otherwise :class:`ValueError` is raised.
-    """
-    c, delta = _unit(c), _positive(delta)
-    l_s = DivisorClass(a, b, surface)
-    l2 = self_intersection(l_s)
-    t = k + 1
-    r_max = floor(c * l2 / (t * t)) if k >= 0 and l2 > 0 else 0
-    hypotheses = [
-        ("k-ge-2", k >= 2, f"k = {k}"),
-        ("d-gt-(k+1)^2", d > t * t, f"d = {d}, (k+1)^2 = {t * t}"),
-        ("a-ge-d+2", a >= d + 2, f"a = {a}, d+2 = {d + 2}"),
-        ("b-ge-d+2", b >= d + 2, f"b = {b}, d+2 = {d + 2}"),
-        ("r-ge-2", r >= 2, f"r = {r}"),
-        ("r-le-r_max", r <= r_max, f"r = {r}, r_max = floor(c*L^2/(k+1)^2) = {r_max}"),
-    ]
-    threshold_sq = (t + delta) ** 2
-    ses_sq = star = None
-    if r >= 1 and l2 > 0:
-        ses_sq = blowup.seshadri_lower_sq(l_s, r)
-        star = blowup.star_holds(l_s, r, k, delta)
-    ses = frac_str(ses_sq) if ses_sq is not None else "none (needs r >= 1 and L^2 > 0)"
-    c_cert, delta_cert = _certified_constants()
-    certificates = [
-        ("star", bool(star),
-         f"Seshadri lower bound^2 = {ses}, (k+1+delta)^2 = {frac_str(threshold_sq)}"),
-        ("c-certified", c <= c_cert, f"c = {frac_str(c)}, certified c_max = {frac_str(c_cert)}"),
-        ("delta-certified", delta <= delta_cert,
-         f"delta = {frac_str(delta)}, certified delta_max = {frac_str(delta_cert)}"),
-    ]
-    return InstanceCertificate(hypotheses, certificates, l2, r_max, l2 - t * t * r, ses_sq,
-                               threshold_sq, star)
-
-
-def point_bound(l_s: DivisorClass, k: int, c: RatLike) -> tuple[int, int, list[str]]:
-    """L^2, r_max = floor(c * L^2/(k+1)^2), and a warning per check that no d and r pass.
-
-    Those are the checks of :func:`certify_instance` that fail at the smallest
-    d and r their own bounds allow, d = (k+1)^2+1 and r = 2: each of them only
-    gets harder as d and r grow.  ``c`` must lie in (0, 1) and ``k`` must be
-    nonnegative; otherwise :class:`ValueError` is raised.
-    """
-    c = _unit(c)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    d = (k + 1) ** 2 + 1
-    cert = certify_instance(l_s.surface_id, l_s.a, l_s.b, k, d, 2, c, DELTA_DEFAULT)
-    failed = {name for name, ok, _ in cert.hypothesis_checks + cert.certificate_checks if not ok}
-    warnings = [text for names, text in (
-        ({"k-ge-2"}, f"k = {k} is below the theorem's floor k >= 2"),
-        ({"c-certified"}, f"c = {frac_str(c)} exceeds the certified c_max ="
-                          f" {frac_str(C_MAX_DEFAULT)}; check does not certify at this c"),
-        ({"r-le-r_max"}, f"r_max = {cert.r_max} is below the theorem's floor r >= 2"),
-        ({"a-ge-d+2", "b-ge-d+2"}, "full hypotheses also need a, b >= d+2 > (k+1)^2+2;"
-                                   f" here that means >= {d + 2}"),
-    ) if names & failed]
-    return cert.l2, cert.r_max, warnings
-
-
-# ---------------------------------------------------------------------------
 # recomputed values that differ from their commonly quoted forms
 # ---------------------------------------------------------------------------
 
@@ -716,7 +626,7 @@ def standard_discrepancies() -> list[Discrepancy]:
     z2p_3 = QuadExpr(5, 1, 27)  # z_2'(3) = 5 + 27/sqrt(27) = 5 + sqrt(27)
     z1p_3 = QuadExpr(5, -1, 27)  # z_1'(3) = 5 - sqrt(27)
     threshold_3 = 9 / c  # (1/c) t^2 at t = 3
-    f3 = QuadExpr(0, 1 / c, _radicand(c, BINDING_T))
+    f3 = QuadExpr(0, 1 / c, delta_raw(c).s)
 
     value_main = z2_3 - threshold_3
     alt_deriv = z2p_3 - threshold_3

@@ -87,6 +87,8 @@ def case1_cert(c, t0: int = 3) -> CertRecord:
 
 
 def interval_containment_cert(c, t0: int = 3) -> CertRecord:
+    if t0 < 2:
+        raise ValueError("t0 must be at least 2 (nonnegative radicand)")
     c = unit(c)
     z1_lhs = Poly([-1, -1, 1])  # t^2 - t - 1
     z1_cleared = RAD_Z - z1_lhs * z1_lhs
@@ -124,6 +126,8 @@ def g_positive_cert(c, delta, t0: int = 3) -> CertRecord:
 
 def pipeline_certs(c, t0: int = 3):
     c = unit(c)
+    if t0 < 3:
+        raise ValueError("t0 must be at least 3")
 
     def refuted(margin, reason):
         return False, None, [CertRecord("delta-positive", "refuted", margin,

@@ -15,12 +15,17 @@ from math import floor
 
 import numpy as np
 
-from kvacert.blowup import BlowupClass, blowup_intersect, n_class, search_obstruction
+from kvacert.blowup import (
+    BlowupClass,
+    blowup_intersect,
+    certify_instance,
+    n_class,
+    search_obstruction,
+)
 from kvacert.constants import (
     C_MAX_DEFAULT,
     DELTA_DEFAULT,
     c_max_search,
-    certify_instance,
     delta_raw,
     g_positive_cert,
     pipeline_certs,

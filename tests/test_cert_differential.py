@@ -21,7 +21,6 @@ deltas = st.one_of(
     st.sampled_from([Fraction(1, 10**6), Fraction(178, 1000), Fraction(5)]),
     st.fractions(min_value=0, max_value=20, max_denominator=10**4).filter(bool),
 )
-# the sign of the slack t0*((1/c)*sqrt(radicand) - 1) turns with the sign of t0
 t0s = st.integers(-3, 12)
 
 
@@ -51,7 +50,7 @@ class TestCertificatesAgainstFractionOracle:
         assert_same("g_positive_cert", c, delta, t0)
 
     @settings(max_examples=300, deadline=None)
-    @given(unit_cs, t0s)
+    @given(unit_cs, st.integers(3, 12))
     # each pinned c_max (grids 1/1000, 1/10000, 1/100000) and the grid point above it: the
     # slack floors to 178|176, 177|176 and 177|176 thousandths and the verdict flips, so a
     # floor off by one shows at once
@@ -61,14 +60,24 @@ class TestCertificatesAgainstFractionOracle:
     @example(Fraction(8878, 10000), 3)
     @example(Fraction(3551, 4000), 3)
     @example(Fraction(11097, 12500), 3)
-    @example(Fraction(7283, 7297), -1)  # 1000 * slack = 0.99999...: t0 < 0 needs ceil(sqrt)
     def test_pipeline(self, c, t0):
         assert_same("pipeline_certs", c, t0)
+
+    def test_t0_below_three_refused(self):
+        # the binding t0 = kmin + 1 of the theorem is at least 3; at t0 = -1 this c would
+        # make 1000 * slack = 0.99999..., and at t0 = 1 the z_2 margin has a negative radicand
+        c = Fraction(7283, 7297)
+        for t0 in range(-3, 3):
+            assert_same("pipeline_certs", c, t0)
+            for f in (constants.pipeline_certs, constants.delta_raw_at):
+                assert outcome(f, c, t0) == "ValueError: t0 must be at least 3"
+        assert outcome(constants.interval_containment_cert, c, 1) == (
+            "ValueError: t0 must be at least 2 (nonnegative radicand)")
 
     def test_fixed_points_reach_every_branch(self):
         # fixed points that reach each branch of pipeline_certs at least once
         reasons = set()
-        for c, t0 in ((Fraction(1, 1000), 3), (Fraction(1, 2), 0), (Fraction(1991, 2000), 3),
+        for c, t0 in ((Fraction(1, 1000), 3), (Fraction(999, 1000), 3), (Fraction(1991, 2000), 3),
                       (Fraction(887, 1000), 3), (Fraction(888, 1000), 3), (Fraction(1, 2), 1)):
             assert_same("pipeline_certs", c, t0)
             result = outcome(constants.pipeline_certs, c, t0)

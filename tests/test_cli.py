@@ -18,9 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kvacert
-from kvacert.blowup import search_obstruction, seshadri_lower_sq
+from kvacert.blowup import certify_instance, search_obstruction, seshadri_lower_sq
 from kvacert.cli import MAX_DIGITS, MAX_EXPONENT, main
-from kvacert.constants import DELTA_DEFAULT, c_max_search, certify_instance
+from kvacert.constants import DELTA_DEFAULT, c_max_search
 from kvacert.hyperell import DivisorClass
 
 #: the environment of a fresh interpreter that imports this kvacert

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 
 import fraction_certs
 from kvacert import constants
-from kvacert.blowup import SearchTooLarge
+from kvacert.blowup import certify_instance
 from kvacert.constants import (
     C_MAX_DEFAULT,
     DELTA_DEFAULT,
     SCAN_BUDGET,
+    SearchTooLarge,
     c_max_search,
     case1_cert,
     case_ds2_zero_cert,
     ceiling_from_n2,
-    certify_instance,
     delta_raw,
     delta_raw_at,
     g_positive_cert,

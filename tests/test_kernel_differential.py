@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_kernel import FracPoly, positive_on_ray, quad_floor, quad_sign
-from kvacert.constants import _slack_floor, ceiling_from_n2, delta_raw_at, pipeline_certs
+from kvacert.constants import _slack, ceiling_from_n2, pipeline_certs
 from kvacert.exactmath import Poly, QuadExpr, poly_positive_on_ray, quad_floor_milli
 
 rats = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -184,20 +184,20 @@ class TestFloorAgainstFractionKernel:
         # The floors the constants scan takes at kmin 2..11 (t0 = kmin + 1): 1000 * delta_raw(c)
         # on the whole 1/1000 grid, and on the 1/10000 grid from the ceiling down to 85/100.
         # That point is feasible, so no scan goes below it.  The pipeline floors the slack on
-        # integers (_slack_floor); the Fraction kernel floors the surd.
+        # integers (_slack); the Fraction kernel floors the surd.
         for t0 in range(3, 13):
             assert pipeline_certs(Fraction(85, 100), t0)[0]
             top = int(ceiling_from_n2(t0 - 1) * 10000)
             grid = ([Fraction(n, 1000) for n in range(1, 1000)]
                     + [Fraction(n, 10000) for n in range(8500, top + 1)])
             for c in grid:
-                r, s, milli = _slack_floor(c.numerator, c.denominator, t0)
-                assert Fraction(r, s) == c - Fraction(t0 * t0, 16 * (t0 * t0 + 3) ** 2)
-                try:
-                    e = delta_raw_at(c, t0) * 1000
-                except ValueError:
-                    assert r <= 0 and milli is None  # radicand not positive
+                radicand, slack, milli = _slack(c, t0)
+                assert radicand == c - Fraction(t0 * t0, 16 * (t0 * t0 + 3) ** 2)
+                if slack is None:
+                    assert radicand <= 0 and milli is None  # radicand not positive
                     continue
+                assert slack == QuadExpr(-t0, t0 / c, radicand)
+                e = slack * 1000
                 floor = quad_floor(e.p, e.q, e.s)
                 assert e.floor() == floor
                 assert milli == (floor if quad_sign(e.p, e.q, e.s) > 0 else None)

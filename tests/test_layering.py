@@ -5,6 +5,9 @@
   module builds a ``Poly`` through its public constructors.
 * Every module-level private name is used somewhere in the package, so no
   helper survives only for the tests.
+* The modules import one another without a cycle, and ``constants`` imports
+  no package module but ``exactmath``: the order is ``exactmath`` <-
+  ``hyperell``, ``constants`` <- ``blowup`` <- ``cli``.
 """
 
 import ast
@@ -35,6 +38,18 @@ def module_level_names(tree: ast.Module) -> list[str]:
     return names
 
 
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports relatively, at any depth of its tree."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {alias.name for alias in node.names}
+    return imported
+
+
+IMPORTS = {name.removesuffix(".py"): package_imports(tree) for name, tree in TREES.items()}
+
+
 def references() -> set[str]:
     """Every name read, and every attribute taken, anywhere in the package."""
     used = set()
@@ -59,3 +74,16 @@ def test_every_private_module_name_is_used_in_the_package():
     unused = [f"{module}: {name}" for module, tree in TREES.items()
               for name in module_level_names(tree) if is_private(name) and name not in used]
     assert unused == []
+
+
+def test_constants_imports_only_exactmath():
+    assert IMPORTS["constants"] == {"exactmath"}
+
+
+def test_import_graph_has_no_cycle():
+    # strip the modules whose package imports are all stripped already; a cycle is what stays
+    left = dict(IMPORTS)
+    while leaves := [module for module, imported in left.items() if not imported & left.keys()]:
+        for module in leaves:
+            del left[module]
+    assert left == {}

@@ -11,13 +11,8 @@ from types import MappingProxyType
 
 import pytest
 
-from kvacert.blowup import BlowupClass, ObstructionWitness
-from kvacert.constants import (
-    CertRecord,
-    ConstantsReport,
-    Discrepancy,
-    InstanceCertificate,
-)
+from kvacert.blowup import BlowupClass, InstanceCertificate, ObstructionWitness
+from kvacert.constants import CertRecord, ConstantsReport, Discrepancy
 from kvacert.exactmath import Poly, PolyRayResult, QuadExpr
 from kvacert.hyperell import DivisorClass, SurfaceType
 
