@@ -7,7 +7,7 @@ of the arithmetic this module provides:
 * the adjoint-style class N = pi^*L - (k+1) sum E_i whose positivity drives
   the k-very-ampleness argument,
 * the exact square of the multi-point Seshadri lower bound
-  sqrt(L^2/r) * sqrt(1 - 1/(8r)),
+  sqrt(L^2/r) * sqrt(1 - 1/(8r)) for an ample L,
 * :func:`certify_instance`, the verdict on one instance of the theorem: its
   hypotheses, the Seshadri bound against k+1+delta, and (c, delta) against
   the constants that :mod:`kvacert.constants` certifies; and
@@ -68,18 +68,23 @@ def n_class(l_s: DivisorClass, k: int, r: int) -> BlowupClass:
     return BlowupClass(l_s, (k + 1,) * r)
 
 
+def _ample(l_s: DivisorClass) -> None:
+    """The theorem's polarization is ample: a class that is not raises :class:`ValueError`."""
+    if not is_ample(l_s):
+        raise ValueError(f"class ({l_s.a},{l_s.b}) is not ample (need a > 0 and b > 0)")
+
+
 def seshadri_lower_sq(l_s: DivisorClass, r: int) -> Fraction:
     """Exact square of the Seshadri lower bound at r very general points.
 
     The bound is sqrt(L^2/r) * sqrt(1 - 1/(8r)); its square is the rational
-    L^2 * (8r - 1) / (8 r^2), which is what exact comparisons consume.
+    L^2 * (8r - 1) / (8 r^2), which is what exact comparisons consume.  ``l_s``
+    must be ample and ``r`` at least 1; otherwise :class:`ValueError` is raised.
     """
+    _ample(l_s)
     if r < 1:
         raise ValueError("r must be at least 1")
-    l2 = self_intersection(l_s)
-    if l2 <= 0:
-        raise ValueError("the class must have positive self-intersection")
-    return Fraction(l2 * (8 * r - 1), 8 * r * r)
+    return Fraction(self_intersection(l_s) * (8 * r - 1), 8 * r * r)
 
 
 def star_holds(l_s: DivisorClass, r: int, k: int, delta: RatLike) -> bool:
@@ -132,8 +137,9 @@ def certify_instance(
 
     The hypotheses are k >= 2, d > (k+1)^2, a, b >= d+2 and
     2 <= r <= r_max.  The certificate checks are the Seshadri condition
-    sqrt(L^2/r)*sqrt(1-1/(8r)) > k+1+delta, and c and delta at most the
-    pair (887/1000, 178/1000) that :func:`pipeline_certs` certifies.
+    sqrt(L^2/r)*sqrt(1-1/(8r)) > k+1+delta, which fails for a class L that is
+    not ample, and c and delta at most the pair (887/1000, 178/1000) that
+    :func:`pipeline_certs` certifies.
     ``c`` must lie in (0, 1) and ``delta`` must be positive (the argument
     bounds sum m_i by (k+1)/delta); otherwise :class:`ValueError` is raised.
     """
@@ -152,10 +158,10 @@ def certify_instance(
     ]
     threshold_sq = (t + delta) ** 2
     ses_sq = star = None
-    if r >= 1 and l2 > 0:
+    if r >= 1 and is_ample(l_s):
         ses_sq = seshadri_lower_sq(l_s, r)
         star = star_holds(l_s, r, k, delta)
-    ses = frac_str(ses_sq) if ses_sq is not None else "none (needs r >= 1 and L^2 > 0)"
+    ses = frac_str(ses_sq) if ses_sq is not None else "none (needs r >= 1 and an ample class)"
     c_cert, delta_cert = _certified_constants()
     certificates = [
         ("star", bool(star),
@@ -174,8 +180,9 @@ def point_bound(l_s: DivisorClass, k: int, c: RatLike) -> tuple[int, int, list[s
     Those are the checks of :func:`certify_instance` that fail at the smallest
     d and r their own bounds allow, d = (k+1)^2+1 and r = 2: each of them only
     gets harder as d and r grow.  ``c`` must lie in (0, 1) and ``k`` must be
-    nonnegative; otherwise :class:`ValueError` is raised.
+    nonnegative, and ``l_s`` ample; otherwise :class:`ValueError` is raised.
     """
+    _ample(l_s)
     c = _unit(c)
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -355,8 +362,7 @@ def search_obstruction(
     sigma = sigma_bound(k + 1, delta)  # raises unless delta > 0
     if formula not in ("paper", "standard"):
         raise ValueError(f"unknown D^2 formula variant: {formula!r}")
-    if not is_ample(l_s):
-        raise ValueError("the polarization must be ample (a >= 1 and b >= 1)")
+    _ample(l_s)
     a, b = l_s.a, l_s.b
 
     t = k + 1

@@ -8,8 +8,7 @@ fields suffixed ``_approx``); ``--quiet`` trims the human-readable detail.
 Both flags are accepted before and after the subcommand.  The parser is the
 standard library's ``argparse``, with abbreviated long options refused.
 Every verdict, bound, warning and range check is the library's; the command
-itself refuses only what the parser rejects, numbers over the digit cap, and a
-class that is not ample where ``max-r`` and ``seshadri`` need one.
+itself refuses only what the parser rejects and numbers over the digit cap.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from fractions import Fraction
 from .blowup import certify_instance, point_bound, search_obstruction, seshadri_lower_sq
 from .constants import CertRecord, ConstantsReport, c_max_search, margin_fields, render_margin
 from .exactmath import QuadExpr, as_rat, decimal_str, frac_str
-from .hyperell import DivisorClass, is_ample, surface_by_id, surface_table
+from .hyperell import DivisorClass, surface_by_id, surface_table
 
 #: The digit cap on numbers in arguments (1e-400 is within it).  It keeps every number
 #: derived from them cheap and far below Python's 4300-digit int-to-str limit: the
@@ -130,14 +129,6 @@ def _report_to_dict(report: ConstantsReport) -> dict:
     }
 
 
-def _polarization(args) -> DivisorClass:
-    """The class (a, b) on the chosen surface; one that is not ample is a usage error."""
-    l_s = DivisorClass(args.a, args.b, args.surface)
-    if not is_ample(l_s):
-        raise UsageError(f"class ({args.a},{args.b}) is not ample (need a > 0 and b > 0)")
-    return l_s
-
-
 def check(args) -> int:
     """Certify k-very ampleness of pi^*(a,b) - k*sum(E_i) on the blow-up at r points.
 
@@ -190,7 +181,8 @@ def check(args) -> int:
 
 def max_r(args) -> int:
     """Largest admissible number of points, floor(c * L^2 / (k+1)^2)."""
-    l2, r_max, warnings = _library(point_bound, _polarization(args), args.k, args.c)
+    l_s = DivisorClass(args.a, args.b, args.surface)
+    l2, r_max, warnings = _library(point_bound, l_s, args.k, args.c)
     if args.json:
         _emit_json({"r_max": r_max, "L2": l2, "k": args.k, "c": frac_str(args.c),
                     "warnings": warnings})
@@ -204,7 +196,7 @@ def max_r(args) -> int:
 
 def seshadri(args) -> int:
     """Exact square of the multi-point Seshadri lower bound at r very general points."""
-    ses_sq = _library(seshadri_lower_sq, _polarization(args), args.r)
+    ses_sq = _library(seshadri_lower_sq, DivisorClass(args.a, args.b, args.surface), args.r)
     if args.json:
         _emit_json(
             {

@@ -220,6 +220,9 @@ class _AtT0(NamedTuple):
 
 @lru_cache(maxsize=128)  # bounded, since t0 is the caller's; a scan uses one
 def _at(t0: int) -> _AtT0:
+    """The values at t0, which is the theorem's binding t = k+1 and so at least 3."""
+    if t0 < 3:
+        raise ValueError("t0 must be at least 3")
     return _AtT0(Fraction(t0), t0 * t0, 4 * (t0 * t0 + 3), _TWO_T2P3_SQ(t0), Fraction(4 * t0 + 1),
                  Fraction((2 * t0 - 1) ** 2), _RAD_Z(t0), _Z1_CLEARED(t0))
 
@@ -240,8 +243,6 @@ def _slack(c: Fraction, t0: int) -> tuple[Fraction, QuadExpr | None, int | None]
     square root.  The slack is None unless r > 0, and m is None unless the
     slack is positive.
     """
-    if t0 < 3:
-        raise ValueError("t0 must be at least 3")
     n, d = c.numerator, c.denominator
     at = _at(t0)
     f2 = at.f * at.f
@@ -479,10 +480,8 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     * z_2(t) > t^2/c  <=>  (1-w^2)t^2 - 2(1+w)t - 1 > 0 with w = (1-c)/c
       (after squaring sqrt(rad) > w t^2 + t and dividing by t^2 > 0).
 
-    The roots are real for t0 >= 2, where the radicand t0^4 - 2t0^3 is nonnegative.
+    ``t0`` must be at least 3, so the radicand t0^4 - 2t0^3 is positive there.
     """
-    if t0 < 2:
-        raise ValueError("t0 must be at least 2 (nonnegative radicand)")
     c, at = _unit(c), _at(t0)
     n = c.numerator
     # z_2(t0) - t0^2/c with z_2(t0) = t0^2 - t0 + sqrt(t0^4 - 2t0^3)

@@ -38,6 +38,13 @@ def positive(delta) -> Fraction:
     return delta
 
 
+def binding(t0: int) -> int:
+    """``t0``, the theorem's binding t = k+1, which is at least 3 for every certificate."""
+    if t0 < 3:
+        raise ValueError("t0 must be at least 3")
+    return t0
+
+
 def ray_record(id, claims, t0, side=(), margin=None, **fields) -> CertRecord:
     rays = [poly_positive_on_ray(p, t0) for p in (*claims, *side)]
     if all(ray.positive for ray in rays):
@@ -52,7 +59,7 @@ def ray_record(id, claims, t0, side=(), margin=None, **fields) -> CertRecord:
 
 
 def n2_chain_cert(c, t0: int = 3) -> CertRecord:
-    c = unit(c)
+    c, t0 = unit(c), binding(t0)
     details = {
         "two_t2p3_sq_at_t0": TWO_T2P3_SQ(t0),
         "lhs_at_t0": TWO_T2P3_SQ.scale(1 - c)(t0),
@@ -79,7 +86,7 @@ def ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
 
 
 def case1_cert(c, t0: int = 3) -> CertRecord:
-    c = unit(c)
+    c, t0 = unit(c), binding(t0)
     lhs = TWO_T2P3_SQ.scale(1 - c)
     rhs = TWO_T_MINUS_1 * TWO_T_MINUS_1
     return ray_record("case1-hodge", [lhs - rhs], t0,
@@ -87,9 +94,7 @@ def case1_cert(c, t0: int = 3) -> CertRecord:
 
 
 def interval_containment_cert(c, t0: int = 3) -> CertRecord:
-    if t0 < 2:
-        raise ValueError("t0 must be at least 2 (nonnegative radicand)")
-    c = unit(c)
+    c, t0 = unit(c), binding(t0)
     z1_lhs = Poly([-1, -1, 1])  # t^2 - t - 1
     z1_cleared = RAD_Z - z1_lhs * z1_lhs
 
@@ -118,16 +123,14 @@ def interval_containment_cert(c, t0: int = 3) -> CertRecord:
 
 
 def g_positive_cert(c, delta, t0: int = 3) -> CertRecord:
-    c, delta = unit(c), positive(delta)
+    c, delta, t0 = unit(c), positive(delta), binding(t0)
     lin = Poly([1, 1 / delta])  # 1 + t/delta
     g = TWO_T2P3_SQ.scale(1 / c) - lin * lin
     return ray_record("g-positive", [g], t0, details={"g_at_t0": g(t0), "c": c, "delta": delta})
 
 
 def pipeline_certs(c, t0: int = 3):
-    c = unit(c)
-    if t0 < 3:
-        raise ValueError("t0 must be at least 3")
+    c, t0 = unit(c), binding(t0)
 
     def refuted(margin, reason):
         return False, None, [CertRecord("delta-positive", "refuted", margin,

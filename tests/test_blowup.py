@@ -20,7 +20,9 @@ from kvacert.blowup import (
     _SquareSums,
     blowup_intersect,
     bs_condition3,
+    certify_instance,
     n_class,
+    point_bound,
     search_obstruction,
     seshadri_lower_sq,
     star_holds,
@@ -112,6 +114,27 @@ class TestSeshadriLowerBound:
             seshadri_lower_sq(DivisorClass(12, 12), 0)
         with pytest.raises(ValueError):
             seshadri_lower_sq(DivisorClass(0, 5), 3)
+
+
+class TestAmpleness:
+    """Every library entry that takes the polarization alone refuses one that is not ample."""
+
+    def test_one_message_for_every_entry(self):
+        for (a, b), call in (((-1, -1), lambda l_s: seshadri_lower_sq(l_s, 1)),
+                             ((-5, -5), lambda l_s: point_bound(l_s, 2, Fraction(887, 1000))),
+                             ((0, 4), lambda l_s: search_obstruction(l_s, 2, 2))):
+            with pytest.raises(ValueError) as info:
+                call(DivisorClass(a, b))
+            assert str(info.value) == f"class ({a},{b}) is not ample (need a > 0 and b > 0)"
+
+    def test_instance_without_ample_class_fails_star(self):
+        # L^2 = 800 > 0, but (-20,-20) is not ample, so there is no Seshadri bound to check
+        cert = certify_instance(1, -20, -20, 2, 10, 2, Fraction(887, 1000), DELTA)
+        assert cert.seshadri_lower_sq is None and cert.star is None
+        name, ok, detail = cert.certificate_checks[0]
+        assert (name, ok) == ("star", False)
+        assert "none (needs r >= 1 and an ample class)" in detail
+        assert not cert.certified
 
 
 class TestStarCondition:

@@ -66,13 +66,14 @@ class TestCertificatesAgainstFractionOracle:
     def test_t0_below_three_refused(self):
         # the binding t0 = kmin + 1 of the theorem is at least 3; at t0 = -1 this c would
         # make 1000 * slack = 0.99999..., and at t0 = 1 the z_2 margin has a negative radicand
-        c = Fraction(7283, 7297)
+        c, delta = Fraction(7283, 7297), Fraction(178, 1000)
         for t0 in range(-3, 3):
             assert_same("pipeline_certs", c, t0)
-            for f in (constants.pipeline_certs, constants.delta_raw_at):
-                assert outcome(f, c, t0) == "ValueError: t0 must be at least 3"
-        assert outcome(constants.interval_containment_cert, c, 1) == (
-            "ValueError: t0 must be at least 2 (nonnegative radicand)")
+            for name, args in (("n2_chain_cert", (c,)), ("case1_cert", (c,)),
+                               ("interval_containment_cert", (c,)), ("g_positive_cert", (c, delta)),
+                               ("pipeline_certs", (c,)), ("delta_raw_at", (c,))):
+                assert outcome(getattr(constants, name), *args, t0) == (
+                    "ValueError: t0 must be at least 3"), name
 
     def test_fixed_points_reach_every_branch(self):
         # fixed points that reach each branch of pipeline_certs at least once

@@ -2,11 +2,13 @@
 
 ``cert_records.json`` maps a call to the ``repr`` of what it returned, recorded
 before every ray-based record was built by one builder.  The calls cover
-certified, refuted and undecided records: the pipeline and its four c-dependent
+certified and refuted records: the pipeline and its four c-dependent
 certificates at kmin 2 and 3 and c in {8, 887, 888, 954}/1000 (g-positivity at
-three slacks), the undecided ``case1_cert(4/5, t0=0)``, the two fixed records
-and the default scan.  A ``repr`` carries every field, ``polys`` with their
-shifts and methods included, so equal strings mean equal records.
+three slacks), the two fixed records and the default scan.  No certificate
+takes a t0 below 3, and none is undecided from 3 on; ``TestNoUndecidedClaims``
+in ``test_constants.py`` checks the undecided status on the record builder
+itself.  A ``repr`` carries every field, ``polys`` with their shifts and
+methods included, so equal strings mean equal records.
 
 Run this file as a script to print the table afresh.
 """
@@ -45,7 +47,6 @@ def calls() -> dict:
             for delta in DELTAS:
                 out[f"g_positive_cert({c}, {delta}, t0={t0})"] = (
                     lambda c=c, delta=delta, t0=t0: g_positive_cert(c, delta, t0))
-    out["case1_cert(4/5, t0=0)"] = lambda: case1_cert(Fraction(4, 5), t0=0)
     out["z1_decreasing_cert()"] = z1_decreasing_cert
     out["lhs_increasing_cert()"] = lhs_increasing_cert
     out["c_max_search()"] = c_max_search
@@ -57,13 +58,13 @@ RECORDED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
 
 def test_golden_covers_every_call():
     assert list(RECORDED) == list(calls())
-    assert len(RECORDED) == 60
+    assert len(RECORDED) == 59
 
 
 def test_golden_covers_every_status():
     statuses = {status for text in RECORDED.values()
                 for status in ("certified", "refuted", "undecided") if f"'{status}'" in text}
-    assert statuses == {"certified", "refuted", "undecided"}
+    assert statuses == {"certified", "refuted"}
 
 
 @pytest.mark.parametrize("name", list(calls()))

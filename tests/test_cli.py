@@ -243,8 +243,13 @@ class TestMaxR:
         assert any("r >= 2" in line for line in lines[1:])
 
     def test_non_ample_rejected(self):
-        result = invoke(["max-r", "-a", "0", "-b", "4", "-k", "2"])
-        assert result.exit_code == 2
+        # the library's one ampleness rule, rendered the same by every command that needs it
+        for argv in (["max-r", "-a", "0", "-b", "4", "-k", "2"],
+                     ["seshadri", "-a", "0", "-b", "4", "-r", "1"],
+                     ["obstructions", "-a", "0", "-b", "4", "-k", "2", "-r", "2"]):
+            result = invoke(argv)
+            assert result.exit_code == 2
+            assert result.stderr == "Error: class (0,4) is not ample (need a > 0 and b > 0)\n"
 
     def test_c_above_certified_constant_warns(self):
         # floor(99/100 * 288 / 9) = 31, but check refuses to certify at this c

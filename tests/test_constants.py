@@ -157,16 +157,6 @@ class TestCase1:
         assert rec.margin == Fraction(5, 100) * 288 - 25 == Fraction(-53, 5)
         assert rec.counterexample == 3
 
-    def test_undecided_claim_is_not_refuted(self):
-        # at t0 = 0 the shift is the polynomial itself: its constant term 13/5 is
-        # positive but its t^2 coefficient -8/5 is not, so nothing is decided
-        rec = case1_cert(Fraction(4, 5), t0=0)
-        assert rec.status == "undecided" and not rec.certified
-        assert rec.counterexample is None
-        [claim] = rec.polys
-        assert (claim.positive, claim.method) == (False, "undecided")
-        assert claim.shifted == claim.poly
-
 
 class TestIsotropicCase:
     def test_minimal_admissible_d(self):
@@ -427,6 +417,17 @@ class TestNoUndecidedClaims:
         for rec in records:
             assert rec.status != "undecided", rec.id
             assert all(claim.method != "undecided" for claim in rec.polys), rec.id
+
+    def test_undecided_claim_is_not_refuted(self):
+        # no certificate leaves a claim undecided, so the record builder is asked directly:
+        # t^2 - 7t + 13 is 1 at t0 = 3 and its shift is u^2 - u + 1, whose constant term
+        # is positive but whose u coefficient is not, so nothing is decided
+        rec = constants._ray_record("undecided", [Poly([13, -7, 1])], 3)
+        assert rec.status == "undecided" and not rec.certified
+        assert (rec.margin, rec.counterexample) == (1, None)
+        [claim] = rec.polys
+        assert (claim.positive, claim.method) == (False, "undecided")
+        assert claim.shifted == Poly([1, -1, 1])
 
 
 class TestDiscrepancies:

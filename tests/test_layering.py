@@ -8,6 +8,9 @@
 * The modules import one another without a cycle, and ``constants`` imports
   no package module but ``exactmath``: the order is ``exactmath`` <-
   ``hyperell``, ``constants`` <- ``blowup`` <- ``cli``.
+* ``cli`` keeps no rule of its own: it raises ``UsageError`` only where the
+  parser rejects an argument or the library rejects an input, and it does
+  not import the ampleness predicate.
 """
 
 import ast
@@ -87,3 +90,26 @@ def test_import_graph_has_no_cycle():
         for module in leaves:
             del left[module]
     assert left == {}
+
+
+def usage_error_raisers(node: ast.AST, scope: str = "<module>") -> list[str]:
+    """The qualified name of the definition around each ``raise UsageError`` under ``node``."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            found += usage_error_raisers(child, inner)
+        elif isinstance(child, ast.Raise) and any(
+                isinstance(n, ast.Name) and n.id == "UsageError" for n in ast.walk(child)):
+            found.append(scope)
+        else:
+            found += usage_error_raisers(child, scope)
+    return found
+
+
+def test_cli_keeps_no_rule_of_its_own():
+    tree = TREES["cli.py"]
+    assert set(usage_error_raisers(tree)) == {"_Parser.error", "_library"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "is_ample" not in imported
