@@ -23,11 +23,11 @@ The package's modules import one another in one direction:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from math import floor, isqrt
-from typing import NamedTuple
 
 from .constants import (C_MAX_DEFAULT, DELTA_DEFAULT, SearchTooLarge, _positive, _unit,
                         pipeline_certs, sigma_bound)
@@ -105,13 +105,16 @@ def _certified_constants() -> tuple[Fraction, Fraction]:
     return C_MAX_DEFAULT, delta
 
 
-class InstanceCertificate(NamedTuple):
+class InstanceCertificate(namedtuple(
+        "InstanceCertificate", "hypothesis_checks certificate_checks l2 r_max n2"
+                               " seshadri_lower_sq threshold_sq star")):
     """The verdict on one theorem instance, with every check and number behind it.
 
     Each check is a (name, ok, detail) triple.  The instance is certified
     only when every hypothesis check and every certificate check is ok.
     """
 
+    __slots__ = ()
     hypothesis_checks: list[tuple[str, bool, str]]
     certificate_checks: list[tuple[str, bool, str]]
     l2: int
@@ -136,7 +139,8 @@ def certify_instance(
     """Decide whether pi^*(a,b) - k*sum(E_i) is certified k-very ample at r points.
 
     The hypotheses are k >= 2, d > (k+1)^2, a, b >= d+2 and
-    2 <= r <= r_max.  The certificate checks are the Seshadri condition
+    2 <= r <= r_max, where r_max = floor(c*L^2/(k+1)^2) for an ample L and 0
+    for a class that is not.  The certificate checks are the Seshadri condition
     sqrt(L^2/r)*sqrt(1-1/(8r)) > k+1+delta, which fails for a class L that is
     not ample, and c and delta at most the pair (887/1000, 178/1000) that
     :func:`pipeline_certs` certifies.
@@ -147,7 +151,8 @@ def certify_instance(
     l_s = DivisorClass(a, b, surface)
     l2 = self_intersection(l_s)
     t = k + 1
-    r_max = floor(c * l2 / (t * t)) if k >= 0 and l2 > 0 else 0
+    ample = is_ample(l_s)  # and then L^2 = 2ab > 0
+    r_max = floor(c * l2 / (t * t)) if k >= 0 and ample else 0
     hypotheses = [
         ("k-ge-2", k >= 2, f"k = {k}"),
         ("d-gt-(k+1)^2", d > t * t, f"d = {d}, (k+1)^2 = {t * t}"),
@@ -158,7 +163,7 @@ def certify_instance(
     ]
     threshold_sq = (t + delta) ** 2
     ses_sq = star = None
-    if r >= 1 and is_ample(l_s):
+    if r >= 1 and ample:
         ses_sq = seshadri_lower_sq(l_s, r)
         star = star_holds(l_s, r, k, delta)
     ses = frac_str(ses_sq) if ses_sq is not None else "none (needs r >= 1 and an ample class)"
@@ -209,9 +214,10 @@ def bs_condition3(nd: int, d2: int, k: int) -> bool:
     return nd - k - 1 <= d2 and 2 * d2 < nd and nd < 2 * k + 2
 
 
-class ObstructionWitness(NamedTuple):
+class ObstructionWitness(namedtuple("ObstructionWitness", "d_s mults nd d2")):
     """A candidate (D_S, multiplicities) whose numbers satisfy the obstruction condition."""
 
+    __slots__ = ()
     d_s: DivisorClass
     mults: tuple[int, ...]
     nd: int
@@ -232,8 +238,9 @@ SEARCH_BUDGET = 2 * 10**8
 OUTPUT_BUDGET = 10**6
 
 #: Steps a cell with a single D^2 option counts for: such a cell (every cell
-#: under the paper formula) costs about 600 ns, a condition test in a cell with
-#: many options about 36 ns (2-CPU Xeon VM, Python 3.11).
+#: under the paper formula) costs about 400 ns, a condition test in a cell with
+#: many options about 36 ns (2-CPU Xeon VM, Python 3.11).  The weight was set
+#: when a paper cell cost about 600 ns; kept, it errs towards refusing.
 PAPER_CELL_STEPS = 18
 
 
@@ -327,9 +334,14 @@ def search_obstruction(
 
         max(0, floor(rest/a) + 1) <= beta <= floor((rest + t)/a)
 
-    and tests every D^2 option on each of its cells.  Along the window N.D
-    grows by a and D_S^2 = 2*alpha*beta by 2*alpha, so both are stepped by
-    addition.
+    Along the window N.D grows by a, so the walk runs over N.D in steps of a
+    and recovers beta = (N.D + rest)/a only for a witness.  D_S^2 =
+    2*alpha*beta grows by 2*alpha along the window and rest falls by b from
+    one alpha to the next, so both are stepped by addition too.  The two
+    conventions below get one cell loop each: under the paper formula a cell
+    has the single D^2 = D_S^2 - M^2, which is stepped along the window with
+    one condition test per cell; under the standard formula every D^2 option
+    of M is tested on each cell.
 
     Multiplicity vectors are represented up to permutation by sorted
     multisets.  Only sum(m_i) enters N.D; for D^2 the two supported
@@ -377,18 +389,27 @@ def search_obstruction(
     condition = bs_condition3
     found = []  # (alpha, beta, M, D^2, N.D, D^2 option)
     for m_sum in range(0, m_max + 1):
-        q_values = [m_sum * m_sum] if table is None else table.values(m_sum, min(r, m_sum))
-        for alpha in range(0, (t * m_sum + t) // b + 1):
-            # N.D = a*beta - rest, and 1 <= N.D <= t is the beta window of the row
-            rest = t * m_sum - b * alpha
-            lo = max(0, rest // a + 1)
-            nd, ds2, ds2_step = a * lo - rest, 2 * alpha * lo, 2 * alpha
-            for beta in range(lo, (rest + t) // a + 1):
-                for sq in q_values:
-                    if condition(nd, ds2 - sq, k):
-                        found.append((alpha, beta, m_sum, ds2 - sq, nd, sq))
-                nd += a
-                ds2 += ds2_step
+        sq = m_sum * m_sum
+        q_values = None if table is None else table.values(m_sum, min(r, m_sum))
+        # N.D = a*beta - rest, and 1 <= N.D <= t is the window of the row (M, alpha)
+        rest = t * m_sum
+        for alpha in range(0, (rest + t) // b + 1):
+            lo = rest // a + 1 if rest >= 0 else 0
+            window, step = range(a * lo - rest, t + 1, a), 2 * alpha
+            if q_values is None:  # the paper formula: one D^2 per cell
+                d2 = step * lo - sq
+                for nd in window:
+                    if condition(nd, d2, k):
+                        found.append((alpha, (nd + rest) // a, m_sum, d2, nd, sq))
+                    d2 += step
+            else:
+                ds2 = step * lo
+                for nd in window:
+                    for q in q_values:
+                        if condition(nd, ds2 - q, k):
+                            found.append((alpha, (nd + rest) // a, m_sum, ds2 - q, nd, q))
+                    ds2 += step
+            rest -= b
     size = len(found) * r
     if size > OUTPUT_BUDGET:
         raise SearchTooLarge(

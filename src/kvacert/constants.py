@@ -38,12 +38,12 @@ against the constants certified here, is :func:`kvacert.blowup.certify_instance`
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, isqrt
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .exactmath import (
     Poly,
@@ -86,36 +86,44 @@ class SearchTooLarge(ValueError):
         self.estimate = estimate
 
 
-class CertRecord(NamedTuple):
+class CertRecord(namedtuple(
+        "CertRecord", "id status margin polys side_conditions details counterexample",
+        defaults=(None, (), (), _EMPTY, None))):
     """One certified (or refuted) inequality, with everything needed to re-check it."""
 
+    __slots__ = ()
     id: str
     status: str  # "certified" | "refuted" | "undecided", see _status
-    margin: Fraction | QuadExpr | None = None
-    polys: Sequence[PolyRayResult] = ()
-    side_conditions: Sequence[str] = ()
-    details: Mapping = _EMPTY
-    counterexample: Fraction | None = None
+    margin: Fraction | QuadExpr | None
+    polys: Sequence[PolyRayResult]
+    side_conditions: Sequence[str]
+    details: Mapping
+    counterexample: Fraction | None
 
     @property
     def certified(self) -> bool:
         return self.status == "certified"
 
 
-class Discrepancy(NamedTuple):
+class Discrepancy(namedtuple("Discrepancy", "id quoted recomputed exact note alternatives",
+                             defaults=(None, "", _EMPTY))):
     """A quoted value that exact recomputation does not reproduce."""
 
+    __slots__ = ()
     id: str
     quoted: str
     recomputed: str
-    exact: QuadExpr | Fraction | None = None
-    note: str = ""
-    alternatives: Mapping[str, str] = _EMPTY
+    exact: QuadExpr | Fraction | None
+    note: str
+    alternatives: Mapping[str, str]
 
 
-class ConstantsReport(NamedTuple):
+class ConstantsReport(namedtuple(
+        "ConstantsReport",
+        "c_max delta_max c_ceiling per_constraint discrepancies grid_step kmin feasible scanned")):
     """Outcome of the constants pipeline: the constants plus their certificates."""
 
+    __slots__ = ()
     c_max: Fraction | None
     delta_max: Fraction | None
     c_ceiling: Fraction
@@ -205,9 +213,10 @@ _Z1_LHS = Poly([-1, -1, 1])
 _Z1_CLEARED = _RAD_Z - _Z1_LHS * _Z1_LHS
 
 
-class _AtT0(NamedTuple):
+class _AtT0(namedtuple("_AtT0", "t t2 f two_t2p3_sq n2_rhs case1_rhs rad_z z1_cleared")):
     """The values at t0 that no grid point changes."""
 
+    __slots__ = ()
     t: Fraction  # t0 itself
     t2: int  # t0^2
     f: int  # 4(t0^2+3): the radicand c - t0^2/(16(t0^2+3)^2) is c - t2/f^2

@@ -23,16 +23,17 @@ Three layers live here:
 
 ``QuadExpr`` and ``Poly``, like the package's other value types, build on
 :class:`Value`: immutable ``__slots__`` classes compared by field value.
-The package's records are ``typing.NamedTuple``s.
+The package's records are ``collections.namedtuple`` subclasses.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, NamedTuple, Sequence, Union
 
-RatLike = Union[Fraction, int, str]
+RatLike = Fraction | int | str
 
 
 def as_rat(x: RatLike) -> Fraction:
@@ -407,7 +408,8 @@ class Poly(Value):
         return " + ".join(parts)
 
 
-class PolyRayResult(NamedTuple):
+class PolyRayResult(namedtuple("PolyRayResult", "positive poly t0 method shifted counterexample",
+                                defaults=(None,))):
     """Outcome of a strict-positivity query "p(t) > 0 for all t >= t0".
 
     ``shifted`` is the certificate, the Taylor shift u -> p(t0 + u), and
@@ -422,12 +424,13 @@ class PolyRayResult(NamedTuple):
       counterexample is claimed either.
     """
 
+    __slots__ = ()
     positive: bool
     poly: Poly
     t0: Fraction
     method: str
     shifted: Poly
-    counterexample: Fraction | None = None
+    counterexample: Fraction | None
 
     @property
     def value_at_t0(self) -> Fraction:

@@ -10,12 +10,13 @@ numerically trivial on these surfaces, so it never appears explicitly.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .exactmath import Value
 
 
-class SurfaceType(NamedTuple):
+class SurfaceType(namedtuple(
+        "SurfaceType", "id group_name fiber_multiplicities mu gamma basis_label")):
     """One of the seven Bagnera-de Franchis classes of bielliptic surfaces.
 
     ``mu`` is the lcm of the singular-fibre multiplicities, ``gamma`` the
@@ -23,6 +24,7 @@ class SurfaceType(NamedTuple):
     A/mu, (mu/gamma)B.
     """
 
+    __slots__ = ()
     id: int
     group_name: str
     fiber_multiplicities: tuple[int, ...]

@@ -6,8 +6,11 @@ import time
 from collections import defaultdict
 from fractions import Fraction
 from math import floor
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kvacert.blowup as blowup_module
 from kvacert.blowup import (
@@ -129,8 +132,12 @@ class TestAmpleness:
 
     def test_instance_without_ample_class_fails_star(self):
         # L^2 = 800 > 0, but (-20,-20) is not ample, so there is no Seshadri bound to check
+        # and no r_max read off L^2
         cert = certify_instance(1, -20, -20, 2, 10, 2, Fraction(887, 1000), DELTA)
         assert cert.seshadri_lower_sq is None and cert.star is None
+        assert cert.l2 == 800 and cert.r_max == 0
+        assert cert.hypothesis_checks[-1] == (
+            "r-le-r_max", False, "r = 2, r_max = floor(c*L^2/(k+1)^2) = 0")
         name, ok, detail = cert.certificate_checks[0]
         assert (name, ok) == ("star", False)
         assert "none (needs r >= 1 and an ample class)" in detail
@@ -359,6 +366,57 @@ def _box_walk_search(a, b, k, r, delta, formula, condition):
     return witnesses
 
 
+def _assert_walks_agree(a, b, k, r, delta, formula) -> int:
+    """The search and the box walk report the same witnesses from the same condition tests.
+
+    Returns the number of condition tests each made.
+    """
+    calls = defaultdict(int)
+
+    def counting(name):
+        def condition(nd, d2, k):
+            calls[name] += 1
+            return bs_condition3(nd, d2, k)
+        return condition
+
+    with mock.patch.object(blowup_module, "bs_condition3", counting("window")):
+        got = search_obstruction(DivisorClass(a, b), k, r, delta, formula=formula)
+    want = _box_walk_search(a, b, k, r, delta, formula, counting("box"))
+    case = (a, b, k, r, delta, formula)
+    assert got == want, case
+    assert calls["window"] == calls["box"], case
+    return calls["window"]
+
+
+@st.composite
+def _search_cases(draw):
+    """(a, b, k, r, delta, formula) whose box walk stays small.
+
+    a and b reach 3t, so rows with a one-cell or empty window (a > t) and
+    totals M with only the alpha = 0 row (b > t(M+1)) occur, and so do rows
+    with rest = t*M - b*alpha < 0.  delta is drawn through m_max = floor(t/delta):
+    down to t/80 under the paper formula, when a and b keep the box small.
+    """
+    k = draw(st.integers(2, 4))
+    t = k + 1
+    a, b = draw(st.integers(1, 3 * t)), draw(st.integers(1, 3 * t))
+    r = draw(st.integers(0, 6))
+    formula = draw(st.sampled_from(["paper", "standard"]))
+    # the largest m_max, up to a cap, whose box of (t(M+1)/b + 1)(t(M+1)/a + 1) cells
+    # per total M <= m_max stays within 20,000 cells
+    m_cap, cells = 0, 0
+    while m_cap < (80 if formula == "paper" else 16):
+        cells += (t * (m_cap + 2) // b + 1) * (t * (m_cap + 2) // a + 1)
+        if cells > 20000:
+            break
+        m_cap += 1
+    m = draw(st.integers(0, m_cap))
+    # t/delta = m + s/q lies in [m, m+1), so m_max = m when r >= 1
+    q = draw(st.integers(2, 6))
+    s = draw(st.integers(0 if m else 1, q - 1))
+    return a, b, k, r, Fraction(t * q, m * q + s), formula
+
+
 class TestSearchAgainstBoxWalk:
     # a or b above t = k+1, as in (7, 2), (12, 12) and (30, 5), leaves rows whose
     # beta window is empty (lo > hi) and, at r = 0, searches with no witness at all
@@ -371,27 +429,25 @@ class TestSearchAgainstBoxWalk:
     ]
 
     @pytest.mark.parametrize("formula", ["paper", "standard"])
-    def test_identical_witnesses_and_condition_tests(self, formula, monkeypatch):
-        calls = defaultdict(int)
-
-        def counting(name):
-            def condition(nd, d2, k):
-                calls[name] += 1
-                return bs_condition3(nd, d2, k)
-            return condition
-
-        monkeypatch.setattr(blowup_module, "bs_condition3", counting("window"))
-        box_condition = counting("box")
+    def test_identical_witnesses_and_condition_tests(self, formula):
         for a, b, k, r, delta in self.GRID:
-            calls.clear()
-            got = search_obstruction(DivisorClass(a, b), k, r, delta, formula=formula)
-            want = _box_walk_search(a, b, k, r, delta, formula, box_condition)
-            case = (a, b, k, r, delta, formula)
-            assert got == want, case
-            assert calls["window"] == calls["box"], case
+            calls = _assert_walks_agree(a, b, k, r, delta, formula)
             t = k + 1
             m_max = floor(Fraction(t) / delta) if r >= 1 else 0
-            assert calls["window"] <= _search_estimate(a, b, t, r, m_max, formula), case
+            assert calls <= _search_estimate(a, b, t, r, m_max, formula)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_search_cases())
+    @example((3, 3, 2, 0, DELTA, "paper"))  # r = 0: only the M = 0 rows
+    @example((3, 3, 2, 0, DELTA, "standard"))
+    @example((7, 2, 2, 4, Fraction(1, 2), "paper"))  # a > t: windows of at most one cell
+    @example((7, 2, 2, 4, Fraction(1, 2), "standard"))
+    @example((2, 10, 2, 3, Fraction(3, 2), "paper"))  # b > t(M+1) for every M <= 2
+    @example((2, 10, 2, 3, Fraction(3, 2), "standard"))
+    @example((9, 9, 2, 3, Fraction(3, 50), "paper"))  # m_max = 50
+    @example((9, 9, 2, 3, Fraction(3, 50), "standard"))
+    def test_drawn_searches(self, case):
+        _assert_walks_agree(*case)
 
 
 class TestSearchBudget:
@@ -410,7 +466,7 @@ class TestSearchBudget:
                                formula="standard")
 
     def test_paper_cells_are_weighted(self):
-        # 162,099,012 cells of one D^2 option: about 100 s of search, refused up front
+        # 162,099,012 cells of one D^2 option: about 60 s of search, refused up front
         t, m_max = 3, 6000
         assert _search_estimate(1, 1, t, 5, m_max, "paper") == 18 * 162_099_012
         start = time.monotonic()

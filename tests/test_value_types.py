@@ -1,7 +1,8 @@
 """The value types and records: field-value equality, immutability, validation.
 
 ``QuadExpr``, ``Poly``, ``DivisorClass`` and ``BlowupClass`` are ``__slots__``
-classes on :class:`kvacert.exactmath.Value`; the records are ``NamedTuple``s.
+classes on :class:`kvacert.exactmath.Value`; the records are ``collections.namedtuple``
+subclasses with ``__slots__ = ()``.
 """
 
 import copy
@@ -12,7 +13,7 @@ from types import MappingProxyType
 import pytest
 
 from kvacert.blowup import BlowupClass, InstanceCertificate, ObstructionWitness
-from kvacert.constants import CertRecord, ConstantsReport, Discrepancy
+from kvacert.constants import CertRecord, ConstantsReport, Discrepancy, _AtT0
 from kvacert.exactmath import Poly, PolyRayResult, QuadExpr
 from kvacert.hyperell import DivisorClass, SurfaceType
 
@@ -93,6 +94,18 @@ def test_validation(make, error):
 def test_record_defaults_are_not_shared_mutable_objects(cls):
     for name, default in cls._field_defaults.items():
         assert isinstance(default, (type(None), str, tuple, MappingProxyType)), name
+
+
+@pytest.mark.parametrize("cls", [*RECORDS, _AtT0], ids=lambda cls: cls.__name__)
+def test_records_have_no_instance_dict(cls):
+    record = cls._make(range(len(cls._fields)))
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    for same in (pickle.loads(pickle.dumps(record)), record._replace()):
+        assert type(same) is cls and same == record
+    # the annotated fields, for readers and tools, are the tuple's fields
+    assert tuple(cls.__annotations__) == cls._fields
 
 
 def test_record_defaults():
