@@ -88,12 +88,13 @@ def seshadri_lower_sq(l_s: DivisorClass, r: int) -> Fraction:
 
 
 def star_holds(l_s: DivisorClass, r: int, k: int, delta: RatLike) -> bool:
-    """Exact test: Seshadri lower bound exceeds k + 1 + delta (squared comparison)."""
+    """Exact test: Seshadri lower bound exceeds k + 1 + delta (squared when that is >= 0)."""
     delta = as_rat(delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     threshold = k + 1 + delta
-    return seshadri_lower_sq(l_s, r) > threshold * threshold
+    square = seshadri_lower_sq(l_s, r)
+    return threshold < 0 or square > threshold * threshold
 
 
 @cache
@@ -222,9 +223,6 @@ class ObstructionWitness(namedtuple("ObstructionWitness", "d_s mults nd d2")):
     mults: tuple[int, ...]
     nd: int
     d2: int
-
-    def recheck(self, k: int) -> bool:
-        return bs_condition3(self.nd, self.d2, k)
 
 
 #: Largest search :func:`search_obstruction` attempts, in the units of

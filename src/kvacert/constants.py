@@ -147,12 +147,6 @@ class ConstantsReport(namedtuple(
                 C_MAX_DEFAULT, DELTA_DEFAULT, Fraction(954, 1000))
         return self.feasible
 
-    def discrepancy(self, disc_id: str) -> Discrepancy:
-        for d in self.discrepancies:
-            if d.id == disc_id:
-                return d
-        raise KeyError(disc_id)
-
 
 # ---------------------------------------------------------------------------
 # building blocks

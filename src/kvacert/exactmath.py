@@ -316,10 +316,6 @@ class Poly(Value):
     def is_zero(self) -> bool:
         return not self.num
 
-    @property
-    def degree(self) -> int:
-        return len(self.num) - 1
-
     def __call__(self, t: RatLike) -> Fraction:
         if self.is_zero:
             return Fraction(0)
@@ -391,21 +387,6 @@ class Poly(Value):
             object.__setattr__(out, "den", self.den)
             return out
         return Poly.over([c * b**j for j, c in enumerate(s)], self.den * b**n)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = "1" if (c == 1 and i > 0) else str(c)
-            if i == 1:
-                term += "*t"
-            elif i > 1:
-                term += f"*t^{i}"
-            parts.append(term)
-        return " + ".join(parts)
 
 
 class PolyRayResult(namedtuple("PolyRayResult", "positive poly t0 method shifted counterexample",

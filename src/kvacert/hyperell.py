@@ -74,11 +74,6 @@ class DivisorClass(Value):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "surface_id", surface_id)
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        _check_same_surface(self, other)
-        # surface ids start at 1, so "or" keeps whichever operand is tagged
-        return DivisorClass(self.a + other.a, self.b + other.b, self.surface_id or other.surface_id)
-
 
 def _check_same_surface(d1: DivisorClass, d2: DivisorClass) -> None:
     if (

@@ -134,21 +134,6 @@ class FracPoly:
                 out[j] += c * comb(k, j) * t0 ** (k - j)
         return FracPoly(out)
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = "1" if (c == 1 and i > 0) else str(c)
-            if i == 1:
-                term += "*t"
-            elif i > 1:
-                term += f"*t^{i}"
-            parts.append(term)
-        return " + ".join(parts)
-
 
 def _poly_divmod(a: FracPoly, b: FracPoly) -> tuple[FracPoly, FracPoly]:
     if b.is_zero:

@@ -109,7 +109,7 @@ def test_g_margin_exact():
 @criterion(5, "discrepancy report contains the recomputed threshold gap")
 def test_discrepancy_entry():
     report = c_max_search()
-    entry = report.discrepancy("z2-threshold-value")
+    entry = {d.id: d for d in report.discrepancies}["z2-threshold-value"]
     # z_2(3) - (1000/887)*9 = -3678/887 + sqrt(27), far from the quoted 0.001
     assert (entry.exact - Fraction(104, 100)).sign() == 1
     assert (Fraction(106, 100) - entry.exact).sign() == 1

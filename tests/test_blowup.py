@@ -154,6 +154,12 @@ class TestStarCondition:
     def test_fails_for_small_polarization(self):
         assert not star_holds(DivisorClass(3, 3), 28, 2, 0)
 
+    def test_any_bound_exceeds_a_negative_threshold(self):
+        # k + 1 + delta = -4 < 3.2 ~ the bound, although 3.2^2 < (-4)^2
+        assert star_holds(DivisorClass(12, 12), 28, -5, 0)
+        with pytest.raises(ValueError):
+            star_holds(DivisorClass(0, 4), 28, -5, 0)
+
 
 class TestObstructionCondition:
     def test_window_membership(self):
@@ -247,7 +253,7 @@ class TestSearchOracle:
     def test_every_witness_rechecks(self):
         for formula in ("paper", "standard"):
             for w in search_obstruction(DivisorClass(3, 3), 2, 4, DELTA, formula=formula):
-                assert w.recheck(2)
+                assert bs_condition3(w.nd, w.d2, 2)
                 assert len(w.mults) == 4
 
     def test_invalid_parameters(self):

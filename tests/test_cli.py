@@ -148,6 +148,18 @@ class TestCheck:
         assert result.exit_code == 2
         assert result.output.endswith(f"Error: {exc.value}\n")
 
+    def test_negative_k_clears_star_but_not_the_hypotheses(self):
+        # k + 1 + delta < 0 is below any Seshadri bound, so star holds; k >= 2 still fails
+        args = ["check", "-a", "12", "-b", "12", "-k", "-5", "-d", "10", "-r", "28"]
+        result = invoke(args)
+        assert result.exit_code == 1
+        assert "  [ok] star: " in result.output
+        assert result.output.splitlines()[-1] == "verdict: hypotheses-not-met"
+        payload = parse(invoke(args + ["--json"]))
+        assert payload["derived"]["star_holds"] is True
+        assert [c["name"] for c in payload["hypothesis_checks"] if not c["ok"]] == [
+            "k-ge-2", "d-gt-(k+1)^2", "r-le-r_max"]
+
     def test_unknown_surface_exit_two(self):
         result = invoke(["check", "--surface", "9"] + self.BASE[1:])
         assert result.exit_code == 2

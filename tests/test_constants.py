@@ -433,7 +433,7 @@ class TestNoUndecidedClaims:
 class TestDiscrepancies:
     def test_threshold_entry_present_with_exact_value(self):
         report = c_max_search()
-        entry = report.discrepancy("z2-threshold-value")
+        entry = {d.id: d for d in report.discrepancies}["z2-threshold-value"]
         # z_2(3) - 9/c = 6 - 9000/887 + sqrt(27)
         assert (entry.exact.p, entry.exact.q, entry.exact.s) == (Fraction(-3678, 887), 1, 27)
         assert entry.exact.cmp_rat(Fraction(104, 100)) > 0

@@ -5,6 +5,11 @@
   module builds a ``Poly`` through its public constructors.
 * Every module-level private name is used somewhere in the package, so no
   helper survives only for the tests.
+* Every public function and class, and every public method or property of a
+  public class, is read somewhere in the package outside ``__init__``: a public
+  name is on a path or deleted.  The exceptions are the names the benchmark's
+  tracer wraps (``SPANNED`` and ``COUNTED`` in ``bench/tracing.py``, read from
+  its syntax tree) and ``Poly.coeffs``, the one public reader of a ``Poly``.
 * The modules import one another without a cycle, and ``constants`` imports
   no package module but ``exactmath``: the order is ``exactmath`` <-
   ``hyperell``, ``constants`` <- ``blowup`` <- ``cli``.
@@ -24,6 +29,9 @@ PACKAGE = Path(kvacert.__file__).parent
 TREES = {path.name: ast.parse(path.read_text(), str(path))
          for path in sorted(PACKAGE.glob("*.py"))}
 POLY_STORAGE = {"num", "den", "_of"}
+TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
+#: public names kept for the callers outside the package: a Poly's one public reader
+EXTERNAL_READERS = {"exactmath.Poly.coeffs"}
 
 
 def is_private(name: str) -> bool:
@@ -65,6 +73,31 @@ def references() -> set[str]:
     return used
 
 
+def public_definitions(tree: ast.Module) -> list[str]:
+    """The qualified name of each public function and class, and of each public method
+    or property of a public class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            found.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                found += [f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, defs) and not item.name.startswith("_")]
+    return found
+
+
+def traced_names() -> set[str]:
+    """``layer.qualname`` of every name the benchmark's tracer wraps in a span or a count."""
+    tree = ast.parse(TRACING.read_text(), str(TRACING))
+    tables = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id in {"SPANNED", "COUNTED"}
+                      for t in node.targets)]
+    assert len(tables) == 2, "bench/tracing.py no longer defines SPANNED and COUNTED"
+    return {f"{layer}.{name}" for table in tables for layer, names in table.items()
+            for name in names}
+
+
 @pytest.mark.parametrize("module", [name for name in TREES if name != "exactmath.py"])
 def test_poly_storage_stays_inside_exactmath(module):
     touches = [f"{module}:{node.lineno}: .{node.attr}" for node in ast.walk(TREES[module])
@@ -77,6 +110,27 @@ def test_every_private_module_name_is_used_in_the_package():
     unused = [f"{module}: {name}" for module, tree in TREES.items()
               for name in module_level_names(tree) if is_private(name) and name not in used]
     assert unused == []
+
+
+def test_every_public_name_is_reached_in_the_package():
+    modules = {name.removesuffix(".py"): tree for name, tree in TREES.items()
+               if name != "__init__.py"}
+    names, attributes = set(), set()
+    for node in (node for tree in modules.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+    exempt = traced_names() | EXTERNAL_READERS
+    unread = []
+    for module, tree in modules.items():
+        for qualname in public_definitions(tree):
+            cls, _, attr = qualname.rpartition(".")
+            # a method is reached through an attribute; a function or class by either
+            reached = attr in attributes or (not cls and attr in names)
+            if not reached and f"{module}.{qualname}" not in exempt:
+                unread.append(f"{module}.{qualname}")
+    assert unread == []
 
 
 def test_constants_imports_only_exactmath():
