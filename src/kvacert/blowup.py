@@ -27,7 +27,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
-from math import floor, isqrt
+from math import floor, gcd, isqrt
 
 from .constants import (C_MAX_DEFAULT, DELTA_DEFAULT, SearchTooLarge, _positive, _unit,
                         pipeline_certs, sigma_bound)
@@ -162,16 +162,19 @@ def certify_instance(
         ("r-ge-2", r >= 2, f"r = {r}"),
         ("r-le-r_max", r <= r_max, f"r = {r}, r_max = floor(c*L^2/(k+1)^2) = {r_max}"),
     ]
-    threshold_sq = (t + delta) ** 2
+    threshold = t + delta
+    threshold_sq = threshold * threshold
     ses_sq = star = None
     if r >= 1 and ample:
         ses_sq = seshadri_lower_sq(l_s, r)
         star = star_holds(l_s, r, k, delta)
     ses = frac_str(ses_sq) if ses_sq is not None else "none (needs r >= 1 and an ample class)"
+    # any bound exceeds a negative threshold, so its square says nothing there
+    beat = (f"k+1+delta = {frac_str(threshold)} < 0" if threshold < 0
+            else f"(k+1+delta)^2 = {frac_str(threshold_sq)}")
     c_cert, delta_cert = _certified_constants()
     certificates = [
-        ("star", bool(star),
-         f"Seshadri lower bound^2 = {ses}, (k+1+delta)^2 = {frac_str(threshold_sq)}"),
+        ("star", bool(star), f"Seshadri lower bound^2 = {ses}, {beat}"),
         ("c-certified", c <= c_cert, f"c = {frac_str(c)}, certified c_max = {frac_str(c_cert)}"),
         ("delta-certified", delta <= delta_cert,
          f"delta = {frac_str(delta)}, certified delta_max = {frac_str(delta_cert)}"),
@@ -236,9 +239,10 @@ SEARCH_BUDGET = 2 * 10**8
 OUTPUT_BUDGET = 10**6
 
 #: Steps a cell with a single D^2 option counts for: such a cell (every cell
-#: under the paper formula) costs about 400 ns, a condition test in a cell with
-#: many options about 36 ns (2-CPU Xeon VM, Python 3.11).  The weight was set
-#: when a paper cell cost about 600 ns; kept, it errs towards refusing.
+#: under the paper formula) costs about 160-240 ns along the lines of constant
+#: N.D, a condition test in a cell with many options about 36 ns (2-CPU Xeon VM,
+#: Python 3.11).  The weight was set when a paper cell cost about 600 ns; kept,
+#: it errs towards refusing.
 PAPER_CELL_STEPS = 18
 
 
@@ -251,7 +255,10 @@ def _search_estimate(a: int, b: int, t: int, r: int, m_max: int, formula: str) -
     :data:`PAPER_CELL_STEPS` steps.  Under the standard formula sum m_i^2 over j
     parts takes values of the parity of M in [M^2/j, M^2], at most as many as
     for M = m_max; the table of those values holds at most n^2 + 1 bits per
-    entry (j, n).
+    entry (j, n).  The search walks lines of constant N.D, not rows, but it
+    visits the same cells with the same tests, so the bound holds as it is:
+    each seed is a cell it tests anyway, and it reads the windows of only the
+    rows with alpha < a/gcd(a, b), never more rows than counted here.
     """
     rows = t * (m_max + 1) * (m_max + 2) // (2 * b) + m_max + 1
     width = (t - 1) // a + 1
@@ -327,19 +334,24 @@ def search_obstruction(
     the bounds.
 
     With t = k+1 and M = sum m_i, N.D = L.D_S - t*M, so the two bounds on
-    L.D_S = a*beta + b*alpha leave 1 <= N.D <= t.  For each (M, alpha), with
-    rest = t*M - b*alpha, the walk therefore visits only the beta window
+    L.D_S = a*beta + b*alpha leave 1 <= N.D <= t.  For each total M the walk
+    runs along the lines of constant N.D, a*beta + b*alpha = N.D + t*M.  With
+    g = gcd(a, b), p = a/g and q = b/g, the step (alpha, beta) -> (alpha + p,
+    beta - q) keeps N.D, so every cell lies on the line of exactly one seed
+    cell with alpha < p.  The seeds are the beta windows of those first rows,
+    with rest = t*M - b*alpha:
 
         max(0, floor(rest/a) + 1) <= beta <= floor((rest + t)/a)
 
-    Along the window N.D grows by a, so the walk runs over N.D in steps of a
-    and recovers beta = (N.D + rest)/a only for a witness.  D_S^2 =
-    2*alpha*beta grows by 2*alpha along the window and rest falls by b from
-    one alpha to the next, so both are stepped by addition too.  The two
-    conventions below get one cell loop each: under the paper formula a cell
-    has the single D^2 = D_S^2 - M^2, which is stepped along the window with
-    one condition test per cell; under the standard formula every D^2 option
-    of M is tested on each cell.
+    and a line runs from its seed until beta would turn negative.  Along it
+    D_S^2 = 2*alpha*beta changes by a difference that falls by 4pq a step, so
+    D_S^2 is stepped by addition, and (alpha, beta) is recovered only for a
+    witness.  The cells are exactly those of the row windows, but only the p
+    rows (at most) with alpha < p are read for seeds.  The two conventions below
+    get one cell loop each: under the paper formula a cell has the single
+    D^2 = D_S^2 - M^2, stepped along the line with one condition test per
+    cell; under the standard formula every D^2 option of M is tested on each
+    cell.
 
     Multiplicity vectors are represented up to permutation by sorted
     multisets.  Only sum(m_i) enters N.D; for D^2 the two supported
@@ -384,29 +396,37 @@ def search_obstruction(
             f"of {SEARCH_BUDGET}; use a larger delta or a smaller k", estimate)
     table = _SquareSums(min(r, m_max), m_max) if formula == "standard" else None
 
+    g = gcd(a, b)
+    p, q = a // g, b // g
+    curve = 4 * p * q  # along a line, each step of D_S^2 is 4pq below the last
     condition = bs_condition3
     found = []  # (alpha, beta, M, D^2, N.D, D^2 option)
     for m_sum in range(0, m_max + 1):
         sq = m_sum * m_sum
-        q_values = None if table is None else table.values(m_sum, min(r, m_sum))
+        options = None if table is None else table.values(m_sum, min(r, m_sum))
         # N.D = a*beta - rest, and 1 <= N.D <= t is the window of the row (M, alpha)
         rest = t * m_sum
-        for alpha in range(0, (rest + t) // b + 1):
-            lo = rest // a + 1 if rest >= 0 else 0
-            window, step = range(a * lo - rest, t + 1, a), 2 * alpha
-            if q_values is None:  # the paper formula: one D^2 per cell
-                d2 = step * lo - sq
-                for nd in window:
-                    if condition(nd, d2, k):
-                        found.append((alpha, (nd + rest) // a, m_sum, d2, nd, sq))
-                    d2 += step
-            else:
-                ds2 = step * lo
-                for nd in window:
-                    for q in q_values:
-                        if condition(nd, ds2 - q, k):
-                            found.append((alpha, (nd + rest) // a, m_sum, ds2 - q, nd, q))
-                    ds2 += step
+        for alpha in range(0, min(p, (rest + t) // b + 1)):
+            for beta in range(rest // a + 1 if rest >= 0 else 0, (rest + t) // a + 1):
+                # the seed (alpha, beta) opens the line; its j-th cell is (alpha + jp, beta - jq)
+                nd, first = a * beta - rest, 2 * (p * beta - q * alpha - p * q)
+                steps = range(first, first - curve * (beta // q + 1), -curve)
+                if options is None:  # the paper formula: one D^2 per cell
+                    d2 = 2 * alpha * beta - sq
+                    for step in steps:
+                        if condition(nd, d2, k):
+                            j = (first - step) // curve
+                            found.append((alpha + j * p, beta - j * q, m_sum, d2, nd, sq))
+                        d2 += step
+                else:
+                    ds2 = 2 * alpha * beta
+                    for step in steps:
+                        for option in options:
+                            if condition(nd, ds2 - option, k):
+                                j = (first - step) // curve
+                                found.append((alpha + j * p, beta - j * q, m_sum, ds2 - option,
+                                              nd, option))
+                        ds2 += step
             rest -= b
     size = len(found) * r
     if size > OUTPUT_BUDGET:

@@ -171,10 +171,13 @@ def check(args) -> int:
                     f"  Seshadri lower bound^2 = {frac_str(ses_sq)}"
                     f" (~{decimal_str(ses_sq)}), bound ~ {_sqrt_approx(ses_sq)}"
                 )
-                print(
-                    f"  threshold (k+1+delta)^2 = {frac_str(threshold_sq)}"
-                    f" (~{decimal_str(threshold_sq)}), exceeded: {cert.star}"
-                )
+                threshold = k + 1 + delta
+                if threshold < 0:  # exceeded by any bound, so the square is beside the point
+                    shown = f"k+1+delta = {frac_str(threshold)} (~{decimal_str(threshold)}) < 0"
+                else:
+                    shown = (f"(k+1+delta)^2 = {frac_str(threshold_sq)}"
+                             f" (~{decimal_str(threshold_sq)})")
+                print(f"  threshold {shown}, exceeded: {cert.star}")
         print(f"verdict: {cert.verdict}")
     return 0 if cert.certified else 1
 

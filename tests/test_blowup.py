@@ -425,10 +425,11 @@ def _search_cases(draw):
 
 class TestSearchAgainstBoxWalk:
     # a or b above t = k+1, as in (7, 2), (12, 12) and (30, 5), leaves rows whose
-    # beta window is empty (lo > hi) and, at r = 0, searches with no witness at all
+    # beta window is empty (lo > hi) and, at r = 0, searches with no witness at all;
+    # (6, 4) has gcd 2, so its lines of constant N.D step by (3, -2)
     GRID = [
         (a, b, k, r, delta)
-        for a, b in ((1, 1), (1, 3), (2, 2), (3, 3), (5, 4), (7, 2), (12, 12), (30, 5))
+        for a, b in ((1, 1), (1, 3), (2, 2), (3, 3), (5, 4), (6, 4), (7, 2), (12, 12), (30, 5))
         for k in (2, 3)
         for r in (0, 1, 2, 4, 7)
         for delta in (DELTA, Fraction(1, 3), Fraction(1))
@@ -452,6 +453,13 @@ class TestSearchAgainstBoxWalk:
     @example((2, 10, 2, 3, Fraction(3, 2), "standard"))
     @example((9, 9, 2, 3, Fraction(3, 50), "paper"))  # m_max = 50
     @example((9, 9, 2, 3, Fraction(3, 50), "standard"))
+    @example((4, 5, 4, 4, Fraction(5, 40), "paper"))  # lines step by (4, -5), m_max = 40
+    @example((4, 5, 4, 4, Fraction(5, 12), "standard"))
+    # b > t(M+1) for every M <= m_max: one row per M, with an empty window, where a walk
+    # of all t = 2001 lines per M would visit about 22.5 million (the standard formula's
+    # table keeps m_max at 600 and r at 1)
+    @example((10**9, 10**9 + 1, 2000, 3, DELTA, "paper"))
+    @example((10**9, 10**9 + 1, 2000, 1, Fraction(2001, 600), "standard"))
     def test_drawn_searches(self, case):
         _assert_walks_agree(*case)
 
@@ -472,7 +480,7 @@ class TestSearchBudget:
                                formula="standard")
 
     def test_paper_cells_are_weighted(self):
-        # 162,099,012 cells of one D^2 option: about 60 s of search, refused up front
+        # 162,099,012 cells of one D^2 option: about 30 s of search, refused up front
         t, m_max = 3, 6000
         assert _search_estimate(1, 1, t, 5, m_max, "paper") == 18 * 162_099_012
         start = time.monotonic()

@@ -153,12 +153,22 @@ class TestCheck:
         args = ["check", "-a", "12", "-b", "12", "-k", "-5", "-d", "10", "-r", "28"]
         result = invoke(args)
         assert result.exit_code == 1
-        assert "  [ok] star: " in result.output
         assert result.output.splitlines()[-1] == "verdict: hypotheses-not-met"
+        # both places name the negative threshold instead of its square
+        star = "Seshadri lower bound^2 = 2007/196, k+1+delta = -1911/500 < 0"
+        assert f"  [ok] star: {star}\n" in result.output
+        assert "  threshold k+1+delta = -1911/500 (~-3.822000) < 0, exceeded: True\n" in result.output
+        assert "(k+1+delta)^2" not in result.output
         payload = parse(invoke(args + ["--json"]))
         assert payload["derived"]["star_holds"] is True
+        assert payload["certificate_checks"][0] == {"name": "star", "ok": True, "detail": star}
         assert [c["name"] for c in payload["hypothesis_checks"] if not c["ok"]] == [
             "k-ge-2", "d-gt-(k+1)^2", "r-le-r_max"]
+        # k = -2 gives the first negative threshold; at k = -1 it is delta > 0, still squared
+        for k, threshold in ((-2, "k+1+delta = -411/500 (~-0.822000) < 0"),
+                             (-1, "(k+1+delta)^2 = 7921/250000 (~0.031684)")):
+            args[args.index("-k") + 1] = str(k)
+            assert f"  threshold {threshold}, exceeded: True\n" in invoke(args).output
 
     def test_unknown_surface_exit_two(self):
         result = invoke(["check", "--surface", "9"] + self.BASE[1:])
