@@ -171,6 +171,20 @@ class TestObstructionCondition:
     def test_negative_square_window(self):
         assert bs_condition3(1, -1, 2)
 
+    def test_clause_order_on_a_small_grid(self):
+        for nd, d2, k in itertools.product(range(-15, 16), range(-15, 16), range(-3, 13)):
+            assert bs_condition3(nd, d2, k) is _lower_bound_first(nd, d2, k), (nd, d2, k)
+
+    @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+           st.integers(-10**30, 10**30))
+    def test_clause_order_on_large_integers(self, nd, d2, k):
+        assert bs_condition3(nd, d2, k) is _lower_bound_first(nd, d2, k)
+
+
+def _lower_bound_first(nd, d2, k):
+    """The clause order bs_condition3 replaced: lower bound, then middle, then upper."""
+    return nd - k - 1 <= d2 and 2 * d2 < nd and nd < 2 * k + 2
+
 
 def _brute_force_witnesses(a, b, k, r, delta, formula):
     """Independent oracle: enumerate raw multiplicity r-tuples, no multiset tricks.
@@ -301,6 +315,17 @@ class TestSquareSumOptions:
                     assert len(parts) <= cap
                     assert sum(p * p for p in parts) == value
 
+    def test_values_match_the_whole_entry_decode(self):
+        table = _SquareSums(40, 40)
+        for n in range(0, 41):
+            for parts in range(0, n + 1):
+                assert table.values(n, parts) == _every_bit_values(table, n, parts), (n, parts)
+
+    def test_one_part_has_the_single_value_n_squared(self):
+        table = _SquareSums(1, 561)
+        for n in range(0, 562):
+            assert table.values(n, 1) == [n * n], n
+
     def test_representatives_are_lexicographic_maxima(self):
         # brute force: every descending partition, grouped by sum of squares
         for m_sum in range(0, 21):
@@ -312,6 +337,12 @@ class TestSquareSumOptions:
                         value = sum(p * p for p in parts)
                         best[value] = max(best.get(value, parts), parts)
                 assert _square_sum_options(m_sum, cap) == tuple(sorted(best.items())), (m_sum, cap)
+
+
+def _every_bit_values(table, n, parts):
+    """The decode values() replaced: every bit of the entry, from bit 0, through bin()."""
+    bits = bin(table.reach[parts][n])[:1:-1]
+    return [q for q, bit in enumerate(bits) if bit == "1"]
 
 
 def _partitions(n, max_part):
@@ -455,6 +486,8 @@ class TestSearchAgainstBoxWalk:
     @example((9, 9, 2, 3, Fraction(3, 50), "standard"))
     @example((4, 5, 4, 4, Fraction(5, 40), "paper"))  # lines step by (4, -5), m_max = 40
     @example((4, 5, 4, 4, Fraction(5, 12), "standard"))
+    # r = 1: every M has the single option M^2, the top bit of its table entry; m_max = 40
+    @example((3, 3, 2, 1, Fraction(3, 40), "standard"))
     # b > t(M+1) for every M <= m_max: one row per M, with an empty window, where a walk
     # of all t = 2001 lines per M would visit about 22.5 million (the standard formula's
     # table keeps m_max at 600 and r at 1)
@@ -480,7 +513,7 @@ class TestSearchBudget:
                                formula="standard")
 
     def test_paper_cells_are_weighted(self):
-        # 162,099,012 cells of one D^2 option: about 30 s of search, refused up front
+        # 162,099,012 cells of one D^2 option: about 20 s of search, refused up front
         t, m_max = 3, 6000
         assert _search_estimate(1, 1, t, 5, m_max, "paper") == 18 * 162_099_012
         start = time.monotonic()
