@@ -1,8 +1,10 @@
 """Divisor arithmetic on blow-ups, the verdict on one instance, and the obstruction search.
 
 Classes on the blow-up at r points are written pi^*F - sum m_i E_i with the
-usual exceptional relations E_i^2 = -1, E_i.E_j = 0, pi^*F.E_i = 0.  On top
-of the arithmetic this module provides:
+usual exceptional relations E_i^2 = -1, E_i.E_j = 0, pi^*F.E_i = 0.  The
+base class F is a :class:`DivisorClass` (a, b), whose numbers are the same on
+every surface type, so no function here takes the type.  On top of the
+arithmetic this module provides:
 
 * the adjoint-style class N = pi^*L - (k+1) sum E_i whose positivity drives
   the k-very-ampleness argument,
@@ -135,11 +137,11 @@ class InstanceCertificate(namedtuple(
 
 
 def certify_instance(
-    surface: int, a: int, b: int, k: int, d: int, r: int, c: RatLike, delta: RatLike
+    l_s: DivisorClass, k: int, d: int, r: int, c: RatLike, delta: RatLike
 ) -> InstanceCertificate:
-    """Decide whether pi^*(a,b) - k*sum(E_i) is certified k-very ample at r points.
+    """Decide whether pi^*L - k*sum(E_i) is certified k-very ample at r points.
 
-    The hypotheses are k >= 2, d > (k+1)^2, a, b >= d+2 and
+    Here L = l_s = (a, b).  The hypotheses are k >= 2, d > (k+1)^2, a, b >= d+2 and
     2 <= r <= r_max, where r_max = floor(c*L^2/(k+1)^2) for an ample L and 0
     for a class that is not.  The certificate checks are the Seshadri condition
     sqrt(L^2/r)*sqrt(1-1/(8r)) > k+1+delta, which fails for a class L that is
@@ -149,7 +151,7 @@ def certify_instance(
     bounds sum m_i by (k+1)/delta); otherwise :class:`ValueError` is raised.
     """
     c, delta = _unit(c), _positive(delta)
-    l_s = DivisorClass(a, b, surface)
+    a, b = l_s.a, l_s.b
     l2 = self_intersection(l_s)
     t = k + 1
     ample = is_ample(l_s)  # and then L^2 = 2ab > 0
@@ -196,7 +198,7 @@ def point_bound(l_s: DivisorClass, k: int, c: RatLike) -> tuple[int, int, list[s
     if k < 0:
         raise ValueError("k must be nonnegative")
     d = (k + 1) ** 2 + 1
-    cert = certify_instance(l_s.surface_id, l_s.a, l_s.b, k, d, 2, c, DELTA_DEFAULT)
+    cert = certify_instance(l_s, k, d, 2, c, DELTA_DEFAULT)
     failed = {name for name, ok, _ in cert.hypothesis_checks + cert.certificate_checks if not ok}
     warnings = [text for names, text in (
         ({"k-ge-2"}, f"k = {k} is below the theorem's floor k >= 2"),
@@ -244,11 +246,12 @@ SEARCH_BUDGET = 2 * 10**8
 #: r=40 under the standard formula, is 2339 witnesses x 40 = 93,560.
 OUTPUT_BUDGET = 10**6
 
-#: Steps a cell with a single D^2 option counts for: such a cell (every cell
-#: under the paper formula) costs about 95-155 ns along the lines of constant
-#: N.D, a condition test in a cell with many options about 85-150 ns (search CPU
-#: time over condition tests, 2-CPU Xeon VM, Python 3.11).  The weight was set
-#: when a paper cell cost about 600 ns; kept, it errs towards refusing.
+#: Steps a paper-formula cell counts for.  Such a cell has the single D^2 option
+#: D_S^2 - M^2 and costs about 95-155 ns along the lines of constant N.D, a
+#: condition test in a cell with many options about 85-150 ns (search CPU time
+#: over condition tests, 2-CPU Xeon VM, Python 3.11).  The weight was set when a
+#: paper cell cost about 600 ns; kept, it errs towards refusing.  A
+#: standard-formula cell is not weighed: it counts one step per option.
 PAPER_CELL_STEPS = 18
 
 
@@ -257,14 +260,16 @@ def _search_estimate(a: int, b: int, t: int, r: int, m_max: int, formula: str) -
 
     Rows (M, alpha) number sum_M (floor(t(M+1)/b) + 1).  Each row holds at most
     floor((t-1)/a) + 1 values of beta with 1 <= N.D <= t, and each such cell
-    tests every D^2 option of M; a cell with a single option counts as
-    :data:`PAPER_CELL_STEPS` steps.  Under the standard formula sum m_i^2 over j
-    parts takes values of the parity of M in [M^2/j, M^2], at most as many as
-    for M = m_max; the table of those values holds at most n^2 + 1 bits per
-    entry (j, n).  The search walks lines of constant N.D, not rows, but it
-    visits the same cells with the same tests, so the bound holds as it is:
-    each seed is a cell it tests anyway, and it reads the windows of only the
-    rows with alpha < a/gcd(a, b), never more rows than counted here.
+    tests every D^2 option of M.  A paper-formula cell (and any cell when
+    m_max = 0) counts as :data:`PAPER_CELL_STEPS` steps; a standard-formula cell
+    counts one step per option, also when it has one (every cell at r = 1).
+    Under the standard formula sum m_i^2 over j parts takes values of the
+    parity of M in [M^2/j, M^2], at most as many as for M = m_max; the table
+    of those values holds at most n^2 + 1 bits per entry (j, n).  The search
+    walks lines of constant N.D, not rows, but it visits the same cells with
+    the same tests, so the bound holds as it is: each seed is a cell it tests
+    anyway, and it reads the windows of only the rows with alpha < a/gcd(a, b),
+    never more rows than counted here.
     """
     rows = t * (m_max + 1) * (m_max + 2) // (2 * b) + m_max + 1
     width = (t - 1) // a + 1

@@ -19,7 +19,8 @@ import sys
 from fractions import Fraction
 
 from .blowup import certify_instance, point_bound, search_obstruction, seshadri_lower_sq
-from .constants import CertRecord, ConstantsReport, c_max_search, margin_fields, render_margin
+from .constants import (C_MAX_DEFAULT, DELTA_DEFAULT, CertRecord, ConstantsReport, c_max_search,
+                        margin_fields, render_margin)
 from .exactmath import QuadExpr, as_rat, decimal_str, frac_str
 from .hyperell import DivisorClass, surface_by_id, surface_table
 
@@ -137,7 +138,7 @@ def check(args) -> int:
     """
     surface, a, b, k, d, r = args.surface, args.a, args.b, args.k, args.d, args.r
     c, delta = args.c, args.delta
-    cert = _library(certify_instance, surface, a, b, k, d, r, c, delta)
+    cert = _library(certify_instance, DivisorClass(a, b), k, d, r, c, delta)
     ses_sq, threshold_sq = cert.seshadri_lower_sq, cert.threshold_sq
     if args.json:
         _emit_json(
@@ -184,8 +185,7 @@ def check(args) -> int:
 
 def max_r(args) -> int:
     """Largest admissible number of points, floor(c * L^2 / (k+1)^2)."""
-    l_s = DivisorClass(args.a, args.b, args.surface)
-    l2, r_max, warnings = _library(point_bound, l_s, args.k, args.c)
+    l2, r_max, warnings = _library(point_bound, DivisorClass(args.a, args.b), args.k, args.c)
     if args.json:
         _emit_json({"r_max": r_max, "L2": l2, "k": args.k, "c": frac_str(args.c),
                     "warnings": warnings})
@@ -199,7 +199,7 @@ def max_r(args) -> int:
 
 def seshadri(args) -> int:
     """Exact square of the multi-point Seshadri lower bound at r very general points."""
-    ses_sq = _library(seshadri_lower_sq, DivisorClass(args.a, args.b, args.surface), args.r)
+    ses_sq = _library(seshadri_lower_sq, DivisorClass(args.a, args.b), args.r)
     if args.json:
         _emit_json(
             {
@@ -273,8 +273,8 @@ def obstructions(args) -> int:
     than the output budget of multiplicities (the size is printed).
     """
     formula = args.formula
-    witnesses = _library(search_obstruction, DivisorClass(args.a, args.b, args.surface), args.k,
-                         args.r, args.delta, formula=formula)
+    witnesses = _library(search_obstruction, DivisorClass(args.a, args.b), args.k, args.r,
+                         args.delta, formula=formula)
     # streamed one witness at a time; a vector is written as rendered, never copied into a line
     write = sys.stdout.write
     if args.json:
@@ -326,8 +326,8 @@ def surfaces(args) -> int:
     return 0
 
 
-_POINT_COUNT = ("--c", "887/1000", "Point-count constant")
-_SLACK = ("--delta", "178/1000", "Seshadri slack")
+_POINT_COUNT = ("--c", C_MAX_DEFAULT, "Point-count constant")
+_SLACK = ("--delta", DELTA_DEFAULT, "Seshadri slack")
 
 #: subcommand -> (its function, the required int options of its polarization,
 #: its exact rational options as (flag, default, help))
@@ -380,7 +380,7 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     sub.add_argument("--help", action="help", help="Show this message and exit.")
     sub.add_argument("--json", action="store_true", help="Emit a single JSON object.")
     sub.add_argument("--quiet", action="store_true", help="Suppress detail lines.")
-    if ints:
+    if name == "check":  # shown in its output only: no number depends on the type
         sub.add_argument("--surface", type=_capped(int), choices=range(1, 8), default=1,
                          help="Bielliptic surface type (default 1).")
     for flag in ints:

@@ -4,8 +4,10 @@ Divisor classes modulo numerical equivalence form a rank-2 lattice with an
 isotropic basis.  In the normalized basis (A/mu, (mu/gamma)B) the pairing of
 the two generators is A*B/gamma = 1, so every one of the seven surface types
 shares the intersection matrix [[0, 1], [1, 0]]; the type only contributes
-the (mu, gamma) metadata and the basis label.  The canonical class is
-numerically trivial on these surfaces, so it never appears explicitly.
+the (mu, gamma) metadata and the basis label.  A class is therefore the pair
+(a, b) alone, on every type: no number derived from it depends on the type.
+The canonical class is numerically trivial on these surfaces, so it never
+appears explicitly.
 """
 
 from __future__ import annotations
@@ -57,38 +59,19 @@ def surface_by_id(type_id: int) -> SurfaceType:
 
 
 class DivisorClass(Value):
-    """Numerical class a*(A/mu) + b*(mu/gamma)*B, integer coordinates.
+    """Numerical class a*(A/mu) + b*(mu/gamma)*B, integer coordinates, on any surface type."""
 
-    ``surface_id`` is optional metadata; when two tagged classes from
-    different surface types meet in a pairing, the operation is rejected.
-    """
+    __slots__ = ("a", "b")
 
-    __slots__ = ("a", "b", "surface_id")
-
-    def __init__(self, a: int, b: int, surface_id: int | None = None) -> None:
+    def __init__(self, a: int, b: int) -> None:
         if not isinstance(a, int) or not isinstance(b, int):
             raise TypeError("divisor coordinates must be integers")
-        if surface_id is not None:
-            surface_by_id(surface_id)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "surface_id", surface_id)
-
-
-def _check_same_surface(d1: DivisorClass, d2: DivisorClass) -> None:
-    if (
-        d1.surface_id is not None
-        and d2.surface_id is not None
-        and d1.surface_id != d2.surface_id
-    ):
-        raise ValueError(
-            f"mixed surface types: {d1.surface_id} vs {d2.surface_id}"
-        )
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     """Intersection number a1*b2 + a2*b1 (the hyperbolic form [[0,1],[1,0]])."""
-    _check_same_surface(d1, d2)
     return d1.a * d2.b + d2.a * d1.b
 
 

@@ -139,7 +139,7 @@ def test_obstruction_oracle():
     assert len(instances) == 21 and instances[0] == (12, 12, 2, 10, 28)
     for a, b, k, d, r in instances:
         # the instance is certified: its hypotheses and certificate checks hold
-        assert certify_instance(1, a, b, k, d, r, C_MAX_DEFAULT, DELTA).certified
+        assert certify_instance(DivisorClass(a, b), k, d, r, C_MAX_DEFAULT, DELTA).certified
         assert a >= d + 2 and b >= d + 2
         assert 2 <= r <= floor(Fraction(887, 1000) * 2 * a * b / (k + 1) ** 2)
         for formula in ("paper", "standard"):

@@ -133,7 +133,7 @@ class TestAmpleness:
     def test_instance_without_ample_class_fails_star(self):
         # L^2 = 800 > 0, but (-20,-20) is not ample, so there is no Seshadri bound to check
         # and no r_max read off L^2
-        cert = certify_instance(1, -20, -20, 2, 10, 2, Fraction(887, 1000), DELTA)
+        cert = certify_instance(DivisorClass(-20, -20), 2, 10, 2, Fraction(887, 1000), DELTA)
         assert cert.seshadri_lower_sq is None and cert.star is None
         assert cert.l2 == 800 and cert.r_max == 0
         assert cert.hypothesis_checks[-1] == (
@@ -520,6 +520,19 @@ class TestSearchBudget:
         with pytest.raises(SearchTooLarge):
             search_obstruction(DivisorClass(1, 1), 2, 5, Fraction(1, 2000))
         assert time.monotonic() - start < 1.0
+
+    def test_standard_cells_count_one_step_per_option(self):
+        # (12,12), k=100, r=1: both formulas walk the same cells, each with one D^2 option,
+        # but only a paper cell weighs PAPER_CELL_STEPS.  So the standard search (450
+        # witnesses, run by CI) is accepted and the paper search is refused.
+        m_max = floor(101 / DELTA)  # 567
+        standard = _search_estimate(12, 12, 101, 1, m_max, "standard")
+        paper = _search_estimate(12, 12, 101, 1, m_max, "paper")
+        assert (standard, paper) == (134_091_659, 220_428_054)
+        assert standard <= SEARCH_BUDGET < paper
+        with pytest.raises(SearchTooLarge) as info:
+            search_obstruction(DivisorClass(12, 12), 100, 1, DELTA)
+        assert info.value.estimate == paper
 
     def test_output_is_bounded_in_witnesses_times_r(self):
         # (3,3) at k=2 has 5 paper witnesses whatever r is: 5 x 200,000 = OUTPUT_BUDGET

@@ -21,7 +21,7 @@ import kvacert
 from kvacert.blowup import certify_instance, search_obstruction, seshadri_lower_sq
 from kvacert.cli import MAX_DIGITS, MAX_EXPONENT, main
 from kvacert.constants import DELTA_DEFAULT, c_max_search
-from kvacert.hyperell import DivisorClass
+from kvacert.hyperell import DivisorClass, surface_by_id
 
 #: the environment of a fresh interpreter that imports this kvacert
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -143,7 +143,7 @@ class TestCheck:
     def test_out_of_range_constant_prints_the_library_message(self, option, value):
         c, delta = (value, Fraction(178, 1000)) if option == "--c" else (Fraction(887, 1000), value)
         with pytest.raises(ValueError) as exc:
-            certify_instance(1, 12, 12, 2, 10, 28, c, delta)
+            certify_instance(DivisorClass(12, 12), 2, 10, 28, c, delta)
         result = invoke(self.BASE + [option, str(value)])
         assert result.exit_code == 2
         assert result.output.endswith(f"Error: {exc.value}\n")
@@ -231,13 +231,46 @@ class TestVerdictOracle:
         a, b = d + 2 + a_gap, d + 2 + b_gap
         r = (floor(c * 2 * a * b / (t * t)) if t > 0 else 0) + r_gap
         want = oracle_exit(a, b, k, d, r, c, delta)
-        cert = certify_instance(surface, a, b, k, d, r, c, delta)
+        cert = certify_instance(DivisorClass(a, b), k, d, r, c, delta)
         assert (0 if cert.certified else 1) == want
         args = ["check", "--surface", str(surface), "-a", str(a), "-b", str(b), "-k", str(k),
                 "-d", str(d), "-r", str(r), "--c", str(c), "--delta", str(delta)]
         result = invoke(args)
         assert result.exit_code == want, result.output
         assert result.output.splitlines()[-1] == f"verdict: {cert.verdict}"
+
+
+class TestSurfaceType:
+    """The type only labels a class: every number is the same on all seven types."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.integers(-3, 40), b=st.integers(-3, 40), k=st.integers(-1, 5),
+           d=st.integers(-3, 40), r=st.integers(-3, 40))
+    def test_surface_type_enters_no_number(self, a, b, k, d, r):
+        args = ["-a", str(a), "-b", str(b), "-k", str(k), "-d", str(d), "-r", str(r)]
+        base_json, base_plain = (invoke(["check", "--surface", "1", *args, *flags])
+                                 for flags in (["--json"], []))
+        for surface in range(1, 8):
+            as_json = invoke(["check", "--surface", str(surface), *args, "--json"])
+            plain = invoke(["check", "--surface", str(surface), *args])
+            assert as_json.exit_code == plain.exit_code == base_json.exit_code
+            # JSON: the same bytes but for the value of inputs.surface
+            assert parse(as_json)["inputs"]["surface"] == surface
+            assert (as_json.output.replace(f'"surface": {surface},', '"surface": 1,', 1)
+                    == base_json.output)
+            # plain: the same lines but for the inputs: header
+            first, rest = plain.output.split("\n", 1)
+            group = surface_by_id(surface).group_name
+            assert first == f"inputs: surface={surface} ({group}) a={a} b={b} k={k} d={d} r={r}"
+            assert rest == base_plain.output.split("\n", 1)[1]
+        for command in (["max-r", "-a", str(a), "-b", str(b), "-k", str(k)],
+                        ["seshadri", "-a", str(a), "-b", str(b), "-r", str(r)],
+                        ["obstructions", "-a", str(a), "-b", str(b), "-k", str(k), "-r", str(r)]):
+            result = invoke([*command, "--surface", "1"])
+            assert result.exit_code == 2
+            assert "Traceback" not in result.stderr
+            errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+            assert errors == ["Error: unrecognized arguments: --surface 1"]
 
 
 class TestMaxR:
@@ -312,13 +345,13 @@ class TestMaxR:
               ({"r-ge-2"}, "r >= 2"), ({"a-ge-d+2", "b-ge-d+2"}, "a, b >= d+2")]
 
     @settings(max_examples=200, deadline=None)
-    @given(surface=st.integers(1, 7), a=st.integers(1, 60), b=st.integers(1, 60),
-           k=st.integers(0, 6), c=_ratios(1, 500, 886, 887, 888, 954, 999))
-    def test_warns_exactly_when_a_check_fails_for_every_d_and_r(self, surface, a, b, k, c):
-        payload = parse(invoke(["max-r", "--surface", str(surface), "-a", str(a), "-b", str(b),
-                                "-k", str(k), f"--c={c}", "--json"]))
+    @given(a=st.integers(1, 60), b=st.integers(1, 60), k=st.integers(0, 6),
+           c=_ratios(1, 500, 886, 887, 888, 954, 999))
+    def test_warns_exactly_when_a_check_fails_for_every_d_and_r(self, a, b, k, c):
+        payload = parse(invoke(["max-r", "-a", str(a), "-b", str(b), "-k", str(k), f"--c={c}",
+                                "--json"]))
         d = (k + 1) ** 2 + 1  # the smallest d > (k+1)^2
-        cert = certify_instance(surface, a, b, k, d, payload["r_max"], c, DELTA_DEFAULT)
+        cert = certify_instance(DivisorClass(a, b), k, d, payload["r_max"], c, DELTA_DEFAULT)
         assert payload["r_max"] == cert.r_max
         failed = {name for name, ok, _ in cert.hypothesis_checks + cert.certificate_checks
                   if not ok}
@@ -350,7 +383,7 @@ class TestSeshadri:
 
     def test_too_few_points_prints_the_library_message(self):
         with pytest.raises(ValueError) as exc:
-            seshadri_lower_sq(DivisorClass(1, 1, 1), 0)
+            seshadri_lower_sq(DivisorClass(1, 1), 0)
         result = invoke(["seshadri", "-a", "1", "-b", "1", "-r", "0"])
         assert (result.exit_code, result.output) == (2, f"Error: {exc.value}\n")
 
@@ -447,7 +480,7 @@ class TestObstructions:
     def test_invalid_input_prints_the_library_message(self, args, k, r, delta):
         a, b = int(args[1]), int(args[3])
         with pytest.raises(ValueError) as exc:
-            search_obstruction(DivisorClass(a, b, 1), k, r, delta)
+            search_obstruction(DivisorClass(a, b), k, r, delta)
         result = invoke(["obstructions", *args])
         assert result.exit_code == 2
         assert result.output.endswith(f"Error: {exc.value}\n")
@@ -712,13 +745,13 @@ _OPTIONS = {
     "check": {"--surface": _SURFACE, "-a": _INTS, "-b": _INTS,
               "-k": st.one_of(st.integers(-1, 5), _CAP_INTS), "-d": _INTS, "-r": _INTS,
               "--c": _RATIONALS, "--delta": _RATIONALS},
-    "max-r": {"--surface": _SURFACE, "-a": _INTS, "-b": _INTS,
+    "max-r": {"-a": _INTS, "-b": _INTS,
               "-k": st.one_of(st.integers(-1, 5), _CAP_INTS), "--c": _RATIONALS},
-    "seshadri": {"--surface": _SURFACE, "-a": _INTS, "-b": _INTS, "-r": _INTS},
+    "seshadri": {"-a": _INTS, "-b": _INTS, "-r": _INTS},
     "constants": {"--grid-step": st.one_of(_RATIONALS, st.just("1/1000000")),
                   "--kmin": st.one_of(st.integers(-1, 12), _CAP_INTS)},
-    "obstructions": {"--surface": _SURFACE, "-a": st.integers(0, 30),
-                     "-b": st.integers(0, 30), "-k": st.one_of(st.integers(1, 3), _CAP_INTS),
+    "obstructions": {"-a": st.integers(0, 30), "-b": st.integers(0, 30),
+                     "-k": st.one_of(st.integers(1, 3), _CAP_INTS),
                      "-r": st.one_of(st.integers(-1, 40), _CAP_INTS),
                      "--delta": st.sampled_from(["1/2", "1/4", "178/1000", "1", "3/2", "0",
                                                  "-1/3", "1/10000000", "abc"]),

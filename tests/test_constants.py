@@ -35,6 +35,7 @@ from kvacert.constants import (
     z_roots,
 )
 from kvacert.exactmath import Poly, QuadExpr, quad_floor_milli
+from kvacert.hyperell import DivisorClass
 
 C = C_MAX_DEFAULT  # 887/1000
 RADICAND_AT_3 = C - Fraction(9, 2304)  # c - t^2/(16 (t^2+3)^2) at t = 3
@@ -466,8 +467,8 @@ class TestMarginRendering:
 
 
 class TestCertifyInstance:
-    #: the README's certified instance: surface 1, (12, 12), k = 2, d = 10, r = 28
-    INSTANCE = (1, 12, 12, 2, 10, 28)
+    #: the README's certified instance: (12, 12), k = 2, d = 10, r = 28
+    INSTANCE = (DivisorClass(12, 12), 2, 10, 28)
 
     def test_certified_at_the_published_constants(self):
         assert certify_instance(*self.INSTANCE, C, DELTA_DEFAULT).certified

@@ -87,12 +87,6 @@ class TestIntersectionForm:
                 d = DivisorClass(a, b)
                 assert self_intersection(d) == intersect(d, d)
 
-    def test_mixed_surface_types_rejected(self):
-        with pytest.raises(ValueError):
-            intersect(DivisorClass(1, 0, surface_id=1), DivisorClass(0, 1, surface_id=2))
-        # an untagged class pairs with anything
-        assert intersect(DivisorClass(1, 0, surface_id=3), DivisorClass(0, 1)) == 1
-
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
     def test_symmetry(self, a1, b1, a2, b2):
         d1, d2 = DivisorClass(a1, b1), DivisorClass(a2, b2)

@@ -16,6 +16,7 @@
 * ``cli`` keeps no rule of its own: it raises ``UsageError`` only where the
   parser rejects an argument or the library rejects an input, and it does
   not import the ampleness predicate.
+* No module imports ``typing`` or ``dataclasses``, for their cost at import.
 """
 
 import ast
@@ -135,6 +136,23 @@ def test_every_public_name_is_reached_in_the_package():
 
 def test_constants_imports_only_exactmath():
     assert IMPORTS["constants"] == {"exactmath"}
+
+
+def test_no_module_imports_typing_or_dataclasses():
+    # typing's NamedTuple costs a few hundred microseconds per class at import, and a
+    # dataclass generates and compiles its methods at every import
+    imported = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            imported += [f"{module}:{node.lineno}: {name}" for name in names
+                         if name.partition(".")[0] in {"typing", "dataclasses"}]
+    assert imported == []
 
 
 def test_import_graph_has_no_cycle():
