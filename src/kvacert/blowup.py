@@ -246,12 +246,12 @@ SEARCH_BUDGET = 2 * 10**8
 #: r=40 under the standard formula, is 2339 witnesses x 40 = 93,560.
 OUTPUT_BUDGET = 10**6
 
-#: Steps a paper-formula cell counts for.  Such a cell has the single D^2 option
-#: D_S^2 - M^2 and costs about 95-155 ns along the lines of constant N.D, a
-#: condition test in a cell with many options about 85-150 ns (search CPU time
-#: over condition tests, 2-CPU Xeon VM, Python 3.11).  The weight was set when a
-#: paper cell cost about 600 ns; kept, it errs towards refusing.  A
-#: standard-formula cell is not weighed: it counts one step per option.
+#: Steps a paper-formula cell counts for.  Such a cell is one condition test of the
+#: shared walk, on its single D^2 option D_S^2 - M^2, and costs about 95-155 ns, a
+#: test in a cell with many options about 85-150 ns (search CPU time over condition
+#: tests, 2-CPU Xeon VM, Python 3.11).  The weight was set when a paper cell cost
+#: about 600 ns; kept, it errs towards refusing.  A standard-formula cell is not
+#: weighed: it counts one step per option.
 PAPER_CELL_STEPS = 18
 
 
@@ -265,7 +265,9 @@ def _search_estimate(a: int, b: int, t: int, r: int, m_max: int, formula: str) -
     counts one step per option, also when it has one (every cell at r = 1).
     Under the standard formula sum m_i^2 over j parts takes values of the
     parity of M in [M^2/j, M^2], at most as many as for M = m_max; the table
-    of those values holds at most n^2 + 1 bits per entry (j, n).  The search
+    of those values holds at most n^2 + 1 bits per entry (j, n).  They are
+    counted also when min(r, m_max) <= 1, where the search builds no table: the
+    bound stays valid there, only looser.  The search
     walks lines of constant N.D, not rows, but it visits the same cells with
     the same tests, so the bound holds as it is: each seed is a cell it tests
     anyway, and it reads the windows of only the rows with alpha < a/gcd(a, b),
@@ -362,25 +364,23 @@ def search_obstruction(
     D_S^2 = 2*alpha*beta changes by a difference that falls by 4pq a step, so
     D_S^2 is stepped by addition, and (alpha, beta) is recovered only for a
     witness.  The cells are exactly those of the row windows, but only the p
-    rows (at most) with alpha < p are read for seeds.  The two conventions below
-    get one cell loop each: under the paper formula a cell has the single
-    D^2 = D_S^2 - M^2, stepped along the line with one condition test per
-    cell; under the standard formula every D^2 option of M is tested on each
-    cell.
+    rows (at most) with alpha < p are read for seeds.  Both conventions below
+    run this walk: each line is walked once per D^2 option of M, with one
+    condition test per cell, and the formula sets only the number of parts.
 
     Multiplicity vectors are represented up to permutation by sorted
     multisets.  Only sum(m_i) enters N.D; for D^2 the two supported
     conventions differ:
 
-    * ``formula="paper"``: D^2 = D_S^2 - (sum m_i)^2.  Every multiset with
-      the same sum is then equivalent, so a single concentrated
-      representative (M, 0, ..., 0) is enumerated per sum.
+    * ``formula="paper"``: D^2 = D_S^2 - (sum m_i)^2, the standard formula
+      with all of M on one point: one part, one option M^2 and the single
+      representative (M, 0, ..., 0) per sum.
     * ``formula="standard"``: D^2 = D_S^2 - sum m_i^2.  Distinct multisets
       with equal sum now give distinct numbers, so every achievable value
       of sum(m_i^2) (over partitions into at most r parts) is enumerated.
       The values come from one bitset table per search (:class:`_SquareSums`,
-      polynomial in M); a witness carries the lexicographically largest
-      descending partition achieving its value.
+      polynomial in M; none for one part); a witness carries the
+      lexicographically largest descending partition achieving its value.
 
     The discrepancy between the two conventions is deliberate and surfaced
     to callers; it is never resolved silently.
@@ -409,7 +409,9 @@ def search_obstruction(
         raise SearchTooLarge(
             f"obstruction search too large: estimated {estimate} steps exceed the budget "
             f"of {SEARCH_BUDGET}; use a larger delta or a smaller k", estimate)
-    table = _SquareSums(min(r, m_max), m_max) if formula == "standard" else None
+    # the paper formula is the standard one with all of M on one point: one part, one option
+    parts = min(r if formula == "standard" else 1, m_max)
+    table = _SquareSums(parts, m_max) if parts > 1 else None
 
     g = gcd(a, b)
     p, q = a // g, b // g
@@ -417,31 +419,24 @@ def search_obstruction(
     condition = bs_condition3
     found = []  # (alpha, beta, M, D^2, N.D, D^2 option)
     for m_sum in range(0, m_max + 1):
-        sq = m_sum * m_sum
-        options = None if table is None else table.values(m_sum, min(r, m_sum))
+        options = (m_sum * m_sum,) if table is None else table.values(m_sum, min(parts, m_sum))
         # N.D = a*beta - rest, and 1 <= N.D <= t is the window of the row (M, alpha)
         rest = t * m_sum
         for alpha in range(0, min(p, (rest + t) // b + 1)):
             for beta in range(rest // a + 1 if rest >= 0 else 0, (rest + t) // a + 1):
                 # the seed (alpha, beta) opens the line; its j-th cell is (alpha + jp, beta - jq)
                 nd, first = a * beta - rest, 2 * (p * beta - q * alpha - p * q)
+                ds2 = 2 * alpha * beta
                 steps = range(first, first - curve * (beta // q + 1), -curve)
-                if options is None:  # the paper formula: one D^2 per cell
-                    d2 = 2 * alpha * beta - sq
+                if len(options) > 1:  # walked once per option: a list iterates faster
+                    steps = list(steps)
+                for option in options:
+                    d2 = ds2 - option
                     for step in steps:
                         if condition(nd, d2, k):
                             j = (first - step) // curve
-                            found.append((alpha + j * p, beta - j * q, m_sum, d2, nd, sq))
+                            found.append((alpha + j * p, beta - j * q, m_sum, d2, nd, option))
                         d2 += step
-                else:
-                    ds2 = 2 * alpha * beta
-                    for step in steps:
-                        for option in options:
-                            if condition(nd, ds2 - option, k):
-                                j = (first - step) // curve
-                                found.append((alpha + j * p, beta - j * q, m_sum, ds2 - option,
-                                              nd, option))
-                        ds2 += step
             rest -= b
     size = len(found) * r
     if size > OUTPUT_BUDGET:
@@ -458,7 +453,7 @@ def search_obstruction(
         mults = mults_of.get((m_sum, sq))
         if mults is None:
             if table is not None:
-                rep = table.representative(sq, m_sum, min(r, m_sum))
+                rep = table.representative(sq, m_sum, min(parts, m_sum))
             else:
                 rep = (m_sum,) if m_sum else ()
             mults = mults_of[m_sum, sq] = rep + (0,) * (r - len(rep))

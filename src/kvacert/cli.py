@@ -19,8 +19,8 @@ import sys
 from fractions import Fraction
 
 from .blowup import certify_instance, point_bound, search_obstruction, seshadri_lower_sq
-from .constants import (C_MAX_DEFAULT, DELTA_DEFAULT, CertRecord, ConstantsReport, c_max_search,
-                        margin_fields, render_margin)
+from .constants import (C_MAX_DEFAULT, DELTA_DEFAULT, GRID_STEP_DEFAULT, CertRecord,
+                        ConstantsReport, c_max_search, margin_fields, render_margin)
 from .exactmath import QuadExpr, as_rat, decimal_str, frac_str
 from .hyperell import DivisorClass, surface_by_id, surface_table
 
@@ -335,7 +335,7 @@ _COMMANDS = {
     "check": (check, "abkdr", (_POINT_COUNT, _SLACK)),
     "max-r": (max_r, "abk", (_POINT_COUNT,)),
     "seshadri": (seshadri, "abr", ()),
-    "constants": (constants, "", (("--grid-step", "1/1000", "Scan resolution for c"),)),
+    "constants": (constants, "", (("--grid-step", GRID_STEP_DEFAULT, "Scan resolution for c"),)),
     "obstructions": (obstructions, "abkr", (_SLACK,)),
     "surfaces": (surfaces, "", ()),
 }

@@ -59,9 +59,10 @@ from .exactmath import (
 #: the binding case of the main theorem: k = 2, i.e. t = k + 1 = 3
 BINDING_T = 3
 
-#: the constants reproduced by the default pipeline run
+#: the constants reproduced by the default pipeline run, and the grid step of its scan
 C_MAX_DEFAULT = Fraction(887, 1000)
 DELTA_DEFAULT = Fraction(178, 1000)
+GRID_STEP_DEFAULT = Fraction(1, 1000)
 
 #: Most grid points :func:`c_max_search` scans.  A step of 1/100000 or larger
 #: stays within it for every kmin, because the ceiling is below 1.
@@ -142,7 +143,7 @@ class ConstantsReport(namedtuple(
         c_max = 887/1000, delta_max = 178/1000 and the ceiling 954/1000
         exactly; at any other setting a feasible constant suffices.
         """
-        if (self.grid_step, self.kmin) == (Fraction(1, 1000), 2):
+        if (self.grid_step, self.kmin) == (GRID_STEP_DEFAULT, 2):
             return (self.c_max, self.delta_max, self.c_ceiling) == (
                 C_MAX_DEFAULT, DELTA_DEFAULT, Fraction(954, 1000))
         return self.feasible
@@ -565,7 +566,7 @@ def pipeline_certs(c: RatLike, t0: int = BINDING_T) -> tuple[bool, Fraction | No
     return feasible, delta, records
 
 
-def c_max_search(grid_step: RatLike = Fraction(1, 1000), kmin: int = 2) -> ConstantsReport:
+def c_max_search(grid_step: RatLike = GRID_STEP_DEFAULT, kmin: int = 2) -> ConstantsReport:
     """Scan c downward from the N^2-ceiling and return the largest feasible c.
 
     Every grid point is evaluated independently (the floored slack is not

@@ -281,6 +281,49 @@ class TestSearchOracle:
             search_obstruction(DivisorClass(3, 3), 2, 4, DELTA, formula="other")
 
 
+class TestPaperFormula:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 15), st.integers(1, 15), st.integers(2, 4), st.integers(1, 8),
+           st.fractions(Fraction(1, 20), 2, max_denominator=50))
+    def test_paper_formula_is_the_one_part_standard_formula(self, a, b, k, r, delta):
+        # D_S^2 - (sum m_i)^2 is D_S^2 - sum m_i^2 with all of M on one point
+        try:
+            paper = search_obstruction(DivisorClass(a, b), k, r, delta, "paper")
+            one_part = search_obstruction(DivisorClass(a, b), k, 1, delta, "standard")
+        except SearchTooLarge:
+            return
+        assert [w._replace(mults=w.mults[:1]) for w in paper] == one_part
+        assert all(not any(w.mults[1:]) for w in paper)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 40), st.integers(1, 40), st.integers(0, 300),
+           st.fractions(Fraction(1, 40), 2, max_denominator=100))
+    def test_empty_on_the_theorems_domain(self, k, da, db, r, delta):
+        """No paper witness when a, b >= t^2 + 1, t = k+1, for every r and delta.
+
+        Let s = alpha + beta and M = sum m_i.  The search box has N.D = L.D_S - tM <= t,
+        and a witness has D^2 >= N.D - t >= 1 - t.  Since L.D_S >= (t^2 + 1) s, the box
+        gives tM >= (t^2 + 1) s - t, so M >= ts - 1 + s/t, hence M >= ts when s >= 1
+        (M is an integer).
+        * alpha = 0 or beta = 0: D^2 = -M^2 <= -t^2 < 1 - t.
+        * alpha, beta >= 1, so s >= 2: D^2 = 2 alpha beta - M^2 <= s^2/2 - t^2 s^2,
+          which is below 1 - t because (t^2 - 1/2) s^2 >= 4t^2 - 2 > t - 1.
+        Only a, b >= t^2 + 1 is used: not r, not delta, and not the theorem's a, b >= d + 2.
+        """
+        t = k + 1
+        l_s = DivisorClass(t * t + da, t * t + db)
+        assert search_obstruction(l_s, k, r, delta, "paper") == []
+
+    @pytest.mark.parametrize("k, largest, domain", [(2, 5, 10), (3, 7, 17), (4, 11, 26)])
+    def test_largest_square_class_with_witnesses(self, k, largest, domain):
+        # the bound of the test above is not vacuous, nor sharp: paper witnesses on (a, a)
+        # stop well below the domain's a = (k+1)^2 + 1
+        assert domain == (k + 1) ** 2 + 1
+        assert search_obstruction(DivisorClass(largest, largest), k, 1, DELTA)
+        for a in range(largest + 1, domain + 1):
+            assert search_obstruction(DivisorClass(a, a), k, 1, DELTA) == [], a
+
+
 def _square_sum_options(m_sum: int, max_parts: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Distinct values of sum(m_i^2) over partitions of m_sum into <= max_parts parts.
 
@@ -522,9 +565,9 @@ class TestSearchBudget:
         assert time.monotonic() - start < 1.0
 
     def test_standard_cells_count_one_step_per_option(self):
-        # (12,12), k=100, r=1: both formulas walk the same cells, each with one D^2 option,
-        # but only a paper cell weighs PAPER_CELL_STEPS.  So the standard search (450
-        # witnesses, run by CI) is accepted and the paper search is refused.
+        # (12,12), k=100, r=1: both formulas run the same code, one pass per line with one
+        # D^2 option, but only a paper cell weighs PAPER_CELL_STEPS.  So the standard
+        # search (450 witnesses, run by CI) is accepted and the paper search is refused.
         m_max = floor(101 / DELTA)  # 567
         standard = _search_estimate(12, 12, 101, 1, m_max, "standard")
         paper = _search_estimate(12, 12, 101, 1, m_max, "paper")
