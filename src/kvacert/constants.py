@@ -94,7 +94,7 @@ class CertRecord(namedtuple(
 
     __slots__ = ()
     id: str
-    status: str  # "certified" | "refuted" | "undecided", see _status
+    status: str  # "certified" | "refuted" | "undecided", see _ray_record
     margin: Fraction | QuadExpr | None
     polys: Sequence[PolyRayResult]
     side_conditions: Sequence[str]
@@ -170,32 +170,34 @@ def _positive(delta: RatLike) -> Fraction:
     return delta
 
 
-def _status(claims: Sequence[PolyRayResult]) -> str:
-    """Status of a record resting on ray claims: a claim left undecided makes it undecided."""
-    if all(claim.positive for claim in claims):
-        return "certified"
-    return "undecided" if any(claim.method == "undecided" for claim in claims) else "refuted"
-
-
 def _ray_record(id: str, claims: Sequence[Poly], t0: RatLike, side: Sequence[Poly] = (),
                 margin: Fraction | QuadExpr | None = None, side_conditions: Sequence[str] = (),
                 details: Mapping = _EMPTY) -> CertRecord:
     """The record of "every claim and every side condition is positive on [t0, oo)".
 
     ``polys`` holds the ray certificates of the claims, then of the side
-    conditions; the status is :func:`_status` of all of them.  Unless given,
-    the margin is the last claim at t0, read off its certificate: the shifted
-    polynomial's constant term is p(t0), so no claim is evaluated twice.  The
-    counterexample is that of the first claim that fails.
+    conditions, all decided in one pass.  The record is certified if every
+    one is positive, undecided if one is left undecided, and refuted
+    otherwise.  Unless given, the margin is the last claim at t0, read off its
+    certificate: the shifted polynomial's constant term is p(t0), so no claim
+    is evaluated twice.  The counterexample is that of the first claim that
+    fails.
     """
-    rays = [poly_positive_on_ray(p, t0) for p in (*claims, *side)]
-    status = _status(rays)
-    failed = None if status == "certified" else next(
-        (ray for ray in rays[: len(claims)] if not ray.positive), None)
+    rays = []
+    status, counterexample, last = "certified", None, len(claims) - 1
+    for i, p in enumerate((*claims, *side)):
+        ray = poly_positive_on_ray(p, t0)
+        rays.append(ray)
+        if not ray.positive:
+            if status == "certified" and i <= last:
+                counterexample = ray.counterexample
+            if ray.method == "undecided":
+                status = "undecided"
+            elif status == "certified":
+                status = "refuted"
     if margin is None:
-        margin = rays[len(claims) - 1].value_at_t0
-    return CertRecord(id, status, margin, rays, side_conditions, details,
-                      failed.counterexample if failed else None)
+        margin = rays[last].value_at_t0
+    return CertRecord(id, status, margin, rays, side_conditions, details, counterexample)
 
 
 #: 2*(t^2+3)^2 = 2t^4 + 12t^2 + 18
@@ -308,24 +310,17 @@ def _terms(rows, den) -> tuple[list[tuple[int, int, int]], int, int, int]:
 _TERMS = {name: _terms(rows, den) for name, (rows, den) in _CLAIMS.items()}
 
 
-def _cleared(top: int, bottom: int, degree: int) -> list[int]:
-    """[top^j bottom^(degree-j) for j = 0..degree], degree <= 2: x^j cleared at x = top/bottom."""
-    if degree == 1:
-        return [bottom, top]
-    if degree == 2:
-        return [bottom * bottom, top * bottom, top * top]
-    return [1]
-
-
 def _claim(name: str, c: Fraction, delta: Fraction | None = None) -> Poly:
     """Claim ``name`` at c = n/d (and delta = p/q), cleared to its own degrees J and K.
 
     The column of x_m = c^j delta^-k is d^J p^K x_m = n^j d^(J-j) q^k p^(K-k).
     """
     terms, den, jmax, kmax = _TERMS[name]
-    x = _cleared(c.numerator, c.denominator, jmax)
+    n, d = c.numerator, c.denominator
+    x = [d, n] if jmax == 1 else [d * d, n * d, n * n] if jmax == 2 else [1]
     if kmax:
-        x = [u * v for v in _cleared(delta.denominator, delta.numerator, kmax) for u in x]
+        p, q = delta.numerator, delta.denominator
+        x = [u * v for v in ([p, q] if kmax == 1 else [p * p, q * p, q * q]) for u in x]
     num = [0] * 5
     for a, i, m in terms:
         num[i] += a * x[m]
@@ -514,8 +509,11 @@ def g_positive_cert(c: RatLike, delta: RatLike, t0: int = BINDING_T) -> CertReco
     3-decimal round-down of the slack makes or breaks it.
     """
     c, delta = _unit(c), _positive(delta)
-    record = _ray_record("g-positive", [_claim("g-positive", c, delta)], _at(t0).t)
-    return record._replace(details={"g_at_t0": record.margin, "c": c, "delta": delta})
+    details = {"g_at_t0": None, "c": c, "delta": delta}
+    record = _ray_record("g-positive", [_claim("g-positive", c, delta)], _at(t0).t,
+                         details=details)
+    details["g_at_t0"] = record.margin
+    return record
 
 
 def sigma_bound(t: int, delta: RatLike) -> Fraction:
@@ -581,13 +579,14 @@ def c_max_search(grid_step: RatLike = GRID_STEP_DEFAULT, kmin: int = 2) -> Const
 
     scanned = 0
     winner: tuple[Fraction, Fraction, list[CertRecord]] | None = None
+    num, den = grid_step.numerator, grid_step.denominator
     n = floor(ceiling / grid_step)
     if n > SCAN_BUDGET:
         raise SearchTooLarge(
             f"constants scan too large: {n} grid points exceed the budget of {SCAN_BUDGET}; "
             "use a larger grid step", n)
     while n >= 1:
-        c = n * grid_step
+        c = Fraction(n * num, den)
         scanned += 1
         ok, delta, certs = pipeline_certs(c, t0)
         if ok:
@@ -633,7 +632,8 @@ def standard_discrepancies() -> list[Discrepancy]:
 
     value_main = z2_3 - threshold_3
     alt_deriv = z2p_3 - threshold_3
-    alt_deriv_lin = z2p_3 - 2 * Fraction(3) / c * 3  # vs derivative of t^2/c at 3
+    # the label's reading: 6/c*3 = 18/c; the derivative of t^2/c at 3 is 6/c
+    alt_deriv_lin = z2p_3 - 2 * Fraction(3) / c * 3
 
     return [
         Discrepancy(

@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 RatLike = Fraction | int | str
@@ -274,6 +275,16 @@ def frac_str(x: RatLike) -> str:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=32)  # bounded, since the degree is the caller's; a scan uses degrees 1 to 4
+def _shift_steps(n: int) -> tuple[int, ...]:
+    """The steps of Horner's synthetic division at degree n: step j sets s[j] += a * s[j+1].
+
+    Pass i = 0..n-1 runs j from n-1 down to i, n(n+1)/2 steps in all; the
+    nested loops become one flat loop over this tuple.
+    """
+    return tuple(j for i in range(n) for j in range(n - 1, i - 1, -1))
+
+
 class Poly(Value):
     """Univariate polynomial over Q: integer numerators ``num`` over one denominator ``den``.
 
@@ -376,10 +387,8 @@ class Poly(Value):
         a, b = (t0.numerator, t0.denominator) if type(t0) is Fraction else _num_den(t0)
         n = len(num) - 1
         s = list(num) if b == 1 else [c * b ** (n - i) for i, c in enumerate(num)]
-        for i in range(n):
-            acc = s[n]
-            for j in range(n - 1, i - 1, -1):
-                acc = s[j] = s[j] + a * acc
+        for j in _shift_steps(n):
+            s[j] += a * s[j + 1]
         if b == 1:
             # a shift by an integer is unimodular: it keeps the gcd and the leading coefficient
             out = object.__new__(Poly)
@@ -430,9 +439,10 @@ def poly_positive_on_ray(p: Poly, t0: RatLike) -> PolyRayResult:
     if type(t0) is not Fraction:
         t0 = as_rat(t0)
     shifted = p.shift(t0)
+    num = shifted.num
     # den > 0, so the numerators carry the signs; the constant term is p(t0)
-    if shifted.num[0] <= 0:
-        return PolyRayResult(False, p, t0, "endpoint", shifted, counterexample=t0)
-    if min(shifted.num) >= 0:
-        return PolyRayResult(True, p, t0, "shift-coeffs", shifted)
-    return PolyRayResult(False, p, t0, "undecided", shifted)
+    if num[0] <= 0:
+        return PolyRayResult(False, p, t0, "endpoint", shifted, t0)
+    if min(num) >= 0:
+        return PolyRayResult(True, p, t0, "shift-coeffs", shifted, None)
+    return PolyRayResult(False, p, t0, "undecided", shifted, None)

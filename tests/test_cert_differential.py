@@ -4,10 +4,12 @@
 certificates that ``constants`` replaced.  For every drawn c in (0, 1), slack
 delta and binding t0 both must return records with the same ``repr`` (every
 field, the ray certificates with their shifts and methods included), or raise
-the same error.
+the same error.  A scan of the grid from the oracle's ceiling down, with the
+oracle's ``pipeline_certs`` at every point, checks ``c_max_search`` the same way.
 """
 
 from fractions import Fraction
+from math import floor
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -86,3 +88,36 @@ class TestCertificatesAgainstFractionOracle:
                                     "slack floors to zero", "'certified'", "'refuted'",
                                     "ValueError") if r in result}
         assert len(reasons) == 6
+
+
+def oracle_scan(grid_step: Fraction, kmin: int):
+    """(scanned, c_max, delta_max, records) of the oracle's scan from its ceiling down.
+
+    Each grid point is ``n * grid_step``, one oracle ``pipeline_certs`` call; the
+    records are the ceiling's, then the winner's, as ``c_max_search`` reports them
+    around its two records that do not depend on the grid.
+    """
+    ceiling, ceiling_record = fraction_certs.ceiling_with_cert(kmin)
+    scanned = 0
+    for n in range(floor(ceiling / grid_step), 0, -1):
+        c = n * grid_step
+        scanned += 1
+        ok, delta, certs = fraction_certs.pipeline_certs(c, kmin + 1)
+        if ok:
+            return scanned, c, delta, [ceiling_record, *certs]
+    return scanned, None, None, [ceiling_record]
+
+
+class TestScanAgainstOracle:
+    # steps with a numerator other than 1 build grid points n * num / den that need reducing
+    @settings(max_examples=30, deadline=None)
+    @given(st.builds(Fraction, st.integers(1, 9), st.integers(10, 10**4)), st.integers(2, 6))
+    @example(Fraction(3, 7000), 2)
+    @example(Fraction(1, 10000), 2)
+    @example(Fraction(7, 10), 2)  # one point, infeasible
+    @example(Fraction(9, 9998), 6)
+    def test_c_max_search(self, grid_step, kmin):
+        report = constants.c_max_search(grid_step, kmin)
+        scanned, c_max, delta_max, records = oracle_scan(grid_step, kmin)
+        assert (report.scanned, report.c_max, report.delta_max) == (scanned, c_max, delta_max)
+        assert repr([report.per_constraint[0], *report.per_constraint[3:]]) == repr(records)

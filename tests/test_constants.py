@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_certs
-from kvacert import constants
+from kvacert import constants, exactmath
 from kvacert.blowup import certify_instance
 from kvacert.constants import (
     C_MAX_DEFAULT,
@@ -396,6 +396,41 @@ class TestPipeline:
         # the ceiling is below 1 for every kmin
         for kmin in (2, 3, 10, 100, 10**4):
             assert floor(ceiling_from_n2(kmin) * 10**5) <= SCAN_BUDGET
+
+
+class TestScanWork:
+    """The work of the scan, counted as ``bench/test_bench.py`` pins it.
+
+    Every grid point whose slack floors above zero decides 8 ray claims, each
+    by one Taylor shift, and the default scan makes 68 such points plus the 6
+    claims of its three records that do not depend on the grid: 550 in all.
+    A change that skips or repeats a shift fails here.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"pipeline_certs": 0, "poly_positive_on_ray": 0, "shift": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                counts[name] += 1
+                return f(*args)
+            return wrapper
+
+        for owner, name in ((constants, "pipeline_certs"), (constants, "poly_positive_on_ray"),
+                            (exactmath.Poly, "shift")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        return counts
+
+    @pytest.mark.parametrize("c", [C, Fraction(888, 1000), Fraction(8879, 10000)])
+    def test_one_point(self, calls, c):
+        _, delta, _ = constants.pipeline_certs(c, 3)
+        assert delta > 0
+        assert calls == {"pipeline_certs": 1, "poly_positive_on_ray": 8, "shift": 8}
+
+    def test_default_scan(self, calls):
+        assert c_max_search().scanned == 68
+        assert calls == {"pipeline_certs": 68, "poly_positive_on_ray": 550, "shift": 550}
 
 
 class TestNoUndecidedClaims:

@@ -38,10 +38,20 @@ def coefficient_lists(draw):
     return cs + [Fraction(0)] * draw(st.integers(0, 2))
 
 
-points = st.one_of(
-    st.integers(-6, 9).map(Fraction),
-    st.fractions(min_value=-6, max_value=9, max_denominator=16),
-)
+integer_points = st.integers(-6, 9).map(Fraction)
+rational_points = st.fractions(min_value=-6, max_value=9, max_denominator=16).filter(
+    lambda t: t.denominator > 1)
+points = st.one_of(integer_points, rational_points)
+
+#: every degree up to 12, each shifted by an integer and a rational t0, so every entry of
+#: the shift's per-degree step table is reached on both of its paths
+DEGREES = range(13)
+
+
+def of_degree(n: int):
+    """Coefficient lists of degree exactly n: n free coefficients and a nonzero leading one."""
+    return st.builds(lambda cs, lead: cs + [lead],
+                     st.lists(coefficients, min_size=n, max_size=n), rats.filter(bool))
 
 
 def ray_result(p: Poly, t0: Fraction) -> tuple:
@@ -83,6 +93,16 @@ class TestPolyAgainstFractionKernel:
         shifted = Poly(cs).shift(t0)
         assert shifted.coeffs == FracPoly(cs).shift(t0).coeffs
         assert shifted(0) == Poly(cs)(t0)
+
+    @pytest.mark.parametrize("degree", DEGREES)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_shift_of_every_degree(self, degree, data):
+        cs = data.draw(of_degree(degree))
+        for t0 in (data.draw(integer_points), data.draw(rational_points)):
+            shifted = Poly(cs).shift(t0)
+            assert shifted.coeffs == FracPoly(cs).shift(t0).coeffs
+            assert len(shifted.coeffs) == degree + 1
 
     @settings(max_examples=300, deadline=None)
     @given(coefficient_lists(), st.integers(-12, 12))
@@ -127,6 +147,19 @@ class TestShiftAgainstSympy:
     @settings(max_examples=200, deadline=None)
     @given(cs=coefficient_lists(), t0=points)
     def test_shift_matches_expansion(self, sympy, cs, t0):
+        assert list(Poly(cs).shift(t0).coeffs) == self.expansion(sympy, cs, t0)
+
+    @pytest.mark.parametrize("degree", DEGREES)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_shift_of_every_degree(self, sympy, degree, data):
+        cs = data.draw(of_degree(degree))
+        for t0 in (data.draw(integer_points), data.draw(rational_points)):
+            assert list(Poly(cs).shift(t0).coeffs) == self.expansion(sympy, cs, t0)
+
+    @staticmethod
+    def expansion(sympy, cs, t0) -> list[Fraction]:
+        """The coefficients of sum cs[i] (x + t0)^i, expanded by sympy."""
         x = sympy.Symbol("x")
         expr = sum((sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(cs)),
                    sympy.Integer(0))
@@ -135,7 +168,7 @@ class TestShiftAgainstSympy:
         expected = [Fraction(int(c.p), int(c.q)) for c in reversed(shifted.all_coeffs())]
         while expected and expected[-1] == 0:
             expected.pop()
-        assert list(Poly(cs).shift(t0).coeffs) == expected
+        return expected
 
 
 surd_parts = st.one_of(
