@@ -385,6 +385,7 @@ def search_obstruction(
     The discrepancy between the two conventions is deliberate and surfaced
     to callers; it is never resolved silently.
 
+    A k below the theorem's floor is refused by :func:`sigma_bound`, before r.
     Raises :class:`SearchTooLarge`, before any work, when the closed-form
     bound of :func:`_search_estimate` on condition tests and table bits
     exceeds :data:`SEARCH_BUDGET`.  The walk records witnesses without their
@@ -392,11 +393,9 @@ def search_obstruction(
     only when the output, witnesses x r multiplicities, is within
     :data:`OUTPUT_BUDGET` (else :class:`SearchTooLarge` again).
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    sigma = sigma_bound(k + 1, delta)  # raises unless k >= 2 and delta > 0
     if r < 0:
         raise ValueError("r must be nonnegative")
-    sigma = sigma_bound(k + 1, delta)  # raises unless delta > 0
     if formula not in ("paper", "standard"):
         raise ValueError(f"unknown D^2 formula variant: {formula!r}")
     _ample(l_s)

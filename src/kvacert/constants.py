@@ -25,9 +25,11 @@ Each inequality that argument needs is certified here as an exact object:
 
 Every "for all k >= kmin" claim is reduced to an exact check at the binding
 t0 = kmin + 1 plus a polynomial positivity certificate on the ray
-[t0, oo); see :mod:`kvacert.exactmath`.  The claims that depend on c are one
-integer table, ``_CLAIMS``; one builder, ``_ray_record``, turns ray claims into
-every ray-based :class:`CertRecord` with its status, margin and counterexample.
+[t0, oo); see :mod:`kvacert.exactmath`.  One cached helper, ``_at``, holds
+the values at t0 and is the one place that refuses the theorem's floor k >= 2.
+The claims that depend on c are one integer table, ``_CLAIMS``; one builder,
+``_ray_record``, turns ray claims into every ray-based :class:`CertRecord`
+with its status, margin and counterexample.
 One helper, ``_slack``, derives the radicand, the slack surd and its 3-decimal
 floor from the integers of c; every slack here is read off it.
 
@@ -226,9 +228,9 @@ class _AtT0(namedtuple("_AtT0", "t t2 f two_t2p3_sq n2_rhs case1_rhs rad_z z1_cl
 
 @lru_cache(maxsize=128)  # bounded, since t0 is the caller's; a scan uses one
 def _at(t0: int) -> _AtT0:
-    """The values at t0, which is the theorem's binding t = k+1 and so at least 3."""
+    """The values at t0, the theorem's binding t = k+1; the one refusal of a k below 2."""
     if t0 < 3:
-        raise ValueError("t0 must be at least 3")
+        raise ValueError(f"k = {t0 - 1} is below the theorem's floor k >= 2")
     return _AtT0(Fraction(t0), t0 * t0, 4 * (t0 * t0 + 3), _TWO_T2P3_SQ(t0), Fraction(4 * t0 + 1),
                  Fraction((2 * t0 - 1) ** 2), _RAD_Z(t0), _Z1_CLEARED(t0))
 
@@ -353,9 +355,7 @@ def case_ds2_zero_cert(k: int, d: int) -> CertRecord:
     An isotropic obstruction class would need d+2 <= L.D_S <= (k+1)^2 while
     d+2 >= (k+1)^2+3; the two bounds are incompatible for every admissible d.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    t2 = (k + 1) ** 2
+    t2 = _at(k + 1).t2
     if d < t2 + 1:
         raise ValueError(f"d must exceed (k+1)^2 = {t2}")
     gap = d + 2 - t2
@@ -445,8 +445,6 @@ def ceiling_from_n2(kmin: int = 2) -> Fraction:
 
 
 def _ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
-    if kmin < 2:
-        raise ValueError("kmin must be at least 2")
     t0 = kmin + 1
     at = _at(t0)
     c_exact = 1 - at.n2_rhs / at.two_t2p3_sq
@@ -479,7 +477,7 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     * z_2(t) > t^2/c  <=>  (1-w^2)t^2 - 2(1+w)t - 1 > 0 with w = (1-c)/c
       (after squaring sqrt(rad) > w t^2 + t and dividing by t^2 > 0).
 
-    ``t0`` must be at least 3, so the radicand t0^4 - 2t0^3 is positive there.
+    The radicand t0^4 - 2t0^3 is positive at every t0 that :func:`_at` admits.
     """
     c, at = _unit(c), _at(t0)
     n = c.numerator
@@ -517,10 +515,8 @@ def g_positive_cert(c: RatLike, delta: RatLike, t0: int = BINDING_T) -> CertReco
 
 
 def sigma_bound(t: int, delta: RatLike) -> Fraction:
-    """Enumeration ceiling t/delta for the total multiplicity of a candidate."""
-    if t < 3:
-        raise ValueError("t must be at least 3")
-    return Fraction(t) / _positive(delta)
+    """Enumeration ceiling t/delta for the total multiplicity of a candidate, at t = k+1 >= 3."""
+    return _at(t).t / _positive(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +532,8 @@ def pipeline_certs(c: RatLike, t0: int = BINDING_T) -> tuple[bool, Fraction | No
     reproducing the canonical constants requires exactly this protocol.
     The radicand's sign, the slack's sign and the 3-decimal floor are decided
     on the integers of c by :func:`_slack`, with one integer square root; the
-    records still carry the radicand and the slack surd exactly.  ``t0`` must
-    be at least 3.
+    records still carry the radicand and the slack surd exactly.  :func:`_at`
+    refuses a ``t0`` below 3.
     """
     c = _unit(c)
 

@@ -41,7 +41,7 @@ def positive(delta) -> Fraction:
 def binding(t0: int) -> int:
     """``t0``, the theorem's binding t = k+1, which is at least 3 for every certificate."""
     if t0 < 3:
-        raise ValueError("t0 must be at least 3")
+        raise ValueError(f"k = {t0 - 1} is below the theorem's floor k >= 2")
     return t0
 
 

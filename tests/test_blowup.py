@@ -9,7 +9,7 @@ from math import floor
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kvacert.blowup as blowup_module
@@ -30,6 +30,7 @@ from kvacert.blowup import (
     seshadri_lower_sq,
     star_holds,
 )
+from kvacert.constants import C_MAX_DEFAULT
 from kvacert.hyperell import DivisorClass, intersect, self_intersection
 
 DELTA = Fraction(178, 1000)
@@ -314,14 +315,55 @@ class TestPaperFormula:
         l_s = DivisorClass(t * t + da, t * t + db)
         assert search_obstruction(l_s, k, r, delta, "paper") == []
 
-    @pytest.mark.parametrize("k, largest, domain", [(2, 5, 10), (3, 7, 17), (4, 11, 26)])
-    def test_largest_square_class_with_witnesses(self, k, largest, domain):
-        # the bound of the test above is not vacuous, nor sharp: paper witnesses on (a, a)
-        # stop well below the domain's a = (k+1)^2 + 1
-        assert domain == (k + 1) ** 2 + 1
-        assert search_obstruction(DivisorClass(largest, largest), k, 1, DELTA)
+    @pytest.mark.parametrize("formula, k, largest, domain", [
+        pytest.param("paper", 2, 5, 10, id="2-5-10"),
+        pytest.param("paper", 3, 7, 17, id="3-7-17"),
+        pytest.param("paper", 4, 11, 26, id="4-11-26"),
+        pytest.param("standard", 2, 7, 12, id="standard-2-7-12"),
+        pytest.param("standard", 3, 13, 19, id="standard-3-13-19"),
+        pytest.param("standard", 4, 21, 28, id="standard-4-21-28"),
+    ])
+    def test_largest_square_class_with_witnesses(self, formula, k, largest, domain):
+        # the bounds of the test above and of TestStandardFormula are not vacuous, nor sharp:
+        # witnesses on (a, a) stop well below the domain's smallest a.  For the paper formula
+        # at r = 1 that is (k+1)^2 + 1; for the standard formula at r in {2, r_max//2, r_max}
+        # it is the theorem's a = d + 2 = (k+1)^2 + 3, with r_max = floor(c L^2/(k+1)^2)
+        t = k + 1
+        assert domain == t * t + (1 if formula == "paper" else 3)
+
+        def points(a):
+            r_max = floor(C_MAX_DEFAULT * 2 * a * a / (t * t))
+            return (1,) if formula == "paper" else (2, r_max // 2, r_max)
+
+        assert search_obstruction(DivisorClass(largest, largest), k, points(largest)[-1], DELTA,
+                                  formula)
         for a in range(largest + 1, domain + 1):
-            assert search_obstruction(DivisorClass(a, a), k, 1, DELTA) == [], a
+            for r in points(a):
+                assert search_obstruction(DivisorClass(a, a), k, r, DELTA, formula) == [], (a, r)
+
+
+@st.composite
+def _certified_instances(draw):
+    """(class, k, d, r, delta) on the theorem's domain: d in [t^2+1, t^2+4], a and b in
+    [d+2, d+14] and r in [2, r_max], at the certified c and one of two slacks."""
+    k = draw(st.integers(2, 4))
+    t = k + 1
+    d = draw(st.integers(t * t + 1, t * t + 4))
+    l_s = DivisorClass(draw(st.integers(d + 2, d + 14)), draw(st.integers(d + 2, d + 14)))
+    r_max = floor(C_MAX_DEFAULT * self_intersection(l_s) / (t * t))
+    return l_s, k, d, draw(st.integers(2, r_max)), draw(st.sampled_from([DELTA, Fraction(1, 10)]))
+
+
+class TestStandardFormula:
+    @settings(max_examples=100, deadline=None)
+    @given(_certified_instances())
+    def test_no_witness_where_the_theorem_certifies(self, instance):
+        # the paper formula is empty here by TestPaperFormula's proof; the standard formula
+        # has no such proof yet, so this samples it
+        l_s, k, d, r, delta = instance
+        assume(certify_instance(l_s, k, d, r, C_MAX_DEFAULT, delta).certified)
+        for formula in ("paper", "standard"):
+            assert search_obstruction(l_s, k, r, delta, formula) == [], formula
 
 
 def _square_sum_options(m_sum: int, max_parts: int) -> tuple[tuple[int, tuple[int, ...]], ...]:

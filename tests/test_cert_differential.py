@@ -75,7 +75,7 @@ class TestCertificatesAgainstFractionOracle:
                                ("interval_containment_cert", (c,)), ("g_positive_cert", (c, delta)),
                                ("pipeline_certs", (c,)), ("delta_raw_at", (c,))):
                 assert outcome(getattr(constants, name), *args, t0) == (
-                    "ValueError: t0 must be at least 3"), name
+                    f"ValueError: k = {t0 - 1} is below the theorem's floor k >= 2"), name
 
     def test_fixed_points_reach_every_branch(self):
         # fixed points that reach each branch of pipeline_certs at least once

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fraction_certs
 from kvacert import constants, exactmath
-from kvacert.blowup import certify_instance
+from kvacert.blowup import certify_instance, search_obstruction
 from kvacert.constants import (
     C_MAX_DEFAULT,
     DELTA_DEFAULT,
@@ -289,6 +289,29 @@ class TestSigmaBound:
             sigma_bound(2, DELTA_DEFAULT)
         with pytest.raises(ValueError):
             sigma_bound(3, 0)
+
+
+class TestFloor:
+    # every entry below the theorem's floor k >= 2 (t0 = k+1 >= 3) is refused by _at alone,
+    # so each gives the one message, the words of point_bound's warning
+    @pytest.mark.parametrize("call", [
+        (pipeline_certs, C, 2),
+        (n2_chain_cert, C, 2),
+        (case1_cert, C, 2),
+        (interval_containment_cert, C, 2),
+        (g_positive_cert, C, DELTA_DEFAULT, 2),
+        (delta_raw_at, C, 2),
+        (c_max_search, constants.GRID_STEP_DEFAULT, 1),
+        (ceiling_from_n2, 1),
+        (case_ds2_zero_cert, 1, 10),
+        (sigma_bound, 2, DELTA_DEFAULT),
+        (search_obstruction, DivisorClass(3, 3), 1, 4),
+    ], ids=lambda call: call[0].__name__)
+    def test_one_message(self, call):
+        entry, *args = call
+        with pytest.raises(ValueError) as info:
+            entry(*args)
+        assert str(info.value) == "k = 1 is below the theorem's floor k >= 2"
 
 
 class TestPipeline:

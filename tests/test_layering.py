@@ -17,6 +17,8 @@
   parser rejects an argument or the library rejects an input, and it does
   not import the ampleness predicate.
 * No module imports ``typing`` or ``dataclasses``, for their cost at import.
+* The theorem's floor ``k >= 2`` is refused by one ``raise``, in
+  ``constants._at``, and no other ``raise`` restates it.
 """
 
 import ast
@@ -164,24 +166,46 @@ def test_import_graph_has_no_cycle():
     assert left == {}
 
 
-def usage_error_raisers(node: ast.AST, scope: str = "<module>") -> list[str]:
-    """The qualified name of the definition around each ``raise UsageError`` under ``node``."""
+def raisers(node: ast.AST, accept, scope: str = "<module>") -> list[str]:
+    """The qualified name of the definition around each ``raise`` under ``node`` that
+    ``accept`` takes."""
     found = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
-            found += usage_error_raisers(child, inner)
-        elif isinstance(child, ast.Raise) and any(
-                isinstance(n, ast.Name) and n.id == "UsageError" for n in ast.walk(child)):
+            found += raisers(child, accept, inner)
+        elif isinstance(child, ast.Raise) and accept(child):
             found.append(scope)
         else:
-            found += usage_error_raisers(child, scope)
+            found += raisers(child, accept, scope)
     return found
+
+
+def raise_text(node: ast.Raise) -> str:
+    """The string constants of a ``raise``, an f-string's literal parts included, joined."""
+    return "".join(n.value for n in ast.walk(node)
+                   if isinstance(n, ast.Constant) and isinstance(n.value, str))
 
 
 def test_cli_keeps_no_rule_of_its_own():
     tree = TREES["cli.py"]
-    assert set(usage_error_raisers(tree)) == {"_Parser.error", "_library"}
+    raises_usage_error = lambda node: any(
+        isinstance(n, ast.Name) and n.id == "UsageError" for n in ast.walk(node))
+    assert set(raisers(tree, raises_usage_error)) == {"_Parser.error", "_library"}
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "is_ample" not in imported
+
+
+def test_the_theorems_floor_is_refused_in_one_place():
+    def raising(phrase):
+        return [f"{module}:{scope}" for module, tree in TREES.items()
+                for scope in raisers(tree, lambda node: phrase in raise_text(node))]
+
+    assert raising("below the theorem's floor") == ["constants.py:_at"]
+    source = "".join(path.read_text() for path in PACKAGE.glob("*.py"))
+    assert "must be at least 3" not in source
+    # z_roots' own rule t >= 2 keeps its radicand t^4 - 2t^3 nonnegative (t = 2 gives the
+    # double root); it is not the theorem's floor
+    assert source.count("must be at least 2") == 1
+    assert raising("must be at least 2") == ["constants.py:z_roots"]
