@@ -236,51 +236,39 @@ class ObstructionWitness(namedtuple("ObstructionWitness", "d_s mults nd d2")):
     d2: int
 
 
-#: Largest search :func:`search_obstruction` attempts, in the units of
-#: :func:`_search_estimate`.  The largest instance in the tests, benchmark and
-#: README, (3,3) at k=8, r=40 under the standard formula, estimates 16,496,069.
-SEARCH_BUDGET = 2 * 10**8
+#: Largest search :func:`search_obstruction` attempts, in steps of
+#: :func:`_search_estimate`.  A step costs about 125-205 ns (2-CPU Xeon VM, Python
+#: 3.11), so the slowest accepted search, (1,1) at k=2, r=1, delta=1/860 under
+#: the paper formula (29,996,382 steps), takes 3.7-6.1 s of CPU.
+SEARCH_BUDGET = 3 * 10**7
 
 #: Largest output :func:`search_obstruction` returns, in multiplicities: every
 #: witness carries r of them.  The largest output in the README, (3,3) at k=8,
 #: r=40 under the standard formula, is 2339 witnesses x 40 = 93,560.
 OUTPUT_BUDGET = 10**6
 
-#: Steps a paper-formula cell counts for.  Such a cell is one condition test of the
-#: shared walk, on its single D^2 option D_S^2 - M^2, and costs about 95-155 ns, a
-#: test in a cell with many options about 85-150 ns (search CPU time over condition
-#: tests, 2-CPU Xeon VM, Python 3.11).  The weight was set when a paper cell cost
-#: about 600 ns; kept, it errs towards refusing.  A standard-formula cell is not
-#: weighed: it counts one step per option.
-PAPER_CELL_STEPS = 18
-
-
-def _search_estimate(a: int, b: int, t: int, r: int, m_max: int, formula: str) -> int:
+def _search_estimate(a: int, b: int, t: int, parts: int, m_max: int) -> int:
     """Closed-form upper bound on the search's steps: condition tests and table bits.
 
     Rows (M, alpha) number sum_M (floor(t(M+1)/b) + 1).  Each row holds at most
     floor((t-1)/a) + 1 values of beta with 1 <= N.D <= t, and each such cell
-    tests every D^2 option of M.  A paper-formula cell (and any cell when
-    m_max = 0) counts as :data:`PAPER_CELL_STEPS` steps; a standard-formula cell
-    counts one step per option, also when it has one (every cell at r = 1).
-    Under the standard formula sum m_i^2 over j parts takes values of the
-    parity of M in [M^2/j, M^2], at most as many as for M = m_max; the table
-    of those values holds at most n^2 + 1 bits per entry (j, n).  They are
-    counted also when min(r, m_max) <= 1, where the search builds no table: the
-    bound stays valid there, only looser.  The search
-    walks lines of constant N.D, not rows, but it visits the same cells with
-    the same tests, so the bound holds as it is: each seed is a cell it tests
-    anyway, and it reads the windows of only the rows with alpha < a/gcd(a, b),
-    never more rows than counted here.
+    has one condition test per D^2 option of M.  With at most one part there
+    is one option and no table, so the bound is the cells.  With more, sum
+    m_i^2 over j <= parts parts takes values of the parity of M in [M^2/j,
+    M^2], at most as many as for M = m_max, and the table of those values
+    holds at most n^2 + 1 bits per entry (j, n).  The search walks lines of
+    constant N.D, not rows, but it visits the same cells with the same tests,
+    so the bound holds as it is: each seed is a cell it tests anyway, and it
+    reads the windows of only the rows with alpha < a/gcd(a, b), never more
+    rows than counted here.
     """
     rows = t * (m_max + 1) * (m_max + 2) // (2 * b) + m_max + 1
-    width = (t - 1) // a + 1
-    if formula == "paper" or m_max == 0:
-        return PAPER_CELL_STEPS * rows * width
-    parts = min(r, m_max)
+    cells = rows * ((t - 1) // a + 1)
+    if parts <= 1:
+        return cells
     options = m_max * m_max * (parts - 1) // (2 * parts) + 1
     table_bits = (parts + 1) * (m_max * (m_max + 1) * (2 * m_max + 1) // 6 + m_max + 1)
-    return rows * width * options + table_bits
+    return cells * options + table_bits
 
 
 class _SquareSums:
@@ -387,11 +375,13 @@ def search_obstruction(
 
     A k below the theorem's floor is refused by :func:`sigma_bound`, before r.
     Raises :class:`SearchTooLarge`, before any work, when the closed-form
-    bound of :func:`_search_estimate` on condition tests and table bits
-    exceeds :data:`SEARCH_BUDGET`.  The walk records witnesses without their
-    multiplicity vectors; those are padded to length r only afterwards, and
-    only when the output, witnesses x r multiplicities, is within
-    :data:`OUTPUT_BUDGET` (else :class:`SearchTooLarge` again).
+    bound of :func:`_search_estimate` on the walk's steps (condition tests,
+    and table bits when there is a table) exceeds :data:`SEARCH_BUDGET`; it
+    depends on the formula only through the number of parts.  The walk
+    records witnesses without their multiplicity vectors; those are padded
+    to length r only afterwards, and only when the output, witnesses x r
+    multiplicities, is within :data:`OUTPUT_BUDGET` (else
+    :class:`SearchTooLarge` again).
     """
     sigma = sigma_bound(k + 1, delta)  # raises unless k >= 2 and delta > 0
     if r < 0:
@@ -403,13 +393,13 @@ def search_obstruction(
 
     t = k + 1
     m_max = floor(sigma) if r >= 1 else 0
-    estimate = _search_estimate(a, b, t, r, m_max, formula)
+    # the paper formula is the standard one with all of M on one point: one part, one option
+    parts = min(r if formula == "standard" else 1, m_max)
+    estimate = _search_estimate(a, b, t, parts, m_max)
     if estimate > SEARCH_BUDGET:
         raise SearchTooLarge(
             f"obstruction search too large: estimated {estimate} steps exceed the budget "
             f"of {SEARCH_BUDGET}; use a larger delta or a smaller k", estimate)
-    # the paper formula is the standard one with all of M on one point: one part, one option
-    parts = min(r if formula == "standard" else 1, m_max)
     table = _SquareSums(parts, m_max) if parts > 1 else None
 
     g = gcd(a, b)

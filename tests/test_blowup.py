@@ -286,12 +286,18 @@ class TestPaperFormula:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 15), st.integers(1, 15), st.integers(2, 4), st.integers(1, 8),
            st.fractions(Fraction(1, 20), 2, max_denominator=50))
+    @example(a=1, b=1, k=2, r=5, delta=Fraction(1, 2000))  # 162,099,012 cells: refused
     def test_paper_formula_is_the_one_part_standard_formula(self, a, b, k, r, delta):
         # D_S^2 - (sum m_i)^2 is D_S^2 - sum m_i^2 with all of M on one point
-        try:
-            paper = search_obstruction(DivisorClass(a, b), k, r, delta, "paper")
-            one_part = search_obstruction(DivisorClass(a, b), k, 1, delta, "standard")
-        except SearchTooLarge:
+        def search(r, formula):
+            try:
+                return search_obstruction(DivisorClass(a, b), k, r, delta, formula)
+            except SearchTooLarge as refused:
+                return refused.estimate
+
+        paper, one_part = search(r, "paper"), search(1, "standard")
+        if isinstance(paper, int) or isinstance(one_part, int):
+            assert paper == one_part  # one walk, one estimate: refused together
             return
         assert [w._replace(mults=w.mults[:1]) for w in paper] == one_part
         assert all(not any(w.mults[1:]) for w in paper)
@@ -488,10 +494,10 @@ def _box_walk_search(a, b, k, r, delta, formula, condition):
     return witnesses
 
 
-def _assert_walks_agree(a, b, k, r, delta, formula) -> int:
+def _assert_walks_agree(a, b, k, r, delta, formula) -> None:
     """The search and the box walk report the same witnesses from the same condition tests.
 
-    Returns the number of condition tests each made.
+    The search's estimate bounds those tests.
     """
     calls = defaultdict(int)
 
@@ -507,7 +513,10 @@ def _assert_walks_agree(a, b, k, r, delta, formula) -> int:
     case = (a, b, k, r, delta, formula)
     assert got == want, case
     assert calls["window"] == calls["box"], case
-    return calls["window"]
+    t = k + 1
+    m_max = floor(Fraction(t) / delta) if r >= 1 else 0
+    parts = min(r if formula == "standard" else 1, m_max)
+    assert calls["window"] <= _search_estimate(a, b, t, parts, m_max), case
 
 
 @st.composite
@@ -554,10 +563,7 @@ class TestSearchAgainstBoxWalk:
     @pytest.mark.parametrize("formula", ["paper", "standard"])
     def test_identical_witnesses_and_condition_tests(self, formula):
         for a, b, k, r, delta in self.GRID:
-            calls = _assert_walks_agree(a, b, k, r, delta, formula)
-            t = k + 1
-            m_max = floor(Fraction(t) / delta) if r >= 1 else 0
-            assert calls <= _search_estimate(a, b, t, r, m_max, formula)
+            _assert_walks_agree(a, b, k, r, delta, formula)
 
     @settings(max_examples=150, deadline=None)
     @given(_search_cases())
@@ -598,26 +604,29 @@ class TestSearchBudget:
                                formula="standard")
 
     def test_paper_cells_are_weighted(self):
-        # 162,099,012 cells of one D^2 option: about 20 s of search, refused up front
+        # a paper cell is one step: 162,099,012 cells of one D^2 option, refused up front
         t, m_max = 3, 6000
-        assert _search_estimate(1, 1, t, 5, m_max, "paper") == 18 * 162_099_012
+        assert _search_estimate(1, 1, t, 1, m_max) == 162_099_012
         start = time.monotonic()
-        with pytest.raises(SearchTooLarge):
+        with pytest.raises(SearchTooLarge) as info:
             search_obstruction(DivisorClass(1, 1), 2, 5, Fraction(1, 2000))
+        assert info.value.estimate == 162_099_012
         assert time.monotonic() - start < 1.0
 
     def test_standard_cells_count_one_step_per_option(self):
-        # (12,12), k=100, r=1: both formulas run the same code, one pass per line with one
-        # D^2 option, but only a paper cell weighs PAPER_CELL_STEPS.  So the standard
-        # search (450 witnesses, run by CI) is accepted and the paper search is refused.
-        m_max = floor(101 / DELTA)  # 567
-        standard = _search_estimate(12, 12, 101, 1, m_max, "standard")
-        paper = _search_estimate(12, 12, 101, 1, m_max, "paper")
-        assert (standard, paper) == (134_091_659, 220_428_054)
-        assert standard <= SEARCH_BUDGET < paper
-        with pytest.raises(SearchTooLarge) as info:
-            search_obstruction(DivisorClass(12, 12), 100, 1, DELTA)
-        assert info.value.estimate == paper
+        # at r = 1 both formulas walk the same cells with the single D^2 option M^2 and
+        # build no table, so identical walks get identical estimates: their cell counts
+        for (a, b), k, delta, cells in (((12, 12), 100, DELTA, 12_246_003),  # CI runs it
+                                        ((1, 1), 2, Fraction(1, 300), 3_659_862)):
+            for formula in ("paper", "standard"):
+                with mock.patch.object(blowup_module, "SEARCH_BUDGET", 0), \
+                        pytest.raises(SearchTooLarge) as info:
+                    search_obstruction(DivisorClass(a, b), k, 1, delta, formula)
+                assert info.value.estimate == cells <= SEARCH_BUDGET
+        # so the pair that the paper formula ran and the standard one refused runs under both
+        paper = search_obstruction(DivisorClass(1, 1), 2, 1, Fraction(1, 300))
+        assert paper == search_obstruction(DivisorClass(1, 1), 2, 1, Fraction(1, 300),
+                                           formula="standard")
 
     def test_output_is_bounded_in_witnesses_times_r(self):
         # (3,3) at k=2 has 5 paper witnesses whatever r is: 5 x 200,000 = OUTPUT_BUDGET
@@ -632,5 +641,10 @@ class TestSearchBudget:
         assert str(OUTPUT_BUDGET) in str(info.value)
 
     def test_largest_known_instance_is_far_below_the_budget(self):
-        # (3,3) at k=8, r=40 under the standard formula: m_max = floor(9/0.178) = 50
-        assert 10 * _search_estimate(3, 3, 9, 40, 50, "standard") <= SEARCH_BUDGET
+        # the budget lies between the largest searches that the README and CI run, (3,3)
+        # at k=8, r=40 under the standard formula (m_max = floor(9/0.178) = 50) and (12,12)
+        # at k=100, r=1 (m_max = 567), and the 162,099,012 cells of the smallest refusal
+        # in the tests
+        assert _search_estimate(3, 3, 9, 40, 50) == 16_496_069
+        assert _search_estimate(12, 12, 101, 1, 567) == 12_246_003
+        assert 16_496_069 <= SEARCH_BUDGET < 162_099_012

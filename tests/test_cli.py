@@ -490,8 +490,8 @@ class TestObstructions:
             ["obstructions", "-a", "12", "-b", "12", "-k", "2", "-r", "28", "--delta", "1/10000000"],
         )
         assert result.exit_code == 2
-        # 112500041250001 cells of one D^2 option each, 18 steps a cell
-        assert "estimated 2025000742500018 steps exceed the budget" in result.output
+        # 112500041250001 cells of one D^2 option each, one step a cell
+        assert "estimated 112500041250001 steps exceed the budget" in result.output
 
     def test_oversized_output_refused_promptly(self):
         start = time.monotonic()
