@@ -2,25 +2,31 @@
 
 Subcommands: ``check``, ``max-r``, ``seshadri``, ``constants``, ``obstructions``,
 ``surfaces``.  Exit codes are uniform: 0 for success/certified, 1 for a check
-that ran and failed, 2 for usage errors.  ``--json`` emits a single canonical
-JSON object (fixed key order, exact rationals as "num/den" strings, decimal
-fields suffixed ``_approx``); ``--quiet`` trims the human-readable detail.
-Both flags are accepted before and after the subcommand.  The parser is the
-standard library's ``argparse``, with abbreviated long options refused.
-Every verdict, bound, warning and range check is the library's; the command
-itself refuses only what the parser rejects and numbers over the digit cap.
+that ran and failed, 2 for usage errors; the ``kvacert`` process exits 141
+(128 + SIGPIPE) when the reader of its stdout has gone.  ``--json`` emits a
+single canonical JSON object (fixed key order, exact rationals as "num/den"
+strings, decimal fields suffixed ``_approx``); ``--quiet`` drops the detail
+lines of the text, and ``--json`` ignores it.  Both flags are accepted before
+and after the subcommand.  Each command builds its JSON payload once and
+passes it, with its text lines, to one output helper, ``_show``, which alone
+reads the two flags; only ``obstructions`` streams its output with its own
+writer.  The parser is the standard library's ``argparse``, with abbreviated
+long options refused.  Every verdict, bound, warning and range check is the
+library's; the command itself refuses only what the parser rejects and numbers
+over the digit cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from fractions import Fraction
 
 from .blowup import certify_instance, point_bound, search_obstruction, seshadri_lower_sq
-from .constants import (C_MAX_DEFAULT, DELTA_DEFAULT, GRID_STEP_DEFAULT, CertRecord,
-                        ConstantsReport, c_max_search, margin_fields, render_margin)
+from .constants import (C_MAX_DEFAULT, DELTA_DEFAULT, GRID_STEP_DEFAULT, c_max_search,
+                        margin_fields, render_margin)
 from .exactmath import QuadExpr, as_rat, decimal_str, frac_str
 from .hyperell import DivisorClass, surface_by_id, surface_table
 
@@ -76,58 +82,35 @@ def _library(call, *args, **kwargs):
         raise UsageError(str(exc)) from None
 
 
-def _sqrt_approx(x: Fraction) -> str:
-    return QuadExpr(0, 1, x).approx_str()
-
-
-def _emit_json(payload: dict) -> None:
-    import json  # only here: a command that prints text skips the import
-
-    print(json.dumps(payload, indent=2))
-
-
 def _exact_fields(name: str, value) -> dict:
     """``name`` and ``name_approx`` keys: the exact and decimal renderings of a rational or surd."""
     exact, approx = margin_fields(value)
     return {name: exact, f"{name}_approx": approx}
 
 
-def _checks_to_list(checks: list[tuple[str, bool, str]]) -> list[dict]:
-    return [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks]
+def _bound_fields(ses_sq: Fraction | None) -> dict:
+    """The keys of the Seshadri lower bound: its exact square and the decimals of both."""
+    root = QuadExpr(0, 1, ses_sq).approx_str() if ses_sq is not None else None
+    return {**_exact_fields("seshadri_lower_sq", ses_sq), "seshadri_lower_approx": root}
 
 
-def _cert_to_dict(rec: CertRecord) -> dict:
-    return {
-        "id": rec.id,
-        "status": rec.status,
-        **_exact_fields("margin", rec.margin),
-        "side_conditions": list(rec.side_conditions),
-        "counterexample": frac_str(rec.counterexample) if rec.counterexample is not None else None,
-    }
+def _show(args, payload: dict, text, code: int = 0) -> int:
+    """Print ``payload`` as JSON under ``--json``, else the lines of ``text()``; return ``code``.
 
+    In that list a string is a line, and any other item an iterable of detail lines,
+    which ``--quiet`` drops.  A JSON run never calls ``text``, and a quiet one never
+    iterates the details.  No other code reads the two flags, but for the JSON that
+    ``obstructions`` streams.
+    """
+    if args.json:
+        import json  # only here: a command that prints text skips the import
 
-def _report_to_dict(report: ConstantsReport) -> dict:
-    return {
-        **_exact_fields("c_max", report.c_max),
-        **_exact_fields("delta_max", report.delta_max),
-        **_exact_fields("c_ceiling", report.c_ceiling),
-        "grid_step": frac_str(report.grid_step),
-        "kmin": report.kmin,
-        "feasible": report.feasible,
-        "scanned": report.scanned,
-        "per_constraint": [_cert_to_dict(r) for r in report.per_constraint],
-        "discrepancies": [
-            {
-                "id": d.id,
-                "quoted": d.quoted,
-                "recomputed": d.recomputed,
-                **_exact_fields("exact", d.exact),
-                "note": d.note,
-                "alternatives": dict(d.alternatives),
-            }
-            for d in report.discrepancies
-        ],
-    }
+        print(json.dumps(payload, indent=2))
+    else:
+        for part in text():
+            for line in [part] if isinstance(part, str) else (() if args.quiet else part):
+                print(line)
+    return code
 
 
 def check(args) -> int:
@@ -137,81 +120,62 @@ def check(args) -> int:
     otherwise; the output lists each check either way.
     """
     surface, a, b, k, d, r = args.surface, args.a, args.b, args.k, args.d, args.r
-    c, delta = args.c, args.delta
-    cert = _library(certify_instance, DivisorClass(a, b), k, d, r, c, delta)
-    ses_sq, threshold_sq = cert.seshadri_lower_sq, cert.threshold_sq
-    if args.json:
-        _emit_json(
-            {
-                "inputs": {"surface": surface, "a": a, "b": b, "k": k, "d": d, "r": r},
-                "hypothesis_checks": _checks_to_list(cert.hypothesis_checks),
-                "certificate_checks": _checks_to_list(cert.certificate_checks),
-                "derived": {
-                    "L2": cert.l2,
-                    "r_max": cert.r_max,
-                    "N2": cert.n2,
-                    **_exact_fields("seshadri_lower_sq", ses_sq),
-                    "seshadri_lower_approx": _sqrt_approx(ses_sq) if ses_sq is not None else None,
-                    **_exact_fields("threshold_sq", threshold_sq),
-                    "star_holds": cert.star,
-                    "c": frac_str(c),
-                    "delta": frac_str(delta),
-                },
-                "verdict": cert.verdict,
-            }
-        )
-    else:
-        group = surface_by_id(surface).group_name
-        print(f"inputs: surface={surface} ({group}) a={a} b={b} k={k} d={d} r={r}")
-        if not args.quiet:
-            for name, ok, detail in cert.hypothesis_checks + cert.certificate_checks:
-                print(f"  [{'ok' if ok else 'FAIL'}] {name}: {detail}")
-            print(f"  L^2 = {cert.l2}, r_max = {cert.r_max}, N^2 = {cert.n2}")
-            if ses_sq is not None:
-                print(
-                    f"  Seshadri lower bound^2 = {frac_str(ses_sq)}"
-                    f" (~{decimal_str(ses_sq)}), bound ~ {_sqrt_approx(ses_sq)}"
-                )
-                threshold = k + 1 + delta
-                if threshold < 0:  # exceeded by any bound, so the square is beside the point
-                    shown = f"k+1+delta = {frac_str(threshold)} (~{decimal_str(threshold)}) < 0"
-                else:
-                    shown = (f"(k+1+delta)^2 = {frac_str(threshold_sq)}"
-                             f" (~{decimal_str(threshold_sq)})")
-                print(f"  threshold {shown}, exceeded: {cert.star}")
-        print(f"verdict: {cert.verdict}")
-    return 0 if cert.certified else 1
+    cert = _library(certify_instance, DivisorClass(a, b), k, d, r, args.c, args.delta)
+    derived = {
+        "L2": cert.l2,
+        "r_max": cert.r_max,
+        "N2": cert.n2,
+        **_bound_fields(cert.seshadri_lower_sq),
+        **_exact_fields("threshold_sq", cert.threshold_sq),
+        "star_holds": cert.star,
+        "c": frac_str(args.c),
+        "delta": frac_str(args.delta),
+    }
+    payload = {
+        "inputs": {"surface": surface, "a": a, "b": b, "k": k, "d": d, "r": r},
+        "hypothesis_checks": [{"name": name, "ok": ok, "detail": detail}
+                              for name, ok, detail in cert.hypothesis_checks],
+        "certificate_checks": [{"name": name, "ok": ok, "detail": detail}
+                               for name, ok, detail in cert.certificate_checks],
+        "derived": derived,
+        "verdict": cert.verdict,
+    }
+    threshold = k + 1 + args.delta
+    return _show(args, payload, lambda: [
+        f"inputs: surface={surface} ({surface_by_id(surface).group_name})"
+        f" a={a} b={b} k={k} d={d} r={r}",
+        (f"  [{'ok' if ok else 'FAIL'}] {name}: {detail}"
+         for name, ok, detail in cert.hypothesis_checks + cert.certificate_checks),
+        [f"  L^2 = {cert.l2}, r_max = {cert.r_max}, N^2 = {cert.n2}"],
+        [
+            f"  Seshadri lower bound^2 = {derived['seshadri_lower_sq']}"
+            f" (~{derived['seshadri_lower_sq_approx']}),"
+            f" bound ~ {derived['seshadri_lower_approx']}",
+            # a negative k+1+delta is exceeded by any bound, so its square is beside the point
+            (f"  threshold k+1+delta = {frac_str(threshold)} (~{decimal_str(threshold)}) < 0,"
+             f" exceeded: {cert.star}") if threshold < 0 else
+            (f"  threshold (k+1+delta)^2 = {derived['threshold_sq']}"
+             f" (~{derived['threshold_sq_approx']}), exceeded: {cert.star}"),
+        ] if cert.seshadri_lower_sq is not None else (),
+        f"verdict: {cert.verdict}",
+    ], 0 if cert.certified else 1)
 
 
 def max_r(args) -> int:
     """Largest admissible number of points, floor(c * L^2 / (k+1)^2)."""
     l2, r_max, warnings = _library(point_bound, DivisorClass(args.a, args.b), args.k, args.c)
-    if args.json:
-        _emit_json({"r_max": r_max, "L2": l2, "k": args.k, "c": frac_str(args.c),
-                    "warnings": warnings})
-    else:
-        print(str(r_max))
-        if not args.quiet:
-            for w in warnings:
-                print(f"warning: {w}")
-    return 0
+    payload = {"r_max": r_max, "L2": l2, "k": args.k, "c": frac_str(args.c), "warnings": warnings}
+    return _show(args, payload, lambda: [str(r_max), (f"warning: {w}" for w in warnings)])
 
 
 def seshadri(args) -> int:
     """Exact square of the multi-point Seshadri lower bound at r very general points."""
-    ses_sq = _library(seshadri_lower_sq, DivisorClass(args.a, args.b), args.r)
-    if args.json:
-        _emit_json(
-            {
-                **_exact_fields("seshadri_lower_sq", ses_sq),
-                "seshadri_lower_approx": _sqrt_approx(ses_sq),
-            }
-        )
-    else:
-        print(f"seshadri lower bound^2 = {frac_str(ses_sq)} (~{decimal_str(ses_sq)})")
-        if not args.quiet:
-            print(f"seshadri lower bound   ~ {_sqrt_approx(ses_sq)}")
-    return 0
+    payload = _bound_fields(_library(seshadri_lower_sq, DivisorClass(args.a, args.b), args.r))
+    return _show(args, payload, lambda: [
+        f"seshadri lower bound^2 = {payload['seshadri_lower_sq']}"
+        f" (~{payload['seshadri_lower_sq_approx']})",
+        [f"seshadri lower bound   ~ {payload['seshadri_lower_approx']}"],
+    ])
 
 
 def constants(args) -> int:
@@ -224,26 +188,48 @@ def constants(args) -> int:
     below the ceiling than the scan budget (the count is printed).
     """
     report = _library(c_max_search, args.grid_step, args.kmin)
-    if args.json:
-        _emit_json(_report_to_dict(report))
-    else:
-        def show(label, value):
-            if value is None:
-                print(f"{label}: none (empty feasible set)")
-            else:
-                print(f"{label} = {frac_str(value)} (~{decimal_str(value)})")
-
-        show("c_max", report.c_max)
-        show("delta_max", report.delta_max)
-        show("c_ceiling", report.c_ceiling)
-        if not args.quiet:
-            print(f"grid step {frac_str(report.grid_step)}, kmin {report.kmin}, "
-                  f"{report.scanned} grid points scanned")
-            for rec in report.per_constraint:
-                print(f"  [{rec.status}] {rec.id}: margin {render_margin(rec.margin)}")
-            for disc in report.discrepancies:
-                print(f"  [recomputed] {disc.id}: quoted {disc.quoted!r}; {disc.recomputed}")
-    return 0 if report.verified else 1
+    payload = {
+        **_exact_fields("c_max", report.c_max),
+        **_exact_fields("delta_max", report.delta_max),
+        **_exact_fields("c_ceiling", report.c_ceiling),
+        "grid_step": frac_str(report.grid_step),
+        "kmin": report.kmin,
+        "feasible": report.feasible,
+        "scanned": report.scanned,
+        "per_constraint": [
+            {
+                "id": rec.id,
+                "status": rec.status,
+                **_exact_fields("margin", rec.margin),
+                "side_conditions": list(rec.side_conditions),
+                "counterexample": (frac_str(rec.counterexample)
+                                   if rec.counterexample is not None else None),
+            }
+            for rec in report.per_constraint
+        ],
+        "discrepancies": [
+            {
+                "id": d.id,
+                "quoted": d.quoted,
+                "recomputed": d.recomputed,
+                **_exact_fields("exact", d.exact),
+                "note": d.note,
+                "alternatives": dict(d.alternatives),
+            }
+            for d in report.discrepancies
+        ],
+    }
+    return _show(args, payload, lambda: [
+        *(f"{name}: none (empty feasible set)" if payload[name] is None
+          else f"{name} = {payload[name]} (~{payload[f'{name}_approx']})"
+          for name in ("c_max", "delta_max", "c_ceiling")),
+        [f"grid step {payload['grid_step']}, kmin {report.kmin},"
+         f" {report.scanned} grid points scanned"],
+        (f"  [{rec.status}] {rec.id}: margin {render_margin(rec.margin)}"
+         for rec in report.per_constraint),
+        (f"  [recomputed] {disc.id}: quoted {disc.quoted!r}; {disc.recomputed}"
+         for disc in report.discrepancies),
+    ], 0 if report.verified else 1)
 
 
 def _json_mults(mults: tuple[int, ...]) -> str:
@@ -299,31 +285,20 @@ def obstructions(args) -> int:
 
 def surfaces(args) -> int:
     """The seven types of bielliptic surfaces with their lattice metadata."""
-    rows = surface_table()
-    if args.json:
-        _emit_json(
-            {
-                "surfaces": [
-                    {
-                        "id": s.id,
-                        "group": s.group_name,
-                        "multiplicities": list(s.fiber_multiplicities),
-                        "mu": s.mu,
-                        "gamma": s.gamma,
-                        "basis": s.basis_label,
-                    }
-                    for s in rows
-                ]
-            }
-        )
-    else:
-        for s in rows:
-            mults = ",".join(str(m) for m in s.fiber_multiplicities)
-            print(
-                f"{s.id}: G = {s.group_name}; fibres {mults}; "
-                f"mu = {s.mu}, gamma = {s.gamma}; basis {s.basis_label}"
-            )
-    return 0
+    rows = [
+        {
+            "id": s.id,
+            "group": s.group_name,
+            "multiplicities": list(s.fiber_multiplicities),
+            "mu": s.mu,
+            "gamma": s.gamma,
+            "basis": s.basis_label,
+        }
+        for s in surface_table()
+    ]
+    return _show(args, {"surfaces": rows}, lambda: [
+        f"{s['id']}: G = {s['group']}; fibres {','.join(map(str, s['multiplicities']))}; "
+        f"mu = {s['mu']}, gamma = {s['gamma']}; basis {s['basis']}" for s in rows])
 
 
 _POINT_COUNT = ("--c", C_MAX_DEFAULT, "Point-count constant")
@@ -429,9 +404,19 @@ def run() -> None:
     collection during the command nor the ones at interpreter shutdown
     traverse it again.  ``main`` itself never freezes, so tests and other
     in-process callers keep an ordinary heap.
+
+    A reader that closes the pipe early ends the process with status 141
+    (128 + SIGPIPE, what a shell reports for ``yes | head -1``), not a traceback.
     """
     gc.freeze()
-    main()
+    try:
+        code = main(standalone_mode=False)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now writes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

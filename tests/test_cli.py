@@ -583,6 +583,33 @@ class TestJsonRoundTrip:
         assert json.dumps(json.loads(body), indent=2) == body
 
 
+#: one command line of each subcommand, and whether ``--quiet`` trims its text
+FLAG_CASES = [
+    (["check", "-a", "12", "-b", "12", "-k", "2", "-d", "10", "-r", "28"], True),
+    (["max-r", "-a", "1", "-b", "1", "-k", "1", "--c", "99/100"], True),
+    (["seshadri", "-a", "12", "-b", "12", "-r", "28"], True),
+    (["constants", "verify"], True),
+    (["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4"], False),
+    (["surfaces"], False),
+]
+
+
+class TestOutputFlags:
+    @pytest.mark.parametrize("args", [args for args, _ in FLAG_CASES], ids=lambda a: a[0])
+    def test_json_ignores_quiet(self, args):
+        assert invoke(args + ["--json", "--quiet"]) == invoke(args + ["--json"])
+
+    @pytest.mark.parametrize("args,trims", FLAG_CASES, ids=[args[0] for args, _ in FLAG_CASES])
+    def test_quiet_drops_detail_lines_only(self, args, trims):
+        full, quiet = invoke(args), invoke(args + ["--quiet"])
+        assert (quiet.exit_code, quiet.stderr) == (full.exit_code, full.stderr)
+        full_lines, quiet_lines = full.stdout.splitlines(), quiet.stdout.splitlines()
+        rest = iter(full_lines)
+        assert all(line in rest for line in quiet_lines)  # a subsequence, in order
+        assert (len(quiet_lines) < len(full_lines)) == trims
+        assert quiet_lines[0] == full_lines[0]
+
+
 class TestGlobalFlags:
     def test_group_level_json_flag(self):
         result = invoke(["--json", "surfaces"])
@@ -676,6 +703,28 @@ class TestEntryPoint:
         result = python("-c", code)
         assert (result.returncode, result.stderr) == (0, "True\n")
         assert result.stdout == invoke(["surfaces"]).output
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args", [
+        ["surfaces"],
+        ["surfaces", "--json"],
+        ["constants"],
+        ["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4", "--json"],
+    ], ids=["surfaces", "surfaces-json", "constants", "obstructions-json"])
+    def test_a_closed_stdout_exits_141_without_a_traceback(self, args, unbuffered):
+        # the read end is closed before the child starts, so even an output that would fit
+        # in the pipe's buffer meets a broken pipe: in the command when stdout is
+        # unbuffered, in the flush after it when stdout is buffered
+        env = {name: value for name, value in ENV.items() if name != "PYTHONUNBUFFERED"}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *(["-u"] if unbuffered else []), "-m", "kvacert.cli", *args],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
     def test_main_does_not_freeze(self):
         before = gc.get_freeze_count()
