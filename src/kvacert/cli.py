@@ -2,8 +2,8 @@
 
 Subcommands: ``check``, ``max-r``, ``seshadri``, ``constants``, ``obstructions``,
 ``surfaces``.  Exit codes are uniform: 0 for success/certified, 1 for a check
-that ran and failed, 2 for usage errors; the ``kvacert`` process exits 141
-(128 + SIGPIPE) when the reader of its stdout has gone.  ``--json`` emits a
+that ran and failed, 2 for usage errors; a failed write ends ``kvacert`` with
+141 (128 + SIGPIPE) if the reader has gone, else 74.  ``--json`` emits a
 single canonical JSON object (fixed key order, exact rationals as "num/den"
 strings, decimal fields suffixed ``_approx``); ``--quiet`` drops the detail
 lines of the text, and ``--json`` ignores it.  Both flags are accepted before
@@ -19,7 +19,6 @@ over the digit cap.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 from fractions import Fraction
@@ -46,6 +45,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise UsageError(message)
+
+    def _print_message(self, message, file=None):  # argparse's own swallows a failed write
+        (file or sys.stderr).write(message)
 
 
 def _capped(parse):
@@ -397,26 +399,23 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
 
 
 def run() -> None:
-    """Entry point of the ``kvacert`` process: :func:`main` with the import-time heap frozen.
-
-    What the imports built (the modules and their constants) lives until
-    exit.  ``gc.freeze()`` moves it to the permanent generation, so neither a
-    collection during the command nor the ones at interpreter shutdown
-    traverse it again.  ``main`` itself never freezes, so tests and other
-    in-process callers keep an ordinary heap.
-
-    A reader that closes the pipe early ends the process with status 141
-    (128 + SIGPIPE, what a shell reports for ``yes | head -1``), not a traceback.
+    """Entry point of the ``kvacert`` process and the one place where it ends: :func:`main`,
+    one flush of stdout and stderr, then ``os._exit``, with no teardown and no ``atexit``
+    handler.  A failed write exits 141 (128 + SIGPIPE) when the reader has gone, else 74
+    (``EX_IOERR``) with one ``Error:`` line on stderr.
     """
-    gc.freeze()
     try:
-        code = main(standalone_mode=False)
+        code, message = main(standalone_mode=False), ""
         sys.stdout.flush()
     except BrokenPipeError:
-        # stdout now writes to devnull, so the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
-    sys.exit(code)
+        code, message = 141, ""
+    except OSError as exc:
+        code, message = 74, f"Error: cannot write the output: {exc.strerror}\n"
+    try:
+        print(message, end="", file=sys.stderr, flush=True)
+    except OSError:
+        pass  # stderr has failed too: the code alone reports it
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Command-line surface: exit codes, JSON schemas, output values."""
 
 import contextlib
-import gc
+import errno
 import io
 import json
 import os
@@ -31,6 +31,15 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 def python(*args) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=ENV,
                           timeout=60)
+
+
+def kvacert_process(args, unbuffered: bool, stdout) -> subprocess.CompletedProcess:
+    """Run ``python [-u] -m kvacert.cli args`` with ``stdout`` as its stdout, buffered
+    unless ``unbuffered``, and capture its stderr."""
+    env = {name: value for name, value in ENV.items() if name != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, *(["-u"] if unbuffered else []), "-m", "kvacert.cli", *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
 
 
 class Result(NamedTuple):
@@ -696,40 +705,47 @@ class TestEntryPoint:
                 main(args)
             assert exc.value.code == code
 
-    def test_run_freezes_the_heap_and_renders_like_main(self):
-        code = ("import atexit, gc, sys; from kvacert.cli import run; "
-                "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); "
-                "sys.argv = ['kvacert', 'surfaces']; run()")
-        result = python("-c", code)
-        assert (result.returncode, result.stderr) == (0, "True\n")
-        assert result.stdout == invoke(["surfaces"]).output
+    def test_run_exits_with_the_code_and_bytes_of_main(self):
+        # run ends the process with os._exit, after which no buffer is flushed
+        for args, code in ((self.CHECK, 0), (self.CHECK[:-1] + ["29"], 1), (["nonsense"], 2)):
+            result, want = kvacert_process(args, False, subprocess.PIPE), invoke(args)
+            assert want.exit_code == code
+            assert (result.returncode, result.stdout, result.stderr) == want[:3]
+
+    #: short and long text, dumped and streamed JSON, and argparse's help text
+    OUTPUTS = [
+        pytest.param(["surfaces"], id="surfaces"),
+        pytest.param(["surfaces", "--json"], id="surfaces-json"),
+        pytest.param(["constants"], id="constants"),
+        pytest.param(["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4", "--json"],
+                     id="obstructions-json"),
+        pytest.param(["--help"], id="help"),
+    ]
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("args", [
-        ["surfaces"],
-        ["surfaces", "--json"],
-        ["constants"],
-        ["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4", "--json"],
-    ], ids=["surfaces", "surfaces-json", "constants", "obstructions-json"])
+    @pytest.mark.parametrize("args", OUTPUTS + [pytest.param(["check", "--help"], id="check-help")])
     def test_a_closed_stdout_exits_141_without_a_traceback(self, args, unbuffered):
         # the read end is closed before the child starts, so even an output that would fit
         # in the pipe's buffer meets a broken pipe: in the command when stdout is
         # unbuffered, in the flush after it when stdout is buffered
-        env = {name: value for name, value in ENV.items() if name != "PYTHONUNBUFFERED"}
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = subprocess.run(
-                [sys.executable, *(["-u"] if unbuffered else []), "-m", "kvacert.cli", *args],
-                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+            proc = kvacert_process(args, unbuffered, write)
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (141, "")
 
-    def test_main_does_not_freeze(self):
-        before = gc.get_freeze_count()
-        assert invoke(["surfaces"]).exit_code == 0
-        assert gc.get_freeze_count() == before
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args", OUTPUTS)
+    def test_a_full_device_exits_74_with_one_error_line(self, args, unbuffered):
+        # every write to /dev/full fails with ENOSPC: no traceback, no "Exception ignored"
+        # from a flush at exit, only the one line that names the error
+        with open("/dev/full", "w") as full:
+            proc = kvacert_process(args, unbuffered, full)
+        error = f"Error: cannot write the output: {os.strerror(errno.ENOSPC)}\n"
+        assert (proc.returncode, proc.stderr) == (74, error)
 
 
 #: a number of 4000 digits: Python refuses to convert an int of over 4300 digits to str

@@ -19,6 +19,8 @@
 * No module imports ``typing`` or ``dataclasses``, for their cost at import.
 * The theorem's floor ``k >= 2`` is refused by one ``raise``, in
   ``constants._at``, and no other ``raise`` restates it.
+* A ``kvacert`` process ends in one place: ``os._exit`` is called once, in
+  ``cli.run``, and ``sys.exit`` only in ``cli.main``'s standalone mode.
 """
 
 import ast
@@ -166,19 +168,25 @@ def test_import_graph_has_no_cycle():
     assert left == {}
 
 
-def raisers(node: ast.AST, accept, scope: str = "<module>") -> list[str]:
-    """The qualified name of the definition around each ``raise`` under ``node`` that
+def scopes(node: ast.AST, accept, scope: str = "<module>") -> list[str]:
+    """The qualified name of the definition around each node under ``node`` that
     ``accept`` takes."""
     found = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
-            found += raisers(child, accept, inner)
-        elif isinstance(child, ast.Raise) and accept(child):
+            found += scopes(child, accept, inner)
+        elif accept(child):
             found.append(scope)
         else:
-            found += raisers(child, accept, scope)
+            found += scopes(child, accept, scope)
     return found
+
+
+def raisers(node: ast.AST, accept) -> list[str]:
+    """The qualified name of the definition around each ``raise`` under ``node`` that
+    ``accept`` takes."""
+    return scopes(node, lambda child: isinstance(child, ast.Raise) and accept(child))
 
 
 def raise_text(node: ast.Raise) -> str:
@@ -209,3 +217,17 @@ def test_the_theorems_floor_is_refused_in_one_place():
     # double root); it is not the theorem's floor
     assert source.count("must be at least 2") == 1
     assert raising("must be at least 2") == ["constants.py:z_roots"]
+
+
+def test_the_process_ends_in_one_place():
+    def callers(name):
+        calls = lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == name
+        return [f"{module}:{scope}" for module, tree in TREES.items()
+                for scope in scopes(tree, calls)]
+
+    assert callers("os._exit") == ["cli.py:run"]
+    assert callers("sys.exit") == ["cli.py:main"]
+    standalone = [node for node in ast.walk(TREES["cli.py"])
+                  if isinstance(node, ast.If) and ast.unparse(node.test) == "standalone_mode"]
+    assert [ast.unparse(n.func) for block in standalone for n in ast.walk(block)
+            if isinstance(n, ast.Call)] == ["sys.exit"]
