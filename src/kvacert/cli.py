@@ -19,6 +19,7 @@ over the digit cap.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from fractions import Fraction
@@ -405,6 +406,8 @@ def run() -> None:
     (``EX_IOERR``) with one ``Error:`` line on stderr.
     """
     try:
+        if sys.stdout is None:  # stdout was closed before the process started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code, message = main(standalone_mode=False), ""
         sys.stdout.flush()
     except BrokenPipeError:

@@ -27,9 +27,10 @@ Every "for all k >= kmin" claim is reduced to an exact check at the binding
 t0 = kmin + 1 plus a polynomial positivity certificate on the ray
 [t0, oo); see :mod:`kvacert.exactmath`.  One cached helper, ``_at``, holds
 the values at t0 and is the one place that refuses the theorem's floor k >= 2.
-The claims that depend on c are one integer table, ``_CLAIMS``; one builder,
-``_ray_record``, turns ray claims into every ray-based :class:`CertRecord`
-with its status, margin and counterexample.
+Every ray claim is an integer row of one table, ``_CLAIMS``, and every ray
+certificate a row of ``_CERTS``: its claims, side claims and side-condition
+texts.  One builder, ``_ray_record``, reads a certificate's row at c (and
+delta) and returns its :class:`CertRecord` with status, margin and counterexample.
 One helper, ``_slack``, derives the radicand, the slack surd and its 3-decimal
 floor from the integers of c; every slack here is read off it.
 
@@ -172,46 +173,6 @@ def _positive(delta: RatLike) -> Fraction:
     return delta
 
 
-def _ray_record(id: str, claims: Sequence[Poly], t0: RatLike, side: Sequence[Poly] = (),
-                margin: Fraction | QuadExpr | None = None, side_conditions: Sequence[str] = (),
-                details: Mapping = _EMPTY) -> CertRecord:
-    """The record of "every claim and every side condition is positive on [t0, oo)".
-
-    ``polys`` holds the ray certificates of the claims, then of the side
-    conditions, all decided in one pass.  The record is certified if every
-    one is positive, undecided if one is left undecided, and refuted
-    otherwise.  Unless given, the margin is the last claim at t0, read off its
-    certificate: the shifted polynomial's constant term is p(t0), so no claim
-    is evaluated twice.  The counterexample is that of the first claim that
-    fails.
-    """
-    rays = []
-    status, counterexample, last = "certified", None, len(claims) - 1
-    for i, p in enumerate((*claims, *side)):
-        ray = poly_positive_on_ray(p, t0)
-        rays.append(ray)
-        if not ray.positive:
-            if status == "certified" and i <= last:
-                counterexample = ray.counterexample
-            if ray.method == "undecided":
-                status = "undecided"
-            elif status == "certified":
-                status = "refuted"
-    if margin is None:
-        margin = rays[last].value_at_t0
-    return CertRecord(id, status, margin, rays, side_conditions, details, counterexample)
-
-
-#: 2*(t^2+3)^2 = 2t^4 + 12t^2 + 18
-_TWO_T2P3_SQ = Poly([18, 0, 12, 0, 2])
-#: t^4 - 2t^3, the radicand of the roots z_1, z_2
-_RAD_Z = Poly([0, 0, 0, -2, 1])
-_TWO_T_MINUS_1 = Poly([-1, 2])
-#: t^2 - t - 1, and t^4-2t^3 - (t^2-t-1)^2: z_1(t) < 1 with its radical cleared
-_Z1_LHS = Poly([-1, -1, 1])
-_Z1_CLEARED = _RAD_Z - _Z1_LHS * _Z1_LHS
-
-
 class _AtT0(namedtuple("_AtT0", "t t2 f two_t2p3_sq n2_rhs case1_rhs rad_z z1_cleared")):
     """The values at t0 that no grid point changes."""
 
@@ -223,7 +184,7 @@ class _AtT0(namedtuple("_AtT0", "t t2 f two_t2p3_sq n2_rhs case1_rhs rad_z z1_cl
     n2_rhs: Fraction  # 4t0 + 1
     case1_rhs: Fraction  # (2t0 - 1)^2
     rad_z: Fraction  # t0^4 - 2t0^3
-    z1_cleared: Fraction
+    z1_cleared: Fraction  # t0^2 - 2t0 - 1 = t0^4 - 2t0^3 - (t0^2 - t0 - 1)^2
 
 
 @lru_cache(maxsize=128)  # bounded, since t0 is the caller's; a scan uses one
@@ -231,8 +192,9 @@ def _at(t0: int) -> _AtT0:
     """The values at t0, the theorem's binding t = k+1; the one refusal of a k below 2."""
     if t0 < 3:
         raise ValueError(f"k = {t0 - 1} is below the theorem's floor k >= 2")
-    return _AtT0(Fraction(t0), t0 * t0, 4 * (t0 * t0 + 3), _TWO_T2P3_SQ(t0), Fraction(4 * t0 + 1),
-                 Fraction((2 * t0 - 1) ** 2), _RAD_Z(t0), _Z1_CLEARED(t0))
+    t2 = t0 * t0
+    return _AtT0(Fraction(t0), t2, 4 * (t2 + 3), *map(Fraction, (
+        2 * (t2 + 3) ** 2, 4 * t0 + 1, (2 * t0 - 1) ** 2, t2 * (t2 - 2 * t0), t2 - 2 * t0 - 1)))
 
 
 def _lhs(c: Fraction, at: _AtT0) -> Fraction:
@@ -280,15 +242,24 @@ def delta_raw(c: RatLike) -> QuadExpr:
     return delta_raw_at(c, BINDING_T)
 
 
-#: The claims that depend on c (and delta): name -> (rows, den), the claim sum(rows[i] t^i)/x_den.
+#: Every ray claim: name -> (rows, den), the claim sum(rows[i] t^i)/x_den.
 #: rows[i][m] is the coefficient of t^i x_m, x_m = c^j delta^-k for m = j + 3k (i <= 4, j, k <= 2).
 _CLAIMS = {
     "n2-chain": (((17, -18), (-4,), (12, -12), (), (2, -2)), 0),  # (1-c)*2(t^2+3)^2 - (4t+1)
+    "n2-ceiling": (((-4,), (24, -24), (), (8, -8)), 0),  # its t-derivative (1-c)(8t^3+24t) - 4
     "case1-hodge": (((17, -18), (4,), (8, -12), (), (2, -2)), 0),  # ... - (2t-1)^2
     "z2": (((0, 0, -1), (0, -2), (-1, 2)), 2),  # ((2c-1)t^2 - 2ct - c^2)/c^2
     "z2-side": (((), (0, 1), (1, -1)), 1),  # ((1-c)t^2 + ct)/c = w t^2 + t
     # (2(t^2+3)^2 - c(1 + t/delta)^2)/c = g(t)
     "g-positive": (((18, -1), (0, 0, 0, 0, -2), (12, 0, 0, 0, 0, 0, 0, -1), (), (2,)), 1),
+    "z1-cleared": (((-1,), (-2,), (1,)), 0),  # t^4-2t^3 - (t^2-t-1)^2 = t^2-2t-1: z_1(t) < 1
+    "z1-lhs": (((-1,), (-1,), (1,)), 0),  # t^2 - t - 1
+    "rad-z": (((), (), (), (-2,), (1,)), 0),  # t^4 - 2t^3, the radicand of the roots z_1, z_2
+    "z1-decreasing": (((), (), (), (2,)), 0),  # (2t^3-3t^2)^2 - (2t-1)^2 (t^4-2t^3) = 2t^3
+    "z1-difference": (((), (), (), (-2,)), 0),  # its negation, a detail of that record
+    "2t-1": (((-1,), (2,)), 0),
+    "2t^3-3t^2": (((), (), (-3,), (2,)), 0),
+    "lhs-increasing": (((), (-6,), (), (2,)), 0),  # 2t^3 - 6t = 2t(t^2-3)
 }
 
 
@@ -301,24 +272,20 @@ def _terms(rows, den) -> tuple[list[tuple[int, int, int]], int, int, int]:
     entries = [(a, i, m) for i, row in enumerate(rows) for m, a in enumerate(row) if a]
     ms = [m for _, _, m in entries] + [den]
     jmax, kmax = max(m % 3 for m in ms), max(m // 3 for m in ms)
-
-    def col(m):
-        j, k = m % 3, m // 3
-        return j + (jmax + 1) * k
-
-    return [(a, i, col(m)) for a, i, m in entries], col(den), jmax, kmax
+    cols = [m % 3 + (jmax + 1) * (m // 3) for m in ms]
+    return [(a, i, col) for (a, i, _), col in zip(entries, cols)], cols[-1], jmax, kmax
 
 
 _TERMS = {name: _terms(rows, den) for name, (rows, den) in _CLAIMS.items()}
 
 
-def _claim(name: str, c: Fraction, delta: Fraction | None = None) -> Poly:
+def _claim(name: str, c: Fraction | None = None, delta: Fraction | None = None) -> Poly:
     """Claim ``name`` at c = n/d (and delta = p/q), cleared to its own degrees J and K.
 
     The column of x_m = c^j delta^-k is d^J p^K x_m = n^j d^(J-j) q^k p^(K-k).
     """
     terms, den, jmax, kmax = _TERMS[name]
-    n, d = c.numerator, c.denominator
+    n, d = (c.numerator, c.denominator) if jmax else (1, 1)
     x = [d, n] if jmax == 1 else [d * d, n * d, n * n] if jmax == 2 else [1]
     if kmax:
         p, q = delta.numerator, delta.denominator
@@ -329,10 +296,64 @@ def _claim(name: str, c: Fraction, delta: Fraction | None = None) -> Poly:
     return Poly.over(num, x[den])
 
 
+#: the claims free of c, built once
+_FIXED = {name: _claim(name) for name, (_, _, jmax, kmax) in _TERMS.items() if not jmax + kmax}
+
+#: Every ray certificate: id -> (claims, side claims, side-condition texts), claims by their
+#: names in _CLAIMS.  A side claim decides each side condition that is not evident.
+_CERTS = {
+    **{id: ((id,), (), ()) for id in ("n2-chain", "n2-ceiling", "case1-hodge", "g-positive")},
+    "z-interval-containment": (("z1-cleared", "z2"), ("z1-lhs", "z2-side", "rad-z"), (
+        "t^2 - t - 1 > 0 on the ray (z_1 comparison squared legitimately)",
+        "((1-c)/c) t^2 + t > 0 on the ray (z_2 comparison squared legitimately)",
+        "t^4 - 2t^3 >= 0 on the ray (radicand defined)",
+        "t^2 > 0 (common factor removed from the z_2 form)",
+    )),
+    "z1-decreasing": (("z1-decreasing",), ("2t-1", "2t^3-3t^2", "rad-z"), (
+        "2t-1 > 0 on the ray (squaring preserves the order)",
+        "2t^3-3t^2 > 0 on the ray (right side nonnegative before squaring)",
+        "t^4-2t^3 >= 0 on the ray (radicand defined)",
+    )),
+    "lhs-increasing": (("lhs-increasing",), (), (
+        "(t^2+3)^3 > 0 (cleared denominator is positive)",)),
+}
+
+
+def _ray_record(id: str, t0: RatLike, c: Fraction | None = None, delta: Fraction | None = None,
+                margin: Fraction | QuadExpr | None = None,
+                details: Mapping = _EMPTY) -> CertRecord:
+    """The record of "every claim and side claim of ``_CERTS[id]`` is positive on [t0, oo)".
+
+    ``polys`` holds the ray certificates of the claims, then of the side claims,
+    all decided in one pass.  The record is certified if every one is positive,
+    undecided if one is left undecided, and refuted otherwise.  Unless given,
+    the margin is the last claim at t0, read off its certificate: the shifted
+    polynomial's constant term is p(t0), so no claim is evaluated twice.  The
+    counterexample is that of the first claim that fails, and the side
+    conditions are a fresh list of the texts, or () if there are none.
+    """
+    claims, side, texts = _CERTS[id]
+    rays = []
+    status, counterexample, last = "certified", None, len(claims) - 1
+    for i, name in enumerate(claims + side):
+        ray = poly_positive_on_ray(_FIXED[name] if name in _FIXED else _claim(name, c, delta), t0)
+        rays.append(ray)
+        if not ray.positive:
+            if status == "certified" and i <= last:
+                counterexample = ray.counterexample
+            if ray.method == "undecided":
+                status = "undecided"
+            elif status == "certified":
+                status = "refuted"
+    if margin is None:
+        margin = rays[last].value_at_t0
+    return CertRecord(id, status, margin, rays, texts and list(texts), details, counterexample)
+
+
 def n2_chain_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     """Certify (1-c)*2*(t^2+3)^2 >= 4t+1 for all t >= t0 (gives N^2 >= 4k+5)."""
     c, at = _unit(c), _at(t0)
-    return _ray_record("n2-chain", [_claim("n2-chain", c)], at.t,
+    return _ray_record("n2-chain", at.t, c,
                        details={"two_t2p3_sq_at_t0": at.two_t2p3_sq, "lhs_at_t0": _lhs(c, at),
                                 "rhs_at_t0": at.n2_rhs})
 
@@ -345,7 +366,7 @@ def case1_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     N^2 >= (1-c)*L^2 >= (1-c)*2((k+1)^2+3)^2.
     """
     c, at = _unit(c), _at(t0)
-    return _ray_record("case1-hodge", [_claim("case1-hodge", c)], at.t,
+    return _ray_record("case1-hodge", at.t, c,
                        details={"lhs_at_t0": _lhs(c, at), "rhs_at_t0": at.case1_rhs})
 
 
@@ -394,18 +415,8 @@ def z1_decreasing_cert() -> CertRecord:
     (2t-1)^2 (t^4-2t^3) < (2t^3-3t^2)^2; the difference of the two sides is
     exactly -2t^3, so positivity of 2t^3 on the ray settles it.
     """
-    lhs = _TWO_T_MINUS_1 * _TWO_T_MINUS_1 * _RAD_Z
-    rhs_root = Poly([0, 0, -3, 2])  # 2t^3 - 3t^2
-    rhs = rhs_root * rhs_root
-    return _ray_record(
-        "z1-decreasing", [rhs - lhs], BINDING_T, side=[_TWO_T_MINUS_1, rhs_root, _RAD_Z],
-        side_conditions=[
-            "2t-1 > 0 on the ray (squaring preserves the order)",
-            "2t^3-3t^2 > 0 on the ray (right side nonnegative before squaring)",
-            "t^4-2t^3 >= 0 on the ray (radicand defined)",
-        ],
-        details={"cleared_difference": lhs - rhs},
-    )
+    return _ray_record("z1-decreasing", BINDING_T,
+                       details={"cleared_difference": _FIXED["z1-difference"]})
 
 
 def lhs_increasing_cert() -> CertRecord:
@@ -419,17 +430,15 @@ def lhs_increasing_cert() -> CertRecord:
     and the slack itself exceeds 178/1000 there.
     """
     c = C_MAX_DEFAULT
-    deriv_poly = Poly([0, -6, 0, 2])  # 2t^3 - 6t = 2t(t^2-3)
     slack = delta_raw(c)
     f3 = QuadExpr(0, 1 / c, slack.s)
     f3_lo = f3.cmp_rat(Fraction(10593, 10000)) > 0
     f3_hi = f3.cmp_rat(Fraction(10595, 10000)) < 0
     slack_above = slack.cmp_rat(DELTA_DEFAULT) > 0
     record = _ray_record(
-        "lhs-increasing", [deriv_poly], BINDING_T, margin=slack - DELTA_DEFAULT,
-        side_conditions=["(t^2+3)^3 > 0 (cleared denominator is positive)"],
+        "lhs-increasing", BINDING_T, margin=slack - DELTA_DEFAULT,
         details={
-            "derivative_numerator_at_3": deriv_poly(BINDING_T),
+            "derivative_numerator_at_3": _FIXED["lhs-increasing"](BINDING_T),
             "f3": f3,
             "f3_bracket": (Fraction(10593, 10000), Fraction(10595, 10000)),
             "slack_at_binding": slack,
@@ -450,11 +459,10 @@ def _ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
     c_exact = 1 - at.n2_rhs / at.two_t2p3_sq
     n = floor(c_exact * 1000)
     c = Fraction(n, 1000)
-    margin_poly = _claim("n2-chain", c)
-    binding_margin = margin_poly(t0)
+    binding_margin = _claim("n2-chain", c)(t0)
     next_margin = _claim("n2-chain", Fraction(n + 1, 1000))(t0)
     record = _ray_record(
-        "n2-ceiling", [margin_poly.derivative()], t0, margin=binding_margin,
+        "n2-ceiling", t0, c, margin=binding_margin,
         details={
             "ceiling": c,
             "exact_bound": c_exact,
@@ -484,14 +492,7 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     # z_2(t0) - t0^2/c with z_2(t0) = t0^2 - t0 + sqrt(t0^4 - 2t0^3)
     surd_margin = QuadExpr(Fraction((at.t2 - t0) * n - at.t2 * c.denominator, n), 1, at.rad_z)
     return _ray_record(
-        "z-interval-containment", [_Z1_CLEARED, _claim("z2", c)], at.t,
-        side=[_Z1_LHS, _claim("z2-side", c), _RAD_Z],
-        side_conditions=[
-            "t^2 - t - 1 > 0 on the ray (z_1 comparison squared legitimately)",
-            "((1-c)/c) t^2 + t > 0 on the ray (z_2 comparison squared legitimately)",
-            "t^4 - 2t^3 >= 0 on the ray (radicand defined)",
-            "t^2 > 0 (common factor removed from the z_2 form)",
-        ],
+        "z-interval-containment", at.t, c,
         details={
             "z1_cleared_margin_at_t0": at.z1_cleared,
             "z2_surd_margin_at_t0": surd_margin,
@@ -508,8 +509,7 @@ def g_positive_cert(c: RatLike, delta: RatLike, t0: int = BINDING_T) -> CertReco
     """
     c, delta = _unit(c), _positive(delta)
     details = {"g_at_t0": None, "c": c, "delta": delta}
-    record = _ray_record("g-positive", [_claim("g-positive", c, delta)], _at(t0).t,
-                         details=details)
+    record = _ray_record("g-positive", _at(t0).t, c, delta, details=details)
     details["g_at_t0"] = record.margin
     return record
 

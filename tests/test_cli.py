@@ -747,6 +747,16 @@ class TestEntryPoint:
         error = f"Error: cannot write the output: {os.strerror(errno.ENOSPC)}\n"
         assert (proc.returncode, proc.stderr) == (74, error)
 
+    @pytest.mark.parametrize("args", [OUTPUTS[0], OUTPUTS[3], OUTPUTS[4]])
+    def test_a_stdout_closed_before_the_start_exits_74_with_one_error_line(self, args):
+        # Python then sets sys.stdout to None, on which print writes nothing and flush does
+        # not exist: run reports the lost output as a failed write, before main runs
+        proc = subprocess.run(
+            [sys.executable, "-m", "kvacert.cli", *args], stderr=subprocess.PIPE, text=True,
+            env=ENV, timeout=60, preexec_fn=lambda: os.close(1))
+        error = f"Error: cannot write the output: {os.strerror(errno.EBADF)}\n"
+        assert (proc.returncode, proc.stderr) == (74, error)
+
 
 #: a number of 4000 digits: Python refuses to convert an int of over 4300 digits to str
 _HUGE = "1" + "0" * 3999

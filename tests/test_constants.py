@@ -421,6 +421,21 @@ class TestPipeline:
             assert floor(ceiling_from_n2(kmin) * 10**5) <= SCAN_BUDGET
 
 
+def count_calls(monkeypatch, targets) -> dict:
+    """Wrap each ``owner.name`` of ``targets`` with a counter; the counts, by name."""
+    counts = {name: 0 for _, name in targets}
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return counts
+
+
 class TestScanWork:
     """The work of the scan, counted as ``bench/test_bench.py`` pins it.
 
@@ -432,18 +447,9 @@ class TestScanWork:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"pipeline_certs": 0, "poly_positive_on_ray": 0, "shift": 0}
-
-        def counted(name, f):
-            def wrapper(*args):
-                counts[name] += 1
-                return f(*args)
-            return wrapper
-
-        for owner, name in ((constants, "pipeline_certs"), (constants, "poly_positive_on_ray"),
-                            (exactmath.Poly, "shift")):
-            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-        return counts
+        return count_calls(monkeypatch, [(constants, "pipeline_certs"),
+                                         (constants, "poly_positive_on_ray"),
+                                         (exactmath.Poly, "shift")])
 
     @pytest.mark.parametrize("c", [C, Fraction(888, 1000), Fraction(8879, 10000)])
     def test_one_point(self, calls, c):
@@ -454,6 +460,36 @@ class TestScanWork:
     def test_default_scan(self, calls):
         assert c_max_search().scanned == 68
         assert calls == {"pipeline_certs": 68, "poly_positive_on_ray": 550, "shift": 550}
+
+
+class TestOneClaimFormat:
+    """Every ray claim is an integer row of ``constants._CLAIMS``, cleared by ``_claim``.
+
+    So no certificate builds a polynomial by ``Poly`` arithmetic: the operators
+    below are reached by the Fraction oracle and the benchmark's tracer, not by
+    the constants pipeline.
+    """
+
+    ARITHMETIC = ("__add__", "__sub__", "__mul__", "__neg__", "scale", "derivative")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return count_calls(monkeypatch, [(Poly, name) for name in self.ARITHMETIC])
+
+    @pytest.mark.parametrize("kmin", [2, 3])
+    @pytest.mark.parametrize("step", [Fraction(1, 1000), Fraction(1, 10000)])
+    def test_scan(self, calls, kmin, step):
+        assert c_max_search(step, kmin).feasible
+        assert calls == dict.fromkeys(self.ARITHMETIC, 0)
+
+    @pytest.mark.parametrize("c", [C, Fraction(888, 1000)])
+    def test_one_point(self, calls, c):
+        pipeline_certs(c)
+        assert calls == dict.fromkeys(self.ARITHMETIC, 0)
+
+    def test_fixed_records(self, calls):
+        assert z1_decreasing_cert().certified and lhs_increasing_cert().certified
+        assert calls == dict.fromkeys(self.ARITHMETIC, 0)
 
 
 class TestNoUndecidedClaims:
@@ -477,11 +513,16 @@ class TestNoUndecidedClaims:
             assert rec.status != "undecided", rec.id
             assert all(claim.method != "undecided" for claim in rec.polys), rec.id
 
-    def test_undecided_claim_is_not_refuted(self):
-        # no certificate leaves a claim undecided, so the record builder is asked directly:
-        # t^2 - 7t + 13 is 1 at t0 = 3 and its shift is u^2 - u + 1, whose constant term
-        # is positive but whose u coefficient is not, so nothing is decided
-        rec = constants._ray_record("undecided", [Poly([13, -7, 1])], 3)
+    def test_undecided_claim_is_not_refuted(self, monkeypatch):
+        # no certificate leaves a claim undecided, so the record builder is asked directly,
+        # for a certificate of one temporary row: t^2 - 7t + 13 is 1 at t0 = 3 and its shift
+        # is u^2 - u + 1, whose constant term is positive but whose u coefficient is not,
+        # so nothing is decided
+        row = (((13,), (-7,), (1,)), 0)
+        monkeypatch.setitem(constants._CLAIMS, "undecided", row)
+        monkeypatch.setitem(constants._TERMS, "undecided", constants._terms(*row))
+        monkeypatch.setitem(constants._CERTS, "undecided", (("undecided",), (), ()))
+        rec = constants._ray_record("undecided", 3)
         assert rec.status == "undecided" and not rec.certified
         assert (rec.margin, rec.counterexample) == (1, None)
         [claim] = rec.polys
