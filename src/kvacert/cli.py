@@ -9,20 +9,23 @@ strings, decimal fields suffixed ``_approx``); ``--quiet`` drops the detail
 lines of the text, and ``--json`` ignores it.  Both flags are accepted before
 and after the subcommand.  Each command builds its JSON payload once and
 passes it, with its text lines, to one output helper, ``_show``, which alone
-reads the two flags; only ``obstructions`` streams its output with its own
-writer.  The parser is the standard library's ``argparse``, with abbreviated
-long options refused.  Every verdict, bound, warning and range check is the
+reads the two flags and writes the bytes of ``json.dumps(payload, indent=2)``
+without ``json``; only ``obstructions`` streams its output with its own writer.
+One table, ``_COMMANDS``, holds every option.  ``_fast_parse`` reads a plain
+command line; any other, ``--help`` and each malformed one among them, goes to
+the standard library's ``argparse``, imported only then, with abbreviated long
+options refused.  Every verdict, bound, warning and range check is the
 library's; the command itself refuses only what the parser rejects and numbers
 over the digit cap.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .blowup import certify_instance, point_bound, search_obstruction, seshadri_lower_sq
 from .constants import (C_MAX_DEFAULT, DELTA_DEFAULT, GRID_STEP_DEFAULT, c_max_search,
@@ -40,26 +43,21 @@ class UsageError(Exception):
     """An input the command refuses: :func:`main` prints ``Error: <message>`` and exits 2."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """``argparse`` parser whose errors print the usage line and raise :class:`UsageError`."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise UsageError(message)
-
-    def _print_message(self, message, file=None):  # argparse's own swallows a failed write
-        (file or sys.stderr).write(message)
+def _over_cap(value: str) -> bool:
+    """Whether the number ``value`` has over ``MAX_DIGITS`` digits or an exponent over
+    ``MAX_EXPONENT``; a digit is any character that ``int`` and ``Fraction`` read as one."""
+    mantissa, _, exponent = value.lower().partition("e")
+    # read by value, so zeros of any script lead; four digits exceed MAX_EXPONENT already
+    power = "".join(str(int(ch)) for ch in exponent if ch.isdecimal()).lstrip("0")[:4]
+    return sum(ch.isdecimal() for ch in mantissa) > MAX_DIGITS or int(power or 0) > MAX_EXPONENT
 
 
 def _capped(parse):
-    """The argument type ``parse``, refusing a number over the digit cap before it is built."""
+    """The argparse type ``parse``, refusing a number over the digit cap before it is built."""
 
     def capped(value: str):
-        mantissa, _, exponent = value.lower().partition("e")
-        digits = sum(ch.isdigit() for ch in mantissa)
-        # four digits exceed MAX_EXPONENT already, and converting more could be slow
-        power = int("".join(ch for ch in exponent if ch.isdigit()).lstrip("0")[:4] or 0)
-        if digits > MAX_DIGITS or power > MAX_EXPONENT:
+        if _over_cap(value):
+            import argparse  # loaded: only argparse calls a type
             raise argparse.ArgumentTypeError(
                 f"numbers are limited to {MAX_DIGITS} digits and exponents to {MAX_EXPONENT}")
         return parse(value)
@@ -73,6 +71,7 @@ def _rational(value: str) -> Fraction:
     try:
         return as_rat(value)
     except (ValueError, ZeroDivisionError):
+        import argparse  # loaded: only argparse calls a type
         raise argparse.ArgumentTypeError(
             f"{value!r} is not an exact rational like 887/1000 or 0.887") from None
 
@@ -97,6 +96,42 @@ def _bound_fields(ses_sq: Fraction | None) -> dict:
     return {**_exact_fields("seshadri_lower_sq", ses_sq), "seshadri_lower_approx": root}
 
 
+#: json's two-character escapes; any other character outside " " to "~" is written \uXXXX
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
+                 "\t": "\\t"}
+
+
+def _json_char(ch: str) -> str:
+    if ch in _JSON_ESCAPES or " " <= ch <= "~":
+        return _JSON_ESCAPES.get(ch, ch)
+    code = ord(ch)
+    if code > 0xFFFF:  # a surrogate pair, as json writes a character beyond the BMP
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+def _json(value, indent: str = "") -> str:
+    """``value`` (dicts with str keys, lists, str, int, bool and None) in the bytes of
+    ``json.dumps(value, indent=2)``, nested at ``indent``."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        return f'"{"".join(map(_json_char, value))}"'
+    if value is None or isinstance(value, bool):  # before int: a bool is an int
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets, items = "{}", [f"{_json(k)}: {_json(v, inner)}" for k, v in value.items()]
+    else:
+        brackets, items = "[]", [_json(v, inner) for v in value]
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _show(args, payload: dict, text, code: int = 0) -> int:
     """Print ``payload`` as JSON under ``--json``, else the lines of ``text()``; return ``code``.
 
@@ -106,9 +141,7 @@ def _show(args, payload: dict, text, code: int = 0) -> int:
     ``obstructions`` streams.
     """
     if args.json:
-        import json  # only here: a command that prints text skips the import
-
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         for part in text():
             for line in [part] if isinstance(part, str) else (() if args.quiet else part):
@@ -304,75 +337,123 @@ def surfaces(args) -> int:
         f"mu = {s['mu']}, gamma = {s['gamma']}; basis {s['basis']}" for s in rows])
 
 
-_POINT_COUNT = ("--c", C_MAX_DEFAULT, "Point-count constant")
-_SLACK = ("--delta", DELTA_DEFAULT, "Seshadri slack")
+_A = ("-a", int, None, None, "First coordinate of the polarization.")
+_B = ("-b", int, None, None, "Second coordinate of the polarization.")
+_K = ("-k", int, None, None, "Order of the embedding to certify.")
+_R = ("-r", int, None, None, "Number of blown-up (very general) points.")
+_C = ("--c", as_rat, C_MAX_DEFAULT, None, f"Point-count constant (default {C_MAX_DEFAULT}).")
+_DELTA = ("--delta", as_rat, DELTA_DEFAULT, None, f"Seshadri slack (default {DELTA_DEFAULT}).")
 
-#: subcommand -> (its function, the required int options of its polarization,
-#: its exact rational options as (flag, default, help))
+#: subcommand -> (its function, its options as (flag, type, default, choices, help)).  The
+#: type is ``int`` or ``as_rat``, both under the digit cap, or None for a word; a default
+#: of None makes the option required; the dest is the flag without its dashes, ``_`` for
+#: ``-``; a name without a dash is an optional positional, next after the subcommand.
 _COMMANDS = {
-    "check": (check, "abkdr", (_POINT_COUNT, _SLACK)),
-    "max-r": (max_r, "abk", (_POINT_COUNT,)),
-    "seshadri": (seshadri, "abr", ()),
-    "constants": (constants, "", (("--grid-step", GRID_STEP_DEFAULT, "Scan resolution for c"),)),
-    "obstructions": (obstructions, "abkr", (_SLACK,)),
-    "surfaces": (surfaces, "", ()),
+    "check": (check, (
+        # shown in its output only: no number depends on the type
+        ("--surface", int, 1, range(1, 8), "Bielliptic surface type (default 1)."),
+        _A, _B, _K, ("-d", int, None, None, "Very-ampleness order of the polarization."), _R,
+        _C, _DELTA)),
+    "max-r": (max_r, (_A, _B, _K, _C)),
+    "seshadri": (seshadri, (_A, _B, _R)),
+    "constants": (constants, (
+        ("--grid-step", as_rat, GRID_STEP_DEFAULT, None,
+         f"Scan resolution for c (default {GRID_STEP_DEFAULT})."),
+        ("action", None, "verify", ("verify",), None),
+        ("--kmin", int, 2, None, "Smallest k of the scan (default 2)."))),
+    "obstructions": (obstructions, (_A, _B, _K, _R, _DELTA, (
+        "--formula", None, "paper", ("paper", "standard"),
+        "D^2 convention: D_S^2 - (sum m_i)^2 or D_S^2 - sum m_i^2 (default paper)."))),
+    "surfaces": (surfaces, ()),
 }
-
-_INT_HELP = {
-    "a": "First coordinate of the polarization.",
-    "b": "Second coordinate of the polarization.",
-    "k": "Order of the embedding to certify.",
-    "d": "Very-ampleness order of the polarization.",
-    "r": "Number of blown-up (very general) points.",
-}
+_FLAGS = ("--json", "--quiet")
 
 
-def _top_parser() -> argparse.ArgumentParser:
-    """``kvacert [--json] [--quiet] COMMAND ...``: the flags, the subcommand and its arguments."""
-    table = "\n".join(f"  {name:14}{run.__doc__.splitlines()[0]}"
-                      for name, (run, _, _) in _COMMANDS.items())
-    parser = _Parser(prog="kvacert", allow_abbrev=False, add_help=False,
-                     formatter_class=argparse.RawDescriptionHelpFormatter, description=(
-                         "Exact-arithmetic k-very-ampleness certification on blown-up"
-                         f" bielliptic surfaces.\n\ncommands:\n{table}"))
-    parser.add_argument("--help", action="help", help="Show this message and exit.")
-    parser.add_argument("--json", action="store_true", help="Emit JSON from subcommands.")
-    parser.add_argument("--quiet", action="store_true", help="Suppress detail lines.")
-    parser.add_argument("command", metavar="COMMAND", choices=_COMMANDS,
-                        help="One of the commands listed above.")
-    # may be empty (``kvacert surfaces``), so never reported as a missing argument
-    parser.add_argument("args", nargs=argparse.REMAINDER,
-                        help="Its options; see kvacert COMMAND --help.").required = False
-    return parser
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that :func:`_parse_with_argparse` builds from a plain ``argv``, else None.
 
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The options of subcommand ``name``, ``--json`` and ``--quiet`` again among them.
-
-    Only the chosen subcommand's parser is built, because building all six
-    costs a process about a millisecond.
+    Plain is ``--json`` and ``--quiet``, the subcommand, its positional, then each option
+    once as ``flag value``, the value passing the digit cap, type and choices and not
+    starting with "-", and no required option left out.  ``--help``, ``-a=12``, ``-a12``,
+    a negative value and every malformed line are argparse's, which alone prints errors.
     """
-    run, ints, rationals = _COMMANDS[name]
-    sub = _Parser(prog=f"kvacert {name}", description=run.__doc__, allow_abbrev=False,
+    command = next((token for token in argv if token not in _FLAGS), None)
+    if command not in _COMMANDS:
+        return None
+    rest = argv[argv.index(command) + 1:]
+    args = {"json": "--json" in argv, "quiet": "--quiet" in argv, "command": command,
+            "args": rest}
+    options, tokens = {}, iter(rest)
+    for flag, parse, default, choices, _ in _COMMANDS[command][1]:
+        dest = flag.lstrip("-").replace("-", "_")
+        args[dest] = default
+        if flag[0] == "-":
+            options[flag] = dest, parse, choices
+        elif rest[:1] and rest[0] in choices:
+            args[dest] = next(tokens)
+    for token in tokens:
+        if token in _FLAGS:
+            continue
+        if token not in options:  # unknown, given twice, or a word out of place
+            return None
+        dest, parse, choices = options.pop(token)
+        value = next(tokens, "-")  # a missing value reads as one that starts with "-"
+        if value.startswith("-") or parse and _over_cap(value):
+            return None
+        try:
+            args[dest] = value = parse(value) if parse else value
+        except (ValueError, ZeroDivisionError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+    return None if None in args.values() else SimpleNamespace(**args)  # None: one is missing
+
+
+def _parse_with_argparse(argv: list[str]):
+    """``argv`` read by ``argparse``: ``kvacert [--json] [--quiet] COMMAND ...``, then the
+    options of COMMAND, ``--json`` and ``--quiet`` again among them.  It prints ``--help``,
+    and the usage and error of a malformed line.  Only the chosen subcommand's parser is
+    built, because building all six costs a process about a millisecond."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """``argparse`` parser whose errors print the usage line and raise :class:`UsageError`."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            raise UsageError(message)
+
+        def _print_message(self, message, file=None):  # argparse's own swallows a failed write
+            (file or sys.stderr).write(message)
+
+    table = "\n".join(f"  {name:14}{run.__doc__.splitlines()[0]}"
+                      for name, (run, _) in _COMMANDS.items())
+    top = _Parser(prog="kvacert", allow_abbrev=False, add_help=False,
+                  formatter_class=argparse.RawDescriptionHelpFormatter, description=(
+                      "Exact-arithmetic k-very-ampleness certification on blown-up"
+                      f" bielliptic surfaces.\n\ncommands:\n{table}"))
+    top.add_argument("--help", action="help", help="Show this message and exit.")
+    top.add_argument("--json", action="store_true", help="Emit JSON from subcommands.")
+    top.add_argument("--quiet", action="store_true", help="Suppress detail lines.")
+    top.add_argument("command", metavar="COMMAND", choices=_COMMANDS,
+                     help="One of the commands listed above.")
+    # may be empty (``kvacert surfaces``), so never reported as a missing argument
+    top.add_argument("args", nargs=argparse.REMAINDER,
+                     help="Its options; see kvacert COMMAND --help.").required = False
+    args = top.parse_args(argv)
+    run, options = _COMMANDS[args.command]
+    sub = _Parser(prog=f"kvacert {args.command}", description=run.__doc__, allow_abbrev=False,
                   add_help=False)
     sub.add_argument("--help", action="help", help="Show this message and exit.")
     sub.add_argument("--json", action="store_true", help="Emit a single JSON object.")
     sub.add_argument("--quiet", action="store_true", help="Suppress detail lines.")
-    if name == "check":  # shown in its output only: no number depends on the type
-        sub.add_argument("--surface", type=_capped(int), choices=range(1, 8), default=1,
-                         help="Bielliptic surface type (default 1).")
-    for flag in ints:
-        sub.add_argument(f"-{flag}", type=_capped(int), required=True, help=_INT_HELP[flag])
-    for flag, default, what in rationals:
-        sub.add_argument(flag, type=_rational, default=default, help=f"{what} (default {default}).")
-    if name == "constants":
-        sub.add_argument("action", nargs="?", choices=["verify"], default="verify")
-        sub.add_argument("--kmin", type=_capped(int), default=2,
-                         help="Smallest k of the scan (default 2).")
-    elif name == "obstructions":
-        sub.add_argument("--formula", choices=["paper", "standard"], default="paper", help=(
-            "D^2 convention: D_S^2 - (sum m_i)^2 or D_S^2 - sum m_i^2 (default paper)."))
-    return sub
+    for flag, parse, default, choices, what in options:
+        kind = None if parse is None else _rational if parse is as_rat else _capped(parse)
+        sub.add_argument(flag, type=kind, choices=choices, default=default, help=what,
+                         **({"required": default is None} if flag[0] == "-" else {"nargs": "?"}))
+    # The group-level flags are already in ``args``, so the subcommand's
+    # parser does not reset them to False: the two placements merge.
+    return sub.parse_args(args.args, namespace=args)
 
 
 def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
@@ -383,11 +464,9 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     the code is returned instead of passed to ``sys.exit``, so in-process
     callers never see ``SystemExit``.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _top_parser().parse_args(argv)
-        # The group-level flags are already in ``args``, so the subcommand's
-        # parser does not reset them to False: the two placements merge.
-        _command_parser(args.command).parse_args(args.args, namespace=args)
+        args = _fast_parse(argv) or _parse_with_argparse(argv)
         code = _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"Error: {exc}", file=sys.stderr)

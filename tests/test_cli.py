@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON schemas, output values."""
 
+import ast
 import contextlib
 import errno
 import io
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import kvacert
 from kvacert.blowup import certify_instance, search_obstruction, seshadri_lower_sq
-from kvacert.cli import MAX_DIGITS, MAX_EXPONENT, main
+from kvacert.cli import MAX_DIGITS, MAX_EXPONENT, _fast_parse, _json, _parse_with_argparse, main
 from kvacert.constants import DELTA_DEFAULT, c_max_search
 from kvacert.hyperell import DivisorClass, surface_by_id
 
@@ -644,32 +645,40 @@ class TestGlobalFlags:
 class TestEntryPoint:
     CHECK = ["check", "-a", "12", "-b", "12", "-k", "2", "-d", "10", "-r", "28"]
 
-    def test_import_does_not_load_dataclasses(self):
-        result = python("-c", "import sys, kvacert.cli; print('dataclasses' in sys.modules)")
-        assert (result.returncode, result.stdout) == (0, "False\n")
+    #: the modules that neither the import nor a well-formed call may load: the parser and
+    #: its gettext and locale, json, and two that the package dropped for their cost
+    HEAVY = ("argparse", "gettext", "locale", "json", "click", "dataclasses")
+    #: a well-formed call of each command
+    PLAIN = [CHECK, ["max-r", "-a", "12", "-b", "12", "-k", "2", "--c", "99/100"],
+             ["seshadri", "-a", "12", "-b", "12", "-r", "28"], ["constants", "verify"],
+             ["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4"], ["surfaces"]]
 
-    def test_json_is_imported_only_to_dump_a_payload(self):
-        # obstructions streams its JSON, so it needs the module no more than the import does
+    @pytest.mark.parametrize("calls,parser", [
+        pytest.param([], False, id="import"),
+        pytest.param([args + flags for args in PLAIN for flags in ([], ["--json"])], False,
+                     id="well-formed"),
+        # argparse prints help and errors, and only it; no call dumps with json
+        pytest.param([["--help"]], True, id="help"),
+        pytest.param([["check", "-a", "12"]], True, id="usage-error"),
+    ])
+    def test_modules_loaded_by_import_and_calls(self, calls, parser):
         code = "\n".join([
             "import contextlib, io, sys",
-            "bare = 'json' in sys.modules",
+            f"heavy = {self.HEAVY!r}",
+            "bare = {name for name in heavy if name in sys.modules}",
             "from kvacert.cli import main",
-            "seen = ['json' in sys.modules]",
-            "with contextlib.redirect_stdout(io.StringIO()):",
-            "    main(['obstructions', '-a', '3', '-b', '3', '-k', '2', '-r', '4', '--json'],",
-            "         standalone_mode=False)",
-            "    seen.append('json' in sys.modules)",
-            "    main(['surfaces', '--json'], standalone_mode=False)",
-            "    seen.append('json' in sys.modules)",
-            "print('bare' if bare else seen)",
+            "with contextlib.redirect_stdout(io.StringIO()), \\",
+            "        contextlib.redirect_stderr(io.StringIO()):",
+            f"    for args in {calls!r}:",
+            "        main(args, standalone_mode=False)",
+            "print((sorted(bare), sorted(name for name in heavy if name in sys.modules)))",
         ])
         result = python("-c", code)
-        assert result.returncode == 0
-        assert result.stdout in ("bare\n", "[False, False, True]\n")
-
-    def test_import_does_not_load_click(self):
-        result = python("-c", "import sys, kvacert.cli; print('click' in sys.modules)")
-        assert (result.returncode, result.stdout) == (0, "False\n")
+        assert result.returncode == 0, result.stderr
+        bare, now = map(set, ast.literal_eval(result.stdout))
+        # a module that the interpreter loads at start-up is not counted
+        assert ("argparse" in now - bare) == parser
+        assert now - bare <= ({"argparse", "gettext", "locale"} if parser else set())
 
     @pytest.mark.parametrize("args", [
         ["check", "-b", "12", "-k", "2", "-d", "10", "-r", "28"],  # missing -a
@@ -794,11 +803,26 @@ class TestDigitCap:
         ("--c", ["-a", "12", "-b", "12", "--c=1/" + "9" * MAX_DIGITS]),
         ("--c", ["-a", "12", "-b", "12", f"--c=1e-{MAX_EXPONENT + 1}"]),
         ("--c", ["-a", "12", "-b", "12", f"--c=1e-0000{MAX_EXPONENT + 1}"]),
-    ], ids=["int", "rational", "exponent", "exponent-leading-zeros"])
+        # int and Fraction read the decimal digits of every script, so the cap counts them
+        # all, and leading zeros of every script are skipped
+        ("-a", ["-a", "١" + "٠" * MAX_DIGITS, "-b", "12"]),
+        ("--c", ["-a", "12", "-b", "12", "--c", "1e-" + "٠" * 4 + "٤٠١"]),
+    ], ids=["int", "rational", "exponent", "exponent-leading-zeros", "arabic-indic-int",
+            "arabic-indic-leading-zeros"])
     def test_just_past_the_cap_refused(self, option, args):
         result = invoke(["max-r", "-k", "2", *args])
         assert result.exit_code == 2
         assert result.stderr.splitlines()[-1] == f"Error: argument {option}: {CAP_ERROR}"
+
+    def test_only_what_int_reads_is_a_digit(self):
+        # "²" is a digit to str.isdigit, but not to int or Fraction: the value is no rational
+        result = invoke(["max-r", "-a", "1", "-b", "1", "-k", "2", "--c", "1e²"])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == (
+            "Error: argument --c: '1e²' is not an exact rational like 887/1000 or 0.887")
+        # while "٣" (Arabic-Indic three) is a digit to both
+        assert invoke(["max-r", "-a", "١٢", "-b", "12", "-k", "٢", "--c", "٨٨٧/١٠٠٠"]) == invoke(
+            ["max-r", "-a", "12", "-b", "12", "-k", "2"])
 
 
 #: integers at and just past the digit cap
@@ -808,7 +832,7 @@ _INTS = st.one_of(st.integers(-3, 40), _CAP_INTS)
 #: strings that are none
 _RATIONALS = st.one_of(
     st.fractions(min_value=-1, max_value=2, max_denominator=1000).map(str),
-    st.sampled_from(["0.887", "178/1000", "1e-400", "1/0", "abc", "",
+    st.sampled_from(["0.887", "178/1000", "1e-400", "1/0", "abc", "", "1e²",
                      f"1e-{MAX_EXPONENT + 1}", "1/" + "9" * (MAX_DIGITS - 1),
                      "1/" + "9" * MAX_DIGITS]),
 )
@@ -861,3 +885,126 @@ class TestExitCodes:
             assert result.stderr.splitlines()[-1].startswith("Error: ")
         else:
             assert result.stderr == ""
+
+
+#: a value that each option takes, though the library may refuse it
+_TAKEN = {
+    **dict.fromkeys(["-a", "-b", "-k", "-d", "-r", "--kmin"], st.one_of(
+        st.integers(0, 10**MAX_DIGITS - 1), st.sampled_from(["١٢", "1_000", "007"]))),
+    **dict.fromkeys(["--c", "--delta", "--grid-step"], st.one_of(
+        st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
+        st.sampled_from(["0.887", "1e-400", "1E-3", "٨٨٧/١٠٠٠"]))),
+    "--surface": st.integers(1, 7),
+    "--formula": st.sampled_from(["paper", "standard"]),
+}
+_REQUIRED = {"-a", "-b", "-k", "-d", "-r"}
+#: values that an option may not take: negative, past the digit cap, in other scripts,
+#: of another option, or junk
+_ODD_VALUES = st.one_of(
+    st.sampled_from(["-1", "-1/2", "-0.5", "-٣", "1e²", "٣", "", " 7", "1/0", "abc", "0", "8",
+                     "paper", "other", "verify", f"1e-{MAX_EXPONENT + 1}",
+                     "1e-" + "٠" * 4 + "٤٠١", "1" + "0" * MAX_DIGITS, "1/" + "9" * MAX_DIGITS]),
+    _INTS.map(str), _RATIONALS, st.text(max_size=3))
+#: words out of place in a plain command line
+_ODD = st.one_of(
+    st.sampled_from([*_TAKEN, "--json", "--quiet", "--help", "verify", "nonsense", "--", "-",
+                     "-a12", "-a=12", "--c=1/2", "--jso", "--surface=2"]), _ODD_VALUES)
+
+
+@st.composite
+def _plain_argv(draw):
+    """A plain command line: group flags, a subcommand, ``verify`` after ``constants`` or
+    not, then its required options and some others as ``flag value``, each once, in
+    drawn order, and the flags again."""
+    name = draw(st.sampled_from(sorted(_OPTIONS)))
+    pairs = draw(st.permutations([[option, str(draw(_TAKEN[option]))]
+                                  for option in _OPTIONS[name]
+                                  if option in _REQUIRED or draw(st.booleans())]))
+    flags = st.lists(st.sampled_from(["--json", "--quiet"]), max_size=2)
+    verify = ["verify"] if name == "constants" and draw(st.booleans()) else []
+    return [*draw(flags), name, *verify, *(token for pair in pairs for token in pair),
+            *draw(flags)]
+
+
+@st.composite
+def _edited_argv(draw):
+    """A plain command line and whether it was edited: half are, by one to three edits,
+    each of which puts an odd value in place of an option's, leaves out an option with its
+    value, drops a word, puts an odd word in or in place of one, repeats an option with
+    its value, or joins a flag and its value with "="."""
+    argv, edits = draw(_plain_argv()), draw(st.sampled_from([0, 0, 0, 1, 2, 3]))
+    for _ in range(edits):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["value", "value", "omit", "drop", "insert", "replace",
+                                     "repeat", "join"]))
+        values = [i for i in range(1, len(argv)) if argv[i - 1] in _TAKEN]
+        if edit in ("value", "omit"):
+            if values:
+                at = draw(st.sampled_from(values))
+                argv[at - (edit == "omit"):at + 1] = [draw(_ODD_VALUES)] if edit == "value" else []
+        elif edit == "drop":
+            argv[at:at + 1] = []
+        elif edit in ("insert", "replace"):
+            argv[at:at + (edit == "replace")] = [draw(_ODD)]
+        elif edit == "repeat":
+            argv[at:at] = argv[at:at + 2]
+        else:
+            argv[at:at + 2] = ["=".join(argv[at:at + 2])]
+    return argv, edits > 0
+
+
+def _typed(args) -> dict:
+    return {name: (type(value), value) for name, value in vars(args).items()}
+
+
+class TestFastParse:
+    """``_fast_parse`` against argparse, the parser it stands in for."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(case=_edited_argv())
+    # a positional out of place, a required option left out, a bad choice, a negative
+    # value that argparse reads as an option, and one just past the digit cap
+    @example(case=(["constants", "--kmin", "3", "verify"], True))
+    @example(case=(["seshadri", "-a", "1", "-b", "1"], True))
+    @example(case=(["obstructions", "-a", "1", "-b", "1", "-k", "2", "-r", "1",
+                    "--formula", "other"], True))
+    @example(case=(["max-r", "-a", "1", "-b", "1", "-k", "2", "--c", "-1/2"], True))
+    @example(case=(["max-r", "-a", "1" + "0" * MAX_DIGITS, "-b", "1", "-k", "2"], True))
+    def test_takes_every_plain_line_and_agrees_with_argparse(self, case):
+        argv, edited = case
+        fast = _fast_parse(argv)
+        assert fast is not None or edited, argv
+        if fast is not None:
+            # argparse must take the line too (a refusal raises) and build the same values
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert _typed(fast) == _typed(_parse_with_argparse(list(argv)))
+
+
+#: JSON-native values: nested and empty containers, big and negative ints, and text with
+#: quotes, backslashes, control characters, non-ASCII and non-BMP characters
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.sampled_from([10**40, -10**40]),
+              st.text(),
+              st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\b\f\n\r\t", "é€😀", "\ud800"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+GOLDEN_JSON_ARGS = [golden["args"] for golden in json.loads(
+    (Path(__file__).parent / "cli_goldens.json").read_text()) if "--json" in golden["args"]]
+
+
+class TestJsonWriter:
+    """``_json`` against ``json.dumps(..., indent=2)``, whose bytes it writes."""
+
+    @pytest.mark.parametrize("args", GOLDEN_JSON_ARGS + [["surfaces", "--json"]],
+                             ids=" ".join)
+    def test_every_golden_payload(self, args):
+        out = invoke(args).stdout
+        payload = json.loads(out)
+        assert _json(payload) + "\n" == json.dumps(payload, indent=2) + "\n" == out
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=_JSON_VALUES)
+    def test_drawn_values(self, value):
+        assert _json(value) == json.dumps(value, indent=2)

@@ -199,7 +199,8 @@ def test_cli_keeps_no_rule_of_its_own():
     tree = TREES["cli.py"]
     raises_usage_error = lambda node: any(
         isinstance(n, ast.Name) and n.id == "UsageError" for n in ast.walk(node))
-    assert set(raisers(tree, raises_usage_error)) == {"_Parser.error", "_library"}
+    assert set(raisers(tree, raises_usage_error)) == {"_parse_with_argparse._Parser.error",
+                                                        "_library"}
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "is_ample" not in imported
