@@ -653,6 +653,14 @@ class TestEntryPoint:
              ["seshadri", "-a", "12", "-b", "12", "-r", "28"], ["constants", "verify"],
              ["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4"], ["surfaces"]]
 
+    def test_import_does_not_load_dataclasses(self):
+        result = python("-c", "import sys, kvacert.cli; print('dataclasses' in sys.modules)")
+        assert (result.returncode, result.stdout) == (0, "False\n")
+
+    def test_import_does_not_load_click(self):
+        result = python("-c", "import sys, kvacert.cli; print('click' in sys.modules)")
+        assert (result.returncode, result.stdout) == (0, "False\n")
+
     @pytest.mark.parametrize("calls,parser", [
         pytest.param([], False, id="import"),
         pytest.param([args + flags for args in PLAIN for flags in ([], ["--json"])], False,
