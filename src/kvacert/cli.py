@@ -11,12 +11,11 @@ and after the subcommand.  Each command builds its JSON payload once and
 passes it, with its text lines, to one output helper, ``_show``, which alone
 reads the two flags and writes the bytes of ``json.dumps(payload, indent=2)``
 without ``json``; only ``obstructions`` streams its output with its own writer.
-One table, ``_COMMANDS``, holds every option.  ``_fast_parse`` reads a plain
-command line; any other, ``--help`` and each malformed one among them, goes to
-the standard library's ``argparse``, imported only then, with abbreviated long
-options refused.  Every verdict, bound, warning and range check is the
-library's; the command itself refuses only what the parser rejects and numbers
-over the digit cap.
+One table, ``_COMMANDS``, holds every option; ``_parse`` reads a command line
+from it as the standard library's ``ArgumentParser`` does, abbreviations
+refused, and ``_help`` renders the help and usage lines from it.  Every
+verdict, bound, warning and range check is the library's; the command itself
+refuses only what the parser rejects and numbers over the digit cap.
 """
 
 from __future__ import annotations
@@ -50,30 +49,6 @@ def _over_cap(value: str) -> bool:
     # read by value, so zeros of any script lead; four digits exceed MAX_EXPONENT already
     power = "".join(str(int(ch)) for ch in exponent if ch.isdecimal()).lstrip("0")[:4]
     return sum(ch.isdecimal() for ch in mantissa) > MAX_DIGITS or int(power or 0) > MAX_EXPONENT
-
-
-def _capped(parse):
-    """The argparse type ``parse``, refusing a number over the digit cap before it is built."""
-
-    def capped(value: str):
-        if _over_cap(value):
-            import argparse  # loaded: only argparse calls a type
-            raise argparse.ArgumentTypeError(
-                f"numbers are limited to {MAX_DIGITS} digits and exponents to {MAX_EXPONENT}")
-        return parse(value)
-
-    capped.__name__ = parse.__name__  # argparse names the type in its errors: "invalid int value"
-    return capped
-
-
-@_capped
-def _rational(value: str) -> Fraction:
-    try:
-        return as_rat(value)
-    except (ValueError, ZeroDivisionError):
-        import argparse  # loaded: only argparse calls a type
-        raise argparse.ArgumentTypeError(
-            f"{value!r} is not an exact rational like 887/1000 or 0.887") from None
 
 
 def _library(call, *args, **kwargs):
@@ -347,7 +322,7 @@ _DELTA = ("--delta", as_rat, DELTA_DEFAULT, None, f"Seshadri slack (default {DEL
 #: subcommand -> (its function, its options as (flag, type, default, choices, help)).  The
 #: type is ``int`` or ``as_rat``, both under the digit cap, or None for a word; a default
 #: of None makes the option required; the dest is the flag without its dashes, ``_`` for
-#: ``-``; a name without a dash is an optional positional, next after the subcommand.
+#: ``-``; a name without a dash is an optional positional.
 _COMMANDS = {
     "check": (check, (
         # shown in its output only: no number depends on the type
@@ -357,103 +332,129 @@ _COMMANDS = {
     "max-r": (max_r, (_A, _B, _K, _C)),
     "seshadri": (seshadri, (_A, _B, _R)),
     "constants": (constants, (
+        ("action", None, "verify", ("verify",), "The one action, and the default."),
         ("--grid-step", as_rat, GRID_STEP_DEFAULT, None,
          f"Scan resolution for c (default {GRID_STEP_DEFAULT})."),
-        ("action", None, "verify", ("verify",), None),
         ("--kmin", int, 2, None, "Smallest k of the scan (default 2)."))),
     "obstructions": (obstructions, (_A, _B, _K, _R, _DELTA, (
         "--formula", None, "paper", ("paper", "standard"),
         "D^2 convention: D_S^2 - (sum m_i)^2 or D_S^2 - sum m_i^2 (default paper)."))),
     "surfaces": (surfaces, ()),
 }
-_FLAGS = ("--json", "--quiet")
+#: the options of both levels of a command line, none of which takes a value
+_FLAGS = {"--help": "Show this message and exit.", "--json": "Emit a single JSON object.",
+          "--quiet": "Suppress detail lines."}
 
 
-def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace that :func:`_parse_with_argparse` builds from a plain ``argv``, else None.
+def _help(command: str | None) -> str:
+    """The text of ``kvacert [COMMAND] --help``, whose first paragraph is the usage line."""
+    run, table = _COMMANDS.get(command, (None, ()))
+    rows, words = list(_FLAGS.items()), [f"[{flag}]" for flag in _FLAGS]
+    for flag, _, default, choices, what in table:
+        meta = ("{" + ",".join(map(str, choices)) + "}" if choices
+                else flag.lstrip("-").replace("-", "_").upper())
+        word = f"{flag} {meta}" if flag[0] == "-" else meta
+        rows.append((word, what))
+        words.append(word if default is None else f"[{word}]")
+    lines = [f"usage: kvacert {command}" if run else "usage: kvacert"]
+    for word in words if run else [*words, "COMMAND ..."]:
+        if len(lines[-1]) + len(word) >= 80:
+            lines.append(" " * len(lines[0]))
+        lines[-1] += " " + word
+    about = [line.strip() for line in run.__doc__.strip().splitlines()] if run else [
+        "Exact-arithmetic k-very-ampleness certification on blown-up bielliptic surfaces.",
+        "", "commands (see kvacert COMMAND --help):",
+        *(f"  {name:14}{call.__doc__.splitlines()[0]}" for name, (call, _) in _COMMANDS.items())]
+    return "\n".join([*lines, "", *about, "", "options:",
+                      *(f"  {left:27}{what}" for left, what in rows)])
 
-    Plain is ``--json`` and ``--quiet``, the subcommand, its positional, then each option
-    once as ``flag value``, the value passing the digit cap, type and choices and not
-    starting with "-", and no required option left out.  ``--help``, ``-a=12``, ``-a12``,
-    a negative value and every malformed line are argparse's, which alone prints errors.
-    """
-    command = next((token for token in argv if token not in _FLAGS), None)
-    if command not in _COMMANDS:
+
+def _option(token: str, options) -> tuple[str | None, str | None] | None:
+    """None if ``token`` is a value where ``options`` are known, else the option that it names
+    (None if unknown) and the value joined to it (None if none)."""
+    if len(token) < 2 or token[0] != "-":
         return None
-    rest = argv[argv.index(command) + 1:]
-    args = {"json": "--json" in argv, "quiet": "--quiet" in argv, "command": command,
-            "args": rest}
-    options, tokens = {}, iter(rest)
-    for flag, parse, default, choices, _ in _COMMANDS[command][1]:
-        dest = flag.lstrip("-").replace("-", "_")
-        args[dest] = default
-        if flag[0] == "-":
-            options[flag] = dest, parse, choices
-        elif rest[:1] and rest[0] in choices:
-            args[dest] = next(tokens)
-    for token in tokens:
-        if token in _FLAGS:
-            continue
-        if token not in options:  # unknown, given twice, or a word out of place
-            return None
-        dest, parse, choices = options.pop(token)
-        value = next(tokens, "-")  # a missing value reads as one that starts with "-"
-        if value.startswith("-") or parse and _over_cap(value):
-            return None
-        try:
-            args[dest] = value = parse(value) if parse else value
-        except (ValueError, ZeroDivisionError):
-            return None
-        if choices is not None and value not in choices:
-            return None
-    return None if None in args.values() else SimpleNamespace(**args)  # None: one is missing
+    flag, joined, value = token.partition("=")
+    if flag in options:
+        return flag, value if joined else None
+    if token[:2] in options:  # a short option and its value: -a12
+        return token[:2], token[2:]
+    number = token[1:].removesuffix("\n")  # as the "$" of ArgumentParser's pattern allows
+    if " " in token or number.replace(".", "", 1).isdecimal() and number[-1] != ".":
+        return None  # a negative number, or words with a space
+    return None, None
 
 
-def _parse_with_argparse(argv: list[str]):
-    """``argv`` read by ``argparse``: ``kvacert [--json] [--quiet] COMMAND ...``, then the
-    options of COMMAND, ``--json`` and ``--quiet`` again among them.  It prints ``--help``,
-    and the usage and error of a malformed line.  Only the chosen subcommand's parser is
-    built, because building all six costs a process about a millisecond."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """``argparse`` parser whose errors print the usage line and raise :class:`UsageError`."""
-
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            raise UsageError(message)
-
-        def _print_message(self, message, file=None):  # argparse's own swallows a failed write
-            (file or sys.stderr).write(message)
-
-    table = "\n".join(f"  {name:14}{run.__doc__.splitlines()[0]}"
-                      for name, (run, _) in _COMMANDS.items())
-    top = _Parser(prog="kvacert", allow_abbrev=False, add_help=False,
-                  formatter_class=argparse.RawDescriptionHelpFormatter, description=(
-                      "Exact-arithmetic k-very-ampleness certification on blown-up"
-                      f" bielliptic surfaces.\n\ncommands:\n{table}"))
-    top.add_argument("--help", action="help", help="Show this message and exit.")
-    top.add_argument("--json", action="store_true", help="Emit JSON from subcommands.")
-    top.add_argument("--quiet", action="store_true", help="Suppress detail lines.")
-    top.add_argument("command", metavar="COMMAND", choices=_COMMANDS,
-                     help="One of the commands listed above.")
-    # may be empty (``kvacert surfaces``), so never reported as a missing argument
-    top.add_argument("args", nargs=argparse.REMAINDER,
-                     help="Its options; see kvacert COMMAND --help.").required = False
-    args = top.parse_args(argv)
-    run, options = _COMMANDS[args.command]
-    sub = _Parser(prog=f"kvacert {args.command}", description=run.__doc__, allow_abbrev=False,
-                  add_help=False)
-    sub.add_argument("--help", action="help", help="Show this message and exit.")
-    sub.add_argument("--json", action="store_true", help="Emit a single JSON object.")
-    sub.add_argument("--quiet", action="store_true", help="Suppress detail lines.")
-    for flag, parse, default, choices, what in options:
-        kind = None if parse is None else _rational if parse is as_rat else _capped(parse)
-        sub.add_argument(flag, type=kind, choices=choices, default=default, help=what,
-                         **({"required": default is None} if flag[0] == "-" else {"nargs": "?"}))
-    # The group-level flags are already in ``args``, so the subcommand's
-    # parser does not reset them to False: the two placements merge.
-    return sub.parse_args(args.args, namespace=args)
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """``argv`` read from the left as ``ArgumentParser`` reads ``kvacert [--json] [--quiet]
+    COMMAND ...`` and then COMMAND's options in ``_COMMANDS``: the namespace, or None once
+    ``--help`` has printed its text.  Any other line prints its usage line on stderr and
+    raises :class:`UsageError` with ``ArgumentParser``'s message."""
+    ns, command, i = {"json": False, "quiet": False}, None, 0
+    try:
+        while True:  # the words up to COMMAND, then COMMAND's own
+            table = (_COMMANDS[command][1] if command
+                     else (("COMMAND", None, None, _COMMANDS, None),))
+            options, positional, extras, dashdash = dict.fromkeys(_FLAGS), None, [], False
+            for flag, parse, default, choices, _ in table:
+                options[flag] = flag.lstrip("-").replace("-", "_").lower(), parse, choices
+                positional = positional if flag[0] == "-" else flag
+                if default is not None:
+                    ns[options[flag][0]] = default
+            while i < len(argv):
+                token, i = argv[i], i + 1
+                # the first "--" makes every later word a value; a positional takes one
+                # next to it.  A value is the positional's while it has none, else an extra
+                if token == "--" and not dashdash:
+                    dashdash = True
+                    extras += [] if positional else [token]
+                    continue
+                flag, text = (None if dashdash else _option(token, options)) or (positional, token)
+                if flag is None:
+                    extras.append(token)
+                    continue
+                if flag in _FLAGS:
+                    if text is not None:
+                        raise UsageError(f"argument {flag}: ignored explicit argument {text!r}")
+                    if flag == "--help":
+                        print(_help(command))
+                        return None
+                    ns[flag[2:]] = True
+                    continue
+                if text is None:
+                    if i == len(argv) or _option(argv[i], options):  # "--" is one
+                        raise UsageError(f"argument {flag}: expected one argument")
+                    text, i = argv[i], i + 1
+                dest, parse, choices = options[flag]
+                if parse and _over_cap(text):
+                    raise UsageError(f"argument {flag}: numbers are limited to {MAX_DIGITS}"
+                                     f" digits and exponents to {MAX_EXPONENT}")
+                try:
+                    ns[dest] = value = parse(text) if parse else text
+                except (ValueError, ZeroDivisionError):
+                    raise UsageError(f"argument {flag}: " + (
+                        f"invalid int value: {text!r}" if parse is int else
+                        f"{text!r} is not an exact rational like 887/1000 or 0.887")) from None
+                if choices is not None and value not in choices:
+                    raise UsageError(f"argument {flag}: invalid choice: {value!r}"
+                                     f" (choose from {', '.join(map(repr, choices))})")
+                if flag == positional:
+                    positional = None
+                    if not dashdash and argv[i:i + 1] == ["--"]:
+                        dashdash, i = True, i + 1
+                    if not command:
+                        break  # the rest of the line is COMMAND's
+            missing = [flag for flag, *_ in table if options[flag][0] not in ns]  # required
+            if missing:
+                raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+            if extras:
+                raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+            if command:
+                return SimpleNamespace(**ns)
+            command = ns["command"]
+    except UsageError:
+        print(_help(command).partition("\n\n")[0], file=sys.stderr)
+        raise
 
 
 def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
@@ -466,13 +467,11 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _fast_parse(argv) or _parse_with_argparse(argv)
-        code = _COMMANDS[args.command][0](args)
+        args = _parse(argv)
+        code = 0 if args is None else _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"Error: {exc}", file=sys.stderr)
         code = 2
-    except SystemExit as exc:  # argparse exits only after printing --help
-        code = exc.code
     if standalone_mode:
         sys.exit(code)
     return code

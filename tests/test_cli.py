@@ -19,8 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kvacert
+from argparse_oracle import EXAMPLES, ODD_VALUES, ODD_WORDS, agree
 from kvacert.blowup import certify_instance, search_obstruction, seshadri_lower_sq
-from kvacert.cli import MAX_DIGITS, MAX_EXPONENT, _fast_parse, _json, _parse_with_argparse, main
+from kvacert.cli import MAX_DIGITS, MAX_EXPONENT, _json, main
 from kvacert.constants import DELTA_DEFAULT, c_max_search
 from kvacert.hyperell import DivisorClass, surface_by_id
 
@@ -645,8 +646,8 @@ class TestGlobalFlags:
 class TestEntryPoint:
     CHECK = ["check", "-a", "12", "-b", "12", "-k", "2", "-d", "10", "-r", "28"]
 
-    #: the modules that neither the import nor a well-formed call may load: the parser and
-    #: its gettext and locale, json, and two that the package dropped for their cost
+    #: the modules that neither the import nor any call may load: argparse and its gettext
+    #: and locale, json, and two that the package dropped for their cost
     HEAVY = ("argparse", "gettext", "locale", "json", "click", "dataclasses")
     #: a well-formed call of each command
     PLAIN = [CHECK, ["max-r", "-a", "12", "-b", "12", "-k", "2", "--c", "99/100"],
@@ -661,15 +662,15 @@ class TestEntryPoint:
         result = python("-c", "import sys, kvacert.cli; print('click' in sys.modules)")
         assert (result.returncode, result.stdout) == (0, "False\n")
 
-    @pytest.mark.parametrize("calls,parser", [
-        pytest.param([], False, id="import"),
-        pytest.param([args + flags for args in PLAIN for flags in ([], ["--json"])], False,
+    @pytest.mark.parametrize("calls", [
+        pytest.param([], id="import"),
+        pytest.param([args + flags for args in PLAIN for flags in ([], ["--json"])],
                      id="well-formed"),
-        # argparse prints help and errors, and only it; no call dumps with json
-        pytest.param([["--help"]], True, id="help"),
-        pytest.param([["check", "-a", "12"]], True, id="usage-error"),
+        # the help texts and the usage errors are the command's own, as is its JSON writer
+        pytest.param([["--help"], ["check", "--help"]], id="help"),
+        pytest.param([["check", "-a", "12"], ["nonsense"]], id="usage-error"),
     ])
-    def test_modules_loaded_by_import_and_calls(self, calls, parser):
+    def test_modules_loaded_by_import_and_calls(self, calls):
         code = "\n".join([
             "import contextlib, io, sys",
             f"heavy = {self.HEAVY!r}",
@@ -685,8 +686,7 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         bare, now = map(set, ast.literal_eval(result.stdout))
         # a module that the interpreter loads at start-up is not counted
-        assert ("argparse" in now - bare) == parser
-        assert now - bare <= ({"argparse", "gettext", "locale"} if parser else set())
+        assert now - bare == set()
 
     @pytest.mark.parametrize("args", [
         ["check", "-b", "12", "-k", "2", "-d", "10", "-r", "28"],  # missing -a
@@ -729,7 +729,7 @@ class TestEntryPoint:
             assert want.exit_code == code
             assert (result.returncode, result.stdout, result.stderr) == want[:3]
 
-    #: short and long text, dumped and streamed JSON, and argparse's help text
+    #: short and long text, dumped and streamed JSON, and the help text
     OUTPUTS = [
         pytest.param(["surfaces"], id="surfaces"),
         pytest.param(["surfaces", "--json"], id="surfaces-json"),
@@ -876,7 +876,7 @@ def _argv(draw):
     for option, values in _OPTIONS[name].items():
         if draw(st.integers(0, 19)):  # one option in twenty is left out
             value = str(draw(values))
-            # ``--c=-1/2`` passes a negative rational; argparse reads ``--c -1/2`` as two options
+            # ``--c=-1/2`` passes a negative rational; ``--c -1/2`` reads as two options
             args += [f"{option}={value}"] if option.startswith("--") else [option, value]
     flags = draw(st.lists(st.sampled_from(["--json", "--quiet"]), max_size=2))
     return [*flags, *args] if draw(st.booleans()) else [*args, *flags]
@@ -908,15 +908,10 @@ _TAKEN = {
 _REQUIRED = {"-a", "-b", "-k", "-d", "-r"}
 #: values that an option may not take: negative, past the digit cap, in other scripts,
 #: of another option, or junk
-_ODD_VALUES = st.one_of(
-    st.sampled_from(["-1", "-1/2", "-0.5", "-٣", "1e²", "٣", "", " 7", "1/0", "abc", "0", "8",
-                     "paper", "other", "verify", f"1e-{MAX_EXPONENT + 1}",
-                     "1e-" + "٠" * 4 + "٤٠١", "1" + "0" * MAX_DIGITS, "1/" + "9" * MAX_DIGITS]),
-    _INTS.map(str), _RATIONALS, st.text(max_size=3))
+_ODD_VALUES = st.one_of(st.sampled_from(ODD_VALUES), _INTS.map(str), _RATIONALS,
+                        st.text(max_size=3))
 #: words out of place in a plain command line
-_ODD = st.one_of(
-    st.sampled_from([*_TAKEN, "--json", "--quiet", "--help", "verify", "nonsense", "--", "-",
-                     "-a12", "-a=12", "--c=1/2", "--jso", "--surface=2"]), _ODD_VALUES)
+_ODD = st.one_of(st.sampled_from([*_TAKEN, *ODD_WORDS]), _ODD_VALUES)
 
 
 @st.composite
@@ -961,16 +956,55 @@ def _edited_argv(draw):
     return argv, edits > 0
 
 
-def _typed(args) -> dict:
-    return {name: (type(value), value) for name, value in vars(args).items()}
+_MAX_R = ["max-r", "-a", "12", "-b", "12", "-k", "2"]
+_COMMAND_CHOICES = "'check', 'max-r', 'seshadri', 'constants', 'obstructions', 'surfaces'"
 
 
-class TestFastParse:
-    """``_fast_parse`` against argparse, the parser it stands in for."""
+class TestUsageErrors:
+    """One line of each kind of usage error, with the message of argparse 3.11.7."""
+
+    @pytest.mark.parametrize("args,message", [
+        (["check", "-a", "12"], "the following arguments are required: -b, -k, -d, -r"),
+        (["--json"], "the following arguments are required: COMMAND"),
+        (["frobnicate"], f"argument COMMAND: invalid choice: 'frobnicate' (choose from"
+                         f" {_COMMAND_CHOICES})"),
+        # every word left over, in order, "--" included
+        (["surfaces", "x", "--frob", "-a=1", "--", "-b"],
+         "unrecognized arguments: x --frob -a=1 -- -b"),
+        (["max-r", "-a", "12", "-b", "12", "-k"], "argument -k: expected one argument"),
+        (_MAX_R + ["--c", "-1/2"], "argument --c: expected one argument"),
+        (["max-r", "-a", "twelve", "-b", "12", "-k", "2"],
+         "argument -a: invalid int value: 'twelve'"),
+        (TestEntryPoint.CHECK + ["--surface", "9"],
+         "argument --surface: invalid choice: 9 (choose from 1, 2, 3, 4, 5, 6, 7)"),
+        (["obstructions", "-a", "3", "-b", "3", "-k", "2", "-r", "4", "--formula", "other"],
+         "argument --formula: invalid choice: 'other' (choose from 'paper', 'standard')"),
+        (["constants", "frobnicate"],
+         "argument action: invalid choice: 'frobnicate' (choose from 'verify')"),
+        (["max-r", "-a", "1" + "0" * MAX_DIGITS, "-b", "12", "-k", "2"],
+         f"argument -a: {CAP_ERROR}"),
+        (_MAX_R + ["--c", "abc"],
+         "argument --c: 'abc' is not an exact rational like 887/1000 or 0.887"),
+        (["--json=1", "surfaces"], "argument --json: ignored explicit argument '1'"),
+    ], ids=["required", "required-command", "unknown-command", "unrecognized",
+            "expected-one", "expected-one-negative", "invalid-int", "invalid-int-choice",
+            "invalid-str-choice", "invalid-positional-choice", "digit-cap", "rational",
+            "explicit-flag-value"])
+    def test_message(self, args, message):
+        result = invoke(args)
+        assert (result.exit_code, result.stdout) == (2, "")
+        usage, error = result.stderr.rsplit("Error: ", 1)
+        assert usage.startswith("usage: kvacert") and error == f"{message}\n"
+
+
+class TestParse:
+    """``_parse`` against argparse, the parser it replaced (``tests/argparse_oracle.py``):
+    both take a line with the same typed values, or print help, or refuse it with the
+    same message after a usage line."""
 
     @settings(max_examples=1000, deadline=None)
     @given(case=_edited_argv())
-    # a positional out of place, a required option left out, a bad choice, a negative
+    # a positional after an option, a required option left out, a bad choice, a negative
     # value that argparse reads as an option, and one just past the digit cap
     @example(case=(["constants", "--kmin", "3", "verify"], True))
     @example(case=(["seshadri", "-a", "1", "-b", "1"], True))
@@ -980,13 +1014,11 @@ class TestFastParse:
     @example(case=(["max-r", "-a", "1" + "0" * MAX_DIGITS, "-b", "1", "-k", "2"], True))
     def test_takes_every_plain_line_and_agrees_with_argparse(self, case):
         argv, edited = case
-        fast = _fast_parse(argv)
-        assert fast is not None or edited, argv
-        if fast is not None:
-            # argparse must take the line too (a refusal raises) and build the same values
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                assert _typed(fast) == _typed(_parse_with_argparse(list(argv)))
+        assert agree(argv)[0] == "namespace" or edited, argv
+
+    @pytest.mark.parametrize("argv", EXAMPLES, ids=" ".join)
+    def test_agrees_with_argparse_on_each_spelling(self, argv):
+        agree(argv)
 
 
 #: JSON-native values: nested and empty containers, big and negative ints, and text with
