@@ -14,8 +14,9 @@ without ``json``; only ``obstructions`` streams its output with its own writer.
 One table, ``_COMMANDS``, holds every option; ``_parse`` reads a command line
 from it as the standard library's ``ArgumentParser`` does, abbreviations
 refused, and ``_help`` renders the help and usage lines from it.  Every
-verdict, bound, warning and range check is the library's; the command itself
-refuses only what the parser rejects and numbers over the digit cap.
+verdict, bound, warning and range check is the library's, and the commands call
+it directly: the parser refuses only a malformed line and numbers over the digit
+cap, and ``main`` turns that and every ``ValueError`` of the library into exit 2.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .hyperell import DivisorClass, surface_by_id, surface_table
 MAX_DIGITS, MAX_EXPONENT = 100, 400
 
 
-class UsageError(Exception):
-    """An input the command refuses: :func:`main` prints ``Error: <message>`` and exits 2."""
+class UsageError(ValueError):
+    """A command line the parser refuses: :func:`main` reports it as any ``ValueError``."""
 
 
 def _over_cap(value: str) -> bool:
@@ -49,14 +50,6 @@ def _over_cap(value: str) -> bool:
     # read by value, so zeros of any script lead; four digits exceed MAX_EXPONENT already
     power = "".join(str(int(ch)) for ch in exponent if ch.isdecimal()).lstrip("0")[:4]
     return sum(ch.isdecimal() for ch in mantissa) > MAX_DIGITS or int(power or 0) > MAX_EXPONENT
-
-
-def _library(call, *args, **kwargs):
-    """``call(*args, **kwargs)``, with an input the library rejects as a usage error."""
-    try:
-        return call(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _exact_fields(name: str, value) -> dict:
@@ -131,7 +124,7 @@ def check(args) -> int:
     otherwise; the output lists each check either way.
     """
     surface, a, b, k, d, r = args.surface, args.a, args.b, args.k, args.d, args.r
-    cert = _library(certify_instance, DivisorClass(a, b), k, d, r, args.c, args.delta)
+    cert = certify_instance(DivisorClass(a, b), k, d, r, args.c, args.delta)
     derived = {
         "L2": cert.l2,
         "r_max": cert.r_max,
@@ -174,14 +167,14 @@ def check(args) -> int:
 
 def max_r(args) -> int:
     """Largest admissible number of points, floor(c * L^2 / (k+1)^2)."""
-    l2, r_max, warnings = _library(point_bound, DivisorClass(args.a, args.b), args.k, args.c)
+    l2, r_max, warnings = point_bound(DivisorClass(args.a, args.b), args.k, args.c)
     payload = {"r_max": r_max, "L2": l2, "k": args.k, "c": frac_str(args.c), "warnings": warnings}
     return _show(args, payload, lambda: [str(r_max), (f"warning: {w}" for w in warnings)])
 
 
 def seshadri(args) -> int:
     """Exact square of the multi-point Seshadri lower bound at r very general points."""
-    payload = _bound_fields(_library(seshadri_lower_sq, DivisorClass(args.a, args.b), args.r))
+    payload = _bound_fields(seshadri_lower_sq(DivisorClass(args.a, args.b), args.r))
     return _show(args, payload, lambda: [
         f"seshadri lower bound^2 = {payload['seshadri_lower_sq']}"
         f" (~{payload['seshadri_lower_sq_approx']})",
@@ -198,7 +191,7 @@ def constants(args) -> int:
     a feasible constant was found.  Exit 2 when the grid has more points
     below the ceiling than the scan budget (the count is printed).
     """
-    report = _library(c_max_search, args.grid_step, args.kmin)
+    report = c_max_search(args.grid_step, args.kmin)
     payload = {
         **_exact_fields("c_max", report.c_max),
         **_exact_fields("delta_max", report.delta_max),
@@ -270,8 +263,8 @@ def obstructions(args) -> int:
     than the output budget of multiplicities (the size is printed).
     """
     formula = args.formula
-    witnesses = _library(search_obstruction, DivisorClass(args.a, args.b), args.k, args.r,
-                         args.delta, formula=formula)
+    witnesses = search_obstruction(DivisorClass(args.a, args.b), args.k, args.r, args.delta,
+                                   formula=formula)
     # streamed one witness at a time; a vector is written as rendered, never copied into a line
     write = sys.stdout.write
     if args.json:
@@ -316,8 +309,11 @@ _A = ("-a", int, None, None, "First coordinate of the polarization.")
 _B = ("-b", int, None, None, "Second coordinate of the polarization.")
 _K = ("-k", int, None, None, "Order of the embedding to certify.")
 _R = ("-r", int, None, None, "Number of blown-up (very general) points.")
-_C = ("--c", as_rat, C_MAX_DEFAULT, None, f"Point-count constant (default {C_MAX_DEFAULT}).")
-_DELTA = ("--delta", as_rat, DELTA_DEFAULT, None, f"Seshadri slack (default {DELTA_DEFAULT}).")
+# the rational defaults are shown in thousandths, as the paper gives them
+_C = ("--c", as_rat, C_MAX_DEFAULT, None,
+      f"Point-count constant (default {C_MAX_DEFAULT * 1000}/1000).")
+_DELTA = ("--delta", as_rat, DELTA_DEFAULT, None,
+          f"Seshadri slack (default {DELTA_DEFAULT * 1000}/1000).")
 
 #: subcommand -> (its function, its options as (flag, type, default, choices, help)).  The
 #: type is ``int`` or ``as_rat``, both under the digit cap, or None for a word; a default
@@ -334,7 +330,7 @@ _COMMANDS = {
     "constants": (constants, (
         ("action", None, "verify", ("verify",), "The one action, and the default."),
         ("--grid-step", as_rat, GRID_STEP_DEFAULT, None,
-         f"Scan resolution for c (default {GRID_STEP_DEFAULT})."),
+         f"Scan resolution for c (default {GRID_STEP_DEFAULT * 1000}/1000)."),
         ("--kmin", int, 2, None, "Smallest k of the scan (default 2)."))),
     "obstructions": (obstructions, (_A, _B, _K, _R, _DELTA, (
         "--formula", None, "paper", ("paper", "standard"),
@@ -460,16 +456,17 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     """Parse ``argv`` (default ``sys.argv[1:]``), run the subcommand and exit with its code.
 
-    A usage error, the parser's own included, prints ``Error: <message>`` on
-    stderr and gives code 2; ``--help`` gives 0.  With ``standalone_mode=False``
-    the code is returned instead of passed to ``sys.exit``, so in-process
-    callers never see ``SystemExit``.
+    A refused input ends here alone: a ``ValueError``, the parser's :class:`UsageError`
+    and every refusal of the library alike (``SearchTooLarge`` too), prints
+    ``Error: <message>`` on stderr and gives code 2; ``--help`` gives 0.  With
+    ``standalone_mode=False`` the code is returned instead of passed to
+    ``sys.exit``, so in-process callers never see ``SystemExit``.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse(argv)
         code = 0 if args is None else _COMMANDS[args.command][0](args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"Error: {exc}", file=sys.stderr)
         code = 2
     if standalone_mode:

@@ -372,6 +372,37 @@ class TestStandardFormula:
             assert search_obstruction(l_s, k, r, delta, formula) == [], formula
 
 
+class TestIsotropicWitnesses:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(2, 5), st.integers(0, 6),
+           st.integers(1, 8), st.integers(2, 12), st.sampled_from(["paper", "standard"]))
+    def test_closed_form(self, a, b, k, r, num, den, formula):
+        """On D_S = (0, beta) or (alpha, 0), D_S^2 = 0, so D^2 = -q with q = sum m_i^2, and
+        the condition N.D - t <= D^2 < N.D/2 < t with N.D >= 1 reads 1 <= N.D <= t - q: the
+        witnesses are the (D_S, M, -q, N.D) with 1 <= L.D_S - tM <= t - q, for every square
+        sum q of M (M^2 alone under the paper formula)."""
+        delta = Fraction(num, den)
+        try:
+            witnesses = search_obstruction(DivisorClass(a, b), k, r, delta, formula)
+        except SearchTooLarge:
+            return
+        t = k + 1
+        m_max = floor(t / delta) if r >= 1 else 0
+        want = set()
+        # q >= M, since m^2 >= m, and the window needs q <= t - 1: no M above k has a witness
+        for m_sum in range(min(m_max, k) + 1):
+            squares = {m_sum * m_sum} if formula == "paper" else {
+                sum(m * m for m in parts) for parts in _partitions(m_sum, m_sum)
+                if len(parts) <= min(r, m_sum)}
+            for n in range(1, t * (m_sum + 1) + 1):
+                for alpha, beta in ((0, n), (n, 0)):
+                    nd = a * beta + b * alpha - t * m_sum
+                    want |= {((alpha, beta), m_sum, -q, nd) for q in squares if 1 <= nd <= t - q}
+        got = {((w.d_s.a, w.d_s.b), sum(w.mults), w.d2, w.nd) for w in witnesses
+               if 0 in (w.d_s.a, w.d_s.b)}
+        assert got == want
+
+
 def _square_sum_options(m_sum: int, max_parts: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Distinct values of sum(m_i^2) over partitions of m_sum into <= max_parts parts.
 

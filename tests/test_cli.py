@@ -707,6 +707,16 @@ class TestEntryPoint:
         assert (result.exit_code, result.stderr) == (0, "")
         assert result.stdout.startswith("usage: kvacert")
 
+    @pytest.mark.parametrize("command, flag, default", [
+        ("check", "--c", "887/1000"), ("check", "--delta", "178/1000"),
+        ("obstructions", "--delta", "178/1000"), ("constants", "--grid-step", "1/1000"),
+    ])
+    def test_help_gives_the_rational_defaults_in_thousandths(self, command, flag, default):
+        # as the paper and the README write them; the canonical JSON keeps lowest terms
+        lines = invoke([command, "--help"]).stdout.splitlines()
+        assert [line for line in lines if line.split()[:1] == [flag]][0].endswith(
+            f"(default {default}).")
+
     @pytest.mark.parametrize("flags", [["--json"], ["--quiet"], ["--json", "--quiet"]])
     def test_group_and_subcommand_flags_print_identical_bytes(self, flags):
         before, after = invoke([*flags, *self.CHECK]), invoke([*self.CHECK, *flags])

@@ -13,9 +13,10 @@
 * The modules import one another without a cycle, and ``constants`` imports
   no package module but ``exactmath``: the order is ``exactmath`` <-
   ``hyperell``, ``constants`` <- ``blowup`` <- ``cli``.
-* ``cli`` keeps no rule of its own: it raises ``UsageError`` only where the
-  parser rejects an argument or the library rejects an input, and it does
-  not import the ampleness predicate.
+* ``cli`` keeps no rule of its own: it raises ``UsageError`` only in the
+  parser, it does not import the ampleness predicate, and a refused input
+  ends in one place: no function but ``main`` and ``_parse`` catches
+  ``ValueError`` or ``UsageError``, and ``main`` catches it once.
 * No module imports ``typing`` or ``dataclasses``, for their cost at import, or
   ``argparse``: ``cli`` reads the command line, and prints its help and usage
   errors, on its own.
@@ -202,7 +203,12 @@ def test_cli_keeps_no_rule_of_its_own():
     tree = TREES["cli.py"]
     raises_usage_error = lambda node: any(
         isinstance(n, ast.Name) and n.id == "UsageError" for n in ast.walk(node))
-    assert set(raisers(tree, raises_usage_error)) == {"_parse", "_library"}
+    assert set(raisers(tree, raises_usage_error)) == {"_parse"}
+    catches_refusal = lambda node: isinstance(node, ast.ExceptHandler) and node.type and any(
+        isinstance(n, ast.Name) and n.id in {"ValueError", "UsageError"}
+        for n in ast.walk(node.type))
+    catchers = scopes(tree, catches_refusal)
+    assert set(catchers) == {"_parse", "main"} and catchers.count("main") == 1
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "is_ample" not in imported
