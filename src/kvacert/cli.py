@@ -9,10 +9,10 @@ strings, decimal fields suffixed ``_approx``); ``--quiet`` drops the detail
 lines of the text, and ``--json`` ignores it.  Both flags are accepted before
 and after the subcommand.  Each command builds its JSON payload once and
 passes it, with its text lines, to one output helper, ``_show``, which alone
-reads the two flags and writes the bytes of ``json.dumps(payload, indent=2)``
-without ``json``; only ``obstructions`` streams its output with its own writer.
-One table, ``_COMMANDS``, holds every option; ``_parse`` reads a command line
-from it as the standard library's ``ArgumentParser`` does, abbreviations
+reads ``--quiet`` and writes the bytes of ``json.dumps(payload, indent=2)``
+without ``json``; ``obstructions`` alone streams its JSON with a writer of its
+own.  One table, ``_COMMANDS``, holds every option; ``_parse`` reads a command
+line from it as the standard library's ``ArgumentParser`` does, abbreviations
 refused, and ``_help`` renders the help and usage lines from it.  Every
 verdict, bound, warning and range check is the library's, and the commands call
 it directly: the parser refuses only a malformed line and numbers over the digit
@@ -100,13 +100,13 @@ def _json(value, indent: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def _show(args, payload: dict, text, code: int = 0) -> int:
+def _show(args, payload: dict | None, text, code: int = 0) -> int:
     """Print ``payload`` as JSON under ``--json``, else the lines of ``text()``; return ``code``.
 
     In that list a string is a line, and any other item an iterable of detail lines,
     which ``--quiet`` drops.  A JSON run never calls ``text``, and a quiet one never
-    iterates the details.  No other code reads the two flags, but for the JSON that
-    ``obstructions`` streams.
+    iterates the details.  No other code reads ``--quiet``, and ``--json`` only
+    ``obstructions``, which streams its JSON itself and passes its text lines here.
     """
     if args.json:
         print(_json(payload))
@@ -236,24 +236,6 @@ def constants(args) -> int:
     ], 0 if report.verified else 1)
 
 
-def _json_mults(mults: tuple[int, ...]) -> str:
-    """``mults`` as ``json.dumps(..., indent=2)`` renders it as the value of a witness key."""
-    if not mults:
-        return "[]"
-    # the repr of a list of ints, with each ", " broken onto the next line
-    return "[\n        " + str(list(mults))[1:-1].replace(", ", ",\n        ") + "\n      ]"
-
-
-def _rendered_once(witnesses, render):
-    """Each witness with ``render(witness.mults)``, rendering every distinct vector once."""
-    rendered = {}
-    for w in witnesses:
-        text = rendered.get(w.mults)
-        if text is None:
-            text = rendered[w.mults] = render(w.mults)
-        yield w, text
-
-
 def obstructions(args) -> int:
     """Brute-force search for numerical obstruction divisors within the proof bounds.
 
@@ -265,26 +247,28 @@ def obstructions(args) -> int:
     formula = args.formula
     witnesses = search_obstruction(DivisorClass(args.a, args.b), args.k, args.r, args.delta,
                                    formula=formula)
-    # streamed one witness at a time; a vector is written as rendered, never copied into a line
+    code = 1 if witnesses else 0
+    if not args.json:
+        shown = {m: str(list(m)) for m in {w.mults for w in witnesses}}  # each vector once
+        return _show(args, None, lambda: [
+            f"{len(witnesses)} witness(es) within proof bounds ({formula} formula):"
+            if witnesses else "none found within proof bounds",
+            *(f"  D_S = ({w.d_s.a},{w.d_s.b}), m = {shown[w.mults]}, N.D = {w.nd}, D^2 = {w.d2}"
+              for w in witnesses)], code)
+    # the bytes of json.dumps(payload, indent=2) and a newline (the formula is a plain word),
+    # streamed one witness at a time.  Each distinct vector is rendered once, as the repr of
+    # its list with each ", " broken onto the next line, and never copied into a line
+    rendered = {m: "[\n        " + str(list(m))[1:-1].replace(", ", ",\n        ") + "\n      ]"
+                if m else "[]" for m in {w.mults for w in witnesses}}
     write = sys.stdout.write
-    if args.json:
-        # the bytes of json.dumps(payload, indent=2) and a newline (the formula is a plain word)
-        write(f'{{\n  "formula": "{formula}",\n  "count": {len(witnesses)},\n  "witnesses": [')
-        for i, (w, mults) in enumerate(_rendered_once(witnesses, _json_mults)):
-            write(f'{"," if i else ""}\n    {{\n      "d_s": {{\n        "a": {w.d_s.a},\n'
-                  f'        "b": {w.d_s.b}\n      }},\n      "mults": ')
-            write(mults)
-            write(f',\n      "nd": {w.nd},\n      "d2": {w.d2}\n    }}')
-        write("\n  ]\n}\n" if witnesses else "]\n}\n")
-    elif not witnesses:
-        write("none found within proof bounds\n")
-    else:
-        write(f"{len(witnesses)} witness(es) within proof bounds ({formula} formula):\n")
-        for w, mults in _rendered_once(witnesses, lambda m: str(list(m))):
-            write(f"  D_S = ({w.d_s.a},{w.d_s.b}), m = ")
-            write(mults)
-            write(f", N.D = {w.nd}, D^2 = {w.d2}\n")
-    return 0 if not witnesses else 1
+    write(f'{{\n  "formula": "{formula}",\n  "count": {len(witnesses)},\n  "witnesses": [')
+    for i, w in enumerate(witnesses):
+        write(f'{"," if i else ""}\n    {{\n      "d_s": {{\n        "a": {w.d_s.a},\n'
+              f'        "b": {w.d_s.b}\n      }},\n      "mults": ')
+        write(rendered[w.mults])
+        write(f',\n      "nd": {w.nd},\n      "d2": {w.d2}\n    }}')
+    write("\n  ]\n}\n" if witnesses else "]\n}\n")
+    return code
 
 
 def surfaces(args) -> int:
@@ -346,17 +330,21 @@ def _help(command: str | None) -> str:
     """The text of ``kvacert [COMMAND] --help``, whose first paragraph is the usage line."""
     run, table = _COMMANDS.get(command, (None, ()))
     rows, words = list(_FLAGS.items()), [f"[{flag}]" for flag in _FLAGS]
+    tail = [] if run else ["COMMAND", "..."]  # the positionals, which come last
     for flag, _, default, choices, what in table:
         meta = ("{" + ",".join(map(str, choices)) + "}" if choices
                 else flag.lstrip("-").replace("-", "_").upper())
         word = f"{flag} {meta}" if flag[0] == "-" else meta
         rows.append((word, what))
-        words.append(word if default is None else f"[{word}]")
-    lines = [f"usage: kvacert {command}" if run else "usage: kvacert"]
-    for word in words if run else [*words, "COMMAND ..."]:
-        if len(lines[-1]) + len(word) >= 80:
-            lines.append(" " * len(lines[0]))
-        lines[-1] += " " + word
+        (words if flag[0] == "-" else tail).append(word if default is None else f"[{word}]")
+    head = f"usage: kvacert {command}" if run else "usage: kvacert"
+    lines = [" ".join([head, *words, *tail])]
+    if len(lines[0]) > 78:  # argparse's layout at 80 columns: wrapped at column 78 under
+        lines = [head]  # the first option, and the positionals start a line of their own
+        for i, word in enumerate(words + tail):
+            if len(lines[-1]) + len(word) >= 78 or i == len(words):
+                lines.append(" " * len(head))
+            lines[-1] += " " + word
     about = [line.strip() for line in run.__doc__.strip().splitlines()] if run else [
         "Exact-arithmetic k-very-ampleness certification on blown-up bielliptic surfaces.",
         "", "commands (see kvacert COMMAND --help):",

@@ -2,10 +2,12 @@
 ``kvacert.cli._parse``, and a comparison of the two that needs only the standard library.
 
 :func:`parse_with_argparse` is the parser that ``_parse`` replaced, built from the same
-table, ``kvacert.cli._COMMANDS``.  :func:`outcome` is what a parser makes of a line: its
-typed namespace, its help, or its error message.  The two parsers must agree on every
-line but in the help text, which is each parser's own; ``_parse`` also leaves out
-argparse's ``args``, the rest of the line after COMMAND, which no command reads.
+table, ``kvacert.cli._COMMANDS``, as :func:`top_parser` and one :func:`command_parser` per
+command.  :func:`outcome` is what a parser makes of a line: its typed namespace, its help,
+or its error message.  The two parsers must agree on every line but in the help text,
+whose body is each parser's own (its usage paragraph is argparse's at 80 columns);
+``_parse`` also leaves out argparse's ``args``, the rest of the line after COMMAND, which
+no command reads.
 
 Run as a script, the module draws command lines much as ``tests/test_cli.py`` does (plain
 lines, half of them edited) and compares the two parsers on each::
@@ -60,10 +62,8 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stderr).write(message)
 
 
-def parse_with_argparse(argv: list[str]):
-    """``argv`` read by ``argparse``: ``kvacert [--json] [--quiet] COMMAND ...``, then the
-    options of COMMAND, ``--json`` and ``--quiet`` again among them.  It prints ``--help``
-    and exits, and prints the usage and raises :class:`UsageError` for a malformed line."""
+def top_parser() -> _Parser:
+    """The ``argparse`` parser of ``kvacert [--json] [--quiet] COMMAND ...``."""
     table = "\n".join(f"  {name:14}{run.__doc__.splitlines()[0]}"
                       for name, (run, _) in _COMMANDS.items())
     top = _Parser(prog="kvacert", allow_abbrev=False, add_help=False,
@@ -78,9 +78,14 @@ def parse_with_argparse(argv: list[str]):
     # may be empty (``kvacert surfaces``), so never reported as a missing argument
     top.add_argument("args", nargs=argparse.REMAINDER,
                      help="Its options; see kvacert COMMAND --help.").required = False
-    args = top.parse_args(argv)
-    run, options = _COMMANDS[args.command]
-    sub = _Parser(prog=f"kvacert {args.command}", description=run.__doc__, allow_abbrev=False,
+    return top
+
+
+def command_parser(command: str) -> _Parser:
+    """The ``argparse`` parser of the options of ``command``, ``--json`` and ``--quiet``
+    among them."""
+    run, options = _COMMANDS[command]
+    sub = _Parser(prog=f"kvacert {command}", description=run.__doc__, allow_abbrev=False,
                   add_help=False)
     sub.add_argument("--help", action="help", help="Show this message and exit.")
     sub.add_argument("--json", action="store_true", help="Emit a single JSON object.")
@@ -89,9 +94,17 @@ def parse_with_argparse(argv: list[str]):
         kind = None if parse is None else _rational if parse is as_rat else _capped(parse)
         sub.add_argument(flag, type=kind, choices=choices, default=default, help=what,
                          **({"required": default is None} if flag[0] == "-" else {"nargs": "?"}))
+    return sub
+
+
+def parse_with_argparse(argv: list[str]):
+    """``argv`` read by ``argparse``: ``kvacert [--json] [--quiet] COMMAND ...``, then the
+    options of COMMAND, ``--json`` and ``--quiet`` again among them.  It prints ``--help``
+    and exits, and prints the usage and raises :class:`UsageError` for a malformed line."""
+    args = top_parser().parse_args(argv)
     # The group-level flags are already in ``args``, so the subcommand's
     # parser does not reset them to False: the two placements merge.
-    return sub.parse_args(args.args, namespace=args)
+    return command_parser(args.command).parse_args(args.args, namespace=args)
 
 
 def outcome(parse, argv: list[str]) -> tuple:

@@ -328,6 +328,10 @@ class TestPaperFormula:
         pytest.param("standard", 2, 7, 12, id="standard-2-7-12"),
         pytest.param("standard", 3, 13, 19, id="standard-3-13-19"),
         pytest.param("standard", 4, 21, 28, id="standard-4-21-28"),
+        pytest.param("standard", 5, 31, 39, id="standard-5-31-39"),
+        pytest.param("standard", 6, 43, 52, id="standard-6-43-52"),
+        pytest.param("standard", 7, 57, 67, id="standard-7-57-67"),
+        pytest.param("standard", 8, 73, 84, id="standard-8-73-84"),
     ])
     def test_largest_square_class_with_witnesses(self, formula, k, largest, domain):
         # the bounds of the test above and of TestStandardFormula are not vacuous, nor sharp:
@@ -336,13 +340,20 @@ class TestPaperFormula:
         # it is the theorem's a = d + 2 = (k+1)^2 + 3, with r_max = floor(c L^2/(k+1)^2)
         t = k + 1
         assert domain == t * t + (1 if formula == "paper" else 3)
+        assert formula == "paper" or largest == t * t - t + 1
 
         def points(a):
             r_max = floor(C_MAX_DEFAULT * 2 * a * a / (t * t))
             return (1,) if formula == "paper" else (2, r_max // 2, r_max)
 
-        assert search_obstruction(DivisorClass(largest, largest), k, points(largest)[-1], DELTA,
-                                  formula)
+        r = points(largest)[-1]
+        witnesses = search_obstruction(DivisorClass(largest, largest), k, r, DELTA, formula)
+        assert witnesses
+        if formula == "standard" and k >= 3:  # at k = 2 a third one has D_S = (2,2)
+            # the isotropic classes through k points: N.D = (t^2 - t + 1) - tk = 1, D^2 = -k
+            ones = (1,) * k + (0,) * (r - k)
+            assert witnesses == [ObstructionWitness(DivisorClass(0, 1), ones, 1, -k),
+                                 ObstructionWitness(DivisorClass(1, 0), ones, 1, -k)]
         for a in range(largest + 1, domain + 1):
             for r in points(a):
                 assert search_obstruction(DivisorClass(a, a), k, r, DELTA, formula) == [], (a, r)

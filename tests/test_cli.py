@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -19,9 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kvacert
-from argparse_oracle import EXAMPLES, ODD_VALUES, ODD_WORDS, agree
+from argparse_oracle import (EXAMPLES, ODD_VALUES, ODD_WORDS, agree, command_parser,
+                             top_parser)
 from kvacert.blowup import certify_instance, search_obstruction, seshadri_lower_sq
-from kvacert.cli import MAX_DIGITS, MAX_EXPONENT, _json, main
+from kvacert.cli import _COMMANDS, MAX_DIGITS, MAX_EXPONENT, _help, _json, main
 from kvacert.constants import DELTA_DEFAULT, c_max_search
 from kvacert.hyperell import DivisorClass, surface_by_id
 
@@ -554,6 +556,29 @@ class TestStreamedObstructions:
             assert result.stdout == want(formula, witnesses)
 
 
+class TestObstructionsText:
+    """The text of ``obstructions``, whose every line is a top-level line of ``_show``: the
+    recorded bytes, which ``--quiet`` leaves whole."""
+
+    @pytest.mark.parametrize("args, code, first, sha256", [
+        (["-a", "3", "-b", "3", "-k", "2", "-r", "4"], 1,
+         "5 witness(es) within proof bounds (paper formula):",
+         "57e2914132a7166ef36c8fc4d96591600126445b02d17a464624499d3d725325"),
+        (["-a", "3", "-b", "3", "-k", "2", "-r", "4", "--formula", "standard"], 1,
+         "78 witness(es) within proof bounds (standard formula):",
+         "b7b165f6d4e6c8756fa6d6892d9a8d4539d09e8ff065b1fefd4629559b62a7b0"),
+        (["-a", "12", "-b", "12", "-k", "2", "-r", "28"], 0,
+         "none found within proof bounds",
+         "5788f59da8a3736b8f3c7014ad96618b9a6d01bfe20edd04ae114e52d7173f6d"),
+    ], ids=["paper", "standard", "none"])
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["full", "quiet"])
+    def test_recorded_bytes(self, args, code, first, sha256, quiet):
+        result = invoke(["obstructions", *args, *quiet])
+        assert (result.exit_code, result.stderr) == (code, "")
+        assert result.stdout.splitlines()[0] == first
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
+
+
 class TestSurfaces:
     def test_seven_rows(self):
         result = invoke(["surfaces"])
@@ -1029,6 +1054,16 @@ class TestParse:
     @pytest.mark.parametrize("argv", EXAMPLES, ids=" ".join)
     def test_agrees_with_argparse_on_each_spelling(self, argv):
         agree(argv)
+
+    @pytest.mark.parametrize("command", [None, *_COMMANDS], ids=str)
+    def test_usage_paragraph_is_argparses_at_80_columns(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = command_parser(command) if command else top_parser()
+        assert _help(command).partition("\n\n")[0] + "\n" == parser.format_usage()
+
+    def test_usage_wraps_under_the_first_option(self):
+        lines = invoke(["check", "--help"]).stdout.splitlines()
+        assert lines[1] == " " * 21 + "-a A -b B -k K -d D -r R [--c C] [--delta DELTA]"
 
 
 #: JSON-native values: nested and empty containers, big and negative ints, and text with

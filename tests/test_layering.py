@@ -13,6 +13,8 @@
 * The modules import one another without a cycle, and ``constants`` imports
   no package module but ``exactmath``: the order is ``exactmath`` <-
   ``hyperell``, ``constants`` <- ``blowup`` <- ``cli``.
+* ``cli`` has one output helper: ``_show`` alone reads ``--quiet``, and ``--json``
+  is read by ``_show`` and once by ``obstructions``, which streams its JSON itself.
 * ``cli`` keeps no rule of its own: it raises ``UsageError`` only in the
   parser, it does not import the ampleness predicate, and a refused input
   ends in one place: no function but ``main`` and ``_parse`` catches
@@ -212,6 +214,15 @@ def test_cli_keeps_no_rule_of_its_own():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "is_ample" not in imported
+
+
+def test_show_alone_reads_quiet_and_obstructions_reads_json_once():
+    def readers(flag):
+        return scopes(TREES["cli.py"], lambda node: isinstance(node, ast.Attribute)
+                      and node.attr == flag and isinstance(node.ctx, ast.Load))
+
+    assert readers("quiet") == ["_show"]
+    assert sorted(readers("json")) == ["_show", "obstructions"]
 
 
 def test_the_theorems_floor_is_refused_in_one_place():
