@@ -247,6 +247,10 @@ SEARCH_BUDGET = 3 * 10**7
 #: r=40 under the standard formula, is 2339 witnesses x 40 = 93,560.
 OUTPUT_BUDGET = 10**6
 
+#: The D^2 conventions of :func:`search_obstruction` (see its ``formula``).
+FORMULAS = ("paper", "standard")
+
+
 def _search_estimate(a: int, b: int, t: int, parts: int, m_max: int) -> int:
     """Closed-form upper bound on the search's steps: condition tests and table bits.
 
@@ -386,7 +390,7 @@ def search_obstruction(
     sigma = sigma_bound(k + 1, delta)  # raises unless k >= 2 and delta > 0
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if formula not in ("paper", "standard"):
+    if formula not in FORMULAS:
         raise ValueError(f"unknown D^2 formula variant: {formula!r}")
     _ample(l_s)
     a, b = l_s.a, l_s.b

@@ -15,8 +15,10 @@ own.  One table, ``_COMMANDS``, holds every option; ``_parse`` reads a command
 line from it as the standard library's ``ArgumentParser`` does, abbreviations
 refused, and ``_help`` renders the help and usage lines from it.  Every
 verdict, bound, warning and range check is the library's, and the commands call
-it directly: the parser refuses only a malformed line and numbers over the digit
-cap, and ``main`` turns that and every ``ValueError`` of the library into exit 2.
+it directly; so is every table shown: ``surfaces`` prints the ``surface_table()``
+rows as they are, and ``--surface`` and ``--formula`` choose from its ids and
+``FORMULAS``.  The parser refuses only a malformed line and numbers over the digit
+cap, with a plain ``ValueError``, and ``main`` turns every ``ValueError`` into exit 2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .blowup import certify_instance, point_bound, search_obstruction, seshadri_lower_sq
+from .blowup import FORMULAS, certify_instance, point_bound, search_obstruction, seshadri_lower_sq
 from .constants import (C_MAX_DEFAULT, DELTA_DEFAULT, GRID_STEP_DEFAULT, c_max_search,
                         margin_fields, render_margin)
 from .exactmath import QuadExpr, as_rat, decimal_str, frac_str
@@ -37,10 +39,6 @@ from .hyperell import DivisorClass, surface_by_id, surface_table
 #: derived from them cheap and far below Python's 4300-digit int-to-str limit: the
 #: largest, the obstruction search's estimate, grows like k^6 / delta^4 (< 2700 digits).
 MAX_DIGITS, MAX_EXPONENT = 100, 400
-
-
-class UsageError(ValueError):
-    """A command line the parser refuses: :func:`main` reports it as any ``ValueError``."""
 
 
 def _over_cap(value: str) -> bool:
@@ -80,8 +78,8 @@ def _json_char(ch: str) -> str:
 
 
 def _json(value, indent: str = "") -> str:
-    """``value`` (dicts with str keys, lists, str, int, bool and None) in the bytes of
-    ``json.dumps(value, indent=2)``, nested at ``indent``."""
+    """``value`` (dicts with str keys, lists or tuples, str, int, bool and None) in the
+    bytes of ``json.dumps(value, indent=2)``, nested at ``indent``: a tuple as an array."""
     if isinstance(value, str):
         if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
             return f'"{value}"'
@@ -146,7 +144,7 @@ def check(args) -> int:
     }
     threshold = k + 1 + args.delta
     return _show(args, payload, lambda: [
-        f"inputs: surface={surface} ({surface_by_id(surface).group_name})"
+        f"inputs: surface={surface} ({surface_by_id(surface).group})"
         f" a={a} b={b} k={k} d={d} r={r}",
         (f"  [{'ok' if ok else 'FAIL'}] {name}: {detail}"
          for name, ok, detail in cert.hypothesis_checks + cert.certificate_checks),
@@ -273,20 +271,10 @@ def obstructions(args) -> int:
 
 def surfaces(args) -> int:
     """The seven types of bielliptic surfaces with their lattice metadata."""
-    rows = [
-        {
-            "id": s.id,
-            "group": s.group_name,
-            "multiplicities": list(s.fiber_multiplicities),
-            "mu": s.mu,
-            "gamma": s.gamma,
-            "basis": s.basis_label,
-        }
-        for s in surface_table()
-    ]
-    return _show(args, {"surfaces": rows}, lambda: [
-        f"{s['id']}: G = {s['group']}; fibres {','.join(map(str, s['multiplicities']))}; "
-        f"mu = {s['mu']}, gamma = {s['gamma']}; basis {s['basis']}" for s in rows])
+    rows = surface_table()
+    return _show(args, {"surfaces": [s._asdict() for s in rows]}, lambda: [
+        f"{s.id}: G = {s.group}; fibres {','.join(map(str, s.multiplicities))}; "
+        f"mu = {s.mu}, gamma = {s.gamma}; basis {s.basis}" for s in rows])
 
 
 _A = ("-a", int, None, None, "First coordinate of the polarization.")
@@ -306,7 +294,8 @@ _DELTA = ("--delta", as_rat, DELTA_DEFAULT, None,
 _COMMANDS = {
     "check": (check, (
         # shown in its output only: no number depends on the type
-        ("--surface", int, 1, range(1, 8), "Bielliptic surface type (default 1)."),
+        ("--surface", int, 1, tuple(s.id for s in surface_table()),
+         "Bielliptic surface type (default 1)."),
         _A, _B, _K, ("-d", int, None, None, "Very-ampleness order of the polarization."), _R,
         _C, _DELTA)),
     "max-r": (max_r, (_A, _B, _K, _C)),
@@ -317,7 +306,7 @@ _COMMANDS = {
          f"Scan resolution for c (default {GRID_STEP_DEFAULT * 1000}/1000)."),
         ("--kmin", int, 2, None, "Smallest k of the scan (default 2)."))),
     "obstructions": (obstructions, (_A, _B, _K, _R, _DELTA, (
-        "--formula", None, "paper", ("paper", "standard"),
+        "--formula", None, "paper", FORMULAS,
         "D^2 convention: D_S^2 - (sum m_i)^2 or D_S^2 - sum m_i^2 (default paper)."))),
     "surfaces": (surfaces, ()),
 }
@@ -373,7 +362,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     """``argv`` read from the left as ``ArgumentParser`` reads ``kvacert [--json] [--quiet]
     COMMAND ...`` and then COMMAND's options in ``_COMMANDS``: the namespace, or None once
     ``--help`` has printed its text.  Any other line prints its usage line on stderr and
-    raises :class:`UsageError` with ``ArgumentParser``'s message."""
+    raises ``ValueError`` with ``ArgumentParser``'s message."""
     ns, command, i = {"json": False, "quiet": False}, None, 0
     try:
         while True:  # the words up to COMMAND, then COMMAND's own
@@ -399,7 +388,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
                     continue
                 if flag in _FLAGS:
                     if text is not None:
-                        raise UsageError(f"argument {flag}: ignored explicit argument {text!r}")
+                        raise ValueError(f"argument {flag}: ignored explicit argument {text!r}")
                     if flag == "--help":
                         print(_help(command))
                         return None
@@ -407,20 +396,20 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
                     continue
                 if text is None:
                     if i == len(argv) or _option(argv[i], options):  # "--" is one
-                        raise UsageError(f"argument {flag}: expected one argument")
+                        raise ValueError(f"argument {flag}: expected one argument")
                     text, i = argv[i], i + 1
                 dest, parse, choices = options[flag]
                 if parse and _over_cap(text):
-                    raise UsageError(f"argument {flag}: numbers are limited to {MAX_DIGITS}"
+                    raise ValueError(f"argument {flag}: numbers are limited to {MAX_DIGITS}"
                                      f" digits and exponents to {MAX_EXPONENT}")
                 try:
                     ns[dest] = value = parse(text) if parse else text
                 except (ValueError, ZeroDivisionError):
-                    raise UsageError(f"argument {flag}: " + (
+                    raise ValueError(f"argument {flag}: " + (
                         f"invalid int value: {text!r}" if parse is int else
                         f"{text!r} is not an exact rational like 887/1000 or 0.887")) from None
                 if choices is not None and value not in choices:
-                    raise UsageError(f"argument {flag}: invalid choice: {value!r}"
+                    raise ValueError(f"argument {flag}: invalid choice: {value!r}"
                                      f" (choose from {', '.join(map(repr, choices))})")
                 if flag == positional:
                     positional = None
@@ -430,13 +419,13 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
                         break  # the rest of the line is COMMAND's
             missing = [flag for flag, *_ in table if options[flag][0] not in ns]  # required
             if missing:
-                raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+                raise ValueError(f"the following arguments are required: {', '.join(missing)}")
             if extras:
-                raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+                raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
             if command:
                 return SimpleNamespace(**ns)
             command = ns["command"]
-    except UsageError:
+    except ValueError:
         print(_help(command).partition("\n\n")[0], file=sys.stderr)
         raise
 
@@ -444,8 +433,8 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     """Parse ``argv`` (default ``sys.argv[1:]``), run the subcommand and exit with its code.
 
-    A refused input ends here alone: a ``ValueError``, the parser's :class:`UsageError`
-    and every refusal of the library alike (``SearchTooLarge`` too), prints
+    A refused input ends here alone: a ``ValueError`` of the parser and every refusal of
+    the library alike (``SearchTooLarge`` too), prints
     ``Error: <message>`` on stderr and gives code 2; ``--help`` gives 0.  With
     ``standalone_mode=False`` the code is returned instead of passed to
     ``sys.exit``, so in-process callers never see ``SystemExit``.

@@ -4,8 +4,9 @@ Divisor classes modulo numerical equivalence form a rank-2 lattice with an
 isotropic basis.  In the normalized basis (A/mu, (mu/gamma)B) the pairing of
 the two generators is A*B/gamma = 1, so every one of the seven surface types
 shares the intersection matrix [[0, 1], [1, 0]]; the type only contributes
-the (mu, gamma) metadata and the basis label.  A class is therefore the pair
-(a, b) alone, on every type: no number derived from it depends on the type.
+its row of ``surface_table()``, which ``kvacert surfaces`` prints as it is.  A
+class is therefore the pair (a, b) alone, on every type: no number derived
+from it depends on the type.
 The canonical class is numerically trivial on these surfaces, so it never
 appears explicitly.
 """
@@ -17,22 +18,22 @@ from collections import namedtuple
 from .exactmath import Value
 
 
-class SurfaceType(namedtuple(
-        "SurfaceType", "id group_name fiber_multiplicities mu gamma basis_label")):
+class SurfaceType(namedtuple("SurfaceType", "id group multiplicities mu gamma basis")):
     """One of the seven Bagnera-de Franchis classes of bielliptic surfaces.
 
-    ``mu`` is the lcm of the singular-fibre multiplicities, ``gamma`` the
-    order of the acting group; the basis of the numerical lattice is
-    A/mu, (mu/gamma)B.
+    ``group`` names the acting group and ``multiplicities`` are those of the
+    singular fibres; ``mu`` is their lcm, ``gamma`` the order of the group, and
+    ``basis`` labels the basis A/mu, (mu/gamma)B of the numerical lattice.  The
+    fields are the keys of ``kvacert surfaces --json``, in its order.
     """
 
     __slots__ = ()
     id: int
-    group_name: str
-    fiber_multiplicities: tuple[int, ...]
+    group: str
+    multiplicities: tuple[int, ...]
     mu: int
     gamma: int
-    basis_label: str
+    basis: str
 
 
 _SURFACES = (
@@ -55,7 +56,8 @@ def surface_by_id(type_id: int) -> SurfaceType:
     for s in _SURFACES:
         if s.id == type_id:
             return s
-    raise ValueError(f"unknown surface type id: {type_id} (valid: 1..7)")
+    raise ValueError(f"unknown surface type id: {type_id}"
+                     f" (valid: {_SURFACES[0].id}..{_SURFACES[-1].id})")
 
 
 class DivisorClass(Value):

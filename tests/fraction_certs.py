@@ -1,11 +1,13 @@
 """The Fraction-built certificates of ``kvacert.constants``, kept as a test oracle.
 
-Every c-dependent claim polynomial here is assembled from ``Poly`` values of
-Fraction coefficients (``scale``, products, differences), every value at t0
-is a polynomial evaluation, and the slack is floored by ``fraction_kernel``'s
-sign walk.  ``kvacert.constants`` instead instantiates each claim from its
-table of integer polynomials in c and 1/delta, cleared over the numerators and
-denominators of c and delta.  The differential tests in
+Every c-dependent claim polynomial here is assembled from ``fraction_kernel``'s
+``FracPoly`` values of Fraction coefficients (``scale``, sums, differences,
+products, ``derivative``), every value at t0 is a ``FracPoly`` evaluation, and
+the slack is floored by ``fraction_kernel``'s sign walk.  A claim becomes a
+``Poly`` only to be decided by ``poly_positive_on_ray``, so no ``Poly``
+arithmetic builds it.  ``kvacert.constants`` instead instantiates each claim
+from its table of integer polynomials in c and 1/delta, cleared over the
+numerators and denominators of c and delta.  The differential tests in
 ``test_cert_differential.py``, and ``TestCeiling`` in ``test_constants.py``
 for the n2 ceiling, assert that both give the same ``repr``.
 """
@@ -15,13 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from fraction_kernel import quad_floor
+from fraction_kernel import FracPoly, quad_floor
 from kvacert.constants import CertRecord
 from kvacert.exactmath import Poly, QuadExpr, as_rat, poly_positive_on_ray
 
-TWO_T2P3_SQ = Poly([18, 0, 12, 0, 2])  # 2*(t^2+3)^2
-RAD_Z = Poly([0, 0, 0, -2, 1])  # t^4 - 2t^3
-TWO_T_MINUS_1 = Poly([-1, 2])
+TWO_T2P3_SQ = FracPoly([18, 0, 12, 0, 2])  # 2*(t^2+3)^2
+RAD_Z = FracPoly([0, 0, 0, -2, 1])  # t^4 - 2t^3
+TWO_T_MINUS_1 = FracPoly([-1, 2])
 
 
 def unit(c) -> Fraction:
@@ -46,7 +48,7 @@ def binding(t0: int) -> int:
 
 
 def ray_record(id, claims, t0, side=(), margin=None, **fields) -> CertRecord:
-    rays = [poly_positive_on_ray(p, t0) for p in (*claims, *side)]
+    rays = [poly_positive_on_ray(Poly(p.coeffs), t0) for p in (*claims, *side)]
     if all(ray.positive for ray in rays):
         status = "certified"
     elif any(ray.method == "undecided" for ray in rays):
@@ -65,7 +67,8 @@ def n2_chain_cert(c, t0: int = 3) -> CertRecord:
         "lhs_at_t0": TWO_T2P3_SQ.scale(1 - c)(t0),
         "rhs_at_t0": Fraction(4 * t0 + 1),
     }
-    return ray_record("n2-chain", [TWO_T2P3_SQ.scale(1 - c) - Poly([1, 4])], t0, details=details)
+    return ray_record("n2-chain", [TWO_T2P3_SQ.scale(1 - c) - FracPoly([1, 4])], t0,
+                      details=details)
 
 
 def ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
@@ -73,13 +76,13 @@ def ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
     c_exact = 1 - Fraction(4 * t0 + 1, 2 * (t0 * t0 + 3) ** 2)
     n = floor(c_exact * 1000)
     c, next_c = Fraction(n, 1000), Fraction(n + 1, 1000)
-    margin = TWO_T2P3_SQ.scale(1 - c) - Poly([1, 4])
+    margin = TWO_T2P3_SQ.scale(1 - c) - FracPoly([1, 4])
     details = {
         "ceiling": c,
         "exact_bound": c_exact,
         "binding_t": Fraction(t0),
         "next_candidate": next_c,
-        "next_candidate_margin": (TWO_T2P3_SQ.scale(1 - next_c) - Poly([1, 4]))(t0),
+        "next_candidate_margin": (TWO_T2P3_SQ.scale(1 - next_c) - FracPoly([1, 4]))(t0),
     }
     return c, ray_record("n2-ceiling", [margin.derivative()], t0, margin=margin(t0),
                          details=details)
@@ -95,14 +98,14 @@ def case1_cert(c, t0: int = 3) -> CertRecord:
 
 def interval_containment_cert(c, t0: int = 3) -> CertRecord:
     c, t0 = unit(c), binding(t0)
-    z1_lhs = Poly([-1, -1, 1])  # t^2 - t - 1
+    z1_lhs = FracPoly([-1, -1, 1])  # t^2 - t - 1
     z1_cleared = RAD_Z - z1_lhs * z1_lhs
 
     w = (1 - c) / c
-    rhs = Poly([0, 1, w])  # w t^2 + t
+    rhs = FracPoly([0, 1, w])  # w t^2 + t
     full = RAD_Z - rhs * rhs
     assert full.coeffs[0] == 0 and full.coeffs[1] == 0
-    z2_quad = Poly(full.coeffs[2:])  # (1-w^2)t^2 - 2(1+w)t - 1
+    z2_quad = FracPoly(full.coeffs[2:])  # (1-w^2)t^2 - 2(1+w)t - 1
 
     t0q = Fraction(t0)
     z2_at_t0 = QuadExpr(t0q * t0q - t0q, 1, RAD_Z(t0q))
@@ -124,7 +127,7 @@ def interval_containment_cert(c, t0: int = 3) -> CertRecord:
 
 def g_positive_cert(c, delta, t0: int = 3) -> CertRecord:
     c, delta, t0 = unit(c), positive(delta), binding(t0)
-    lin = Poly([1, 1 / delta])  # 1 + t/delta
+    lin = FracPoly([1, 1 / delta])  # 1 + t/delta
     g = TWO_T2P3_SQ.scale(1 / c) - lin * lin
     return ray_record("g-positive", [g], t0, details={"g_at_t0": g(t0), "c": c, "delta": delta})
 

@@ -20,12 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kvacert
-from argparse_oracle import (EXAMPLES, ODD_VALUES, ODD_WORDS, agree, command_parser,
-                             top_parser)
+from argparse_oracle import DRAWN, EDGE_LINES, EXAMPLES, TABLE, outcome, same
 from kvacert.blowup import certify_instance, search_obstruction, seshadri_lower_sq
-from kvacert.cli import _COMMANDS, MAX_DIGITS, MAX_EXPONENT, _help, _json, main
+from kvacert.cli import _COMMANDS, MAX_DIGITS, MAX_EXPONENT, _help, _json, _parse, main
 from kvacert.constants import DELTA_DEFAULT, c_max_search
-from kvacert.hyperell import DivisorClass, surface_by_id
+from kvacert.hyperell import DivisorClass, surface_by_id, surface_table
 
 #: the environment of a fresh interpreter that imports this kvacert
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -273,7 +272,7 @@ class TestSurfaceType:
                     == base_json.output)
             # plain: the same lines but for the inputs: header
             first, rest = plain.output.split("\n", 1)
-            group = surface_by_id(surface).group_name
+            group = surface_by_id(surface).group
             assert first == f"inputs: surface={surface} ({group}) a={a} b={b} k={k} d={d} r={r}"
             assert rest == base_plain.output.split("\n", 1)[1]
         for command in (["max-r", "-a", str(a), "-b", str(b), "-k", str(k)],
@@ -598,6 +597,9 @@ class TestSurfaces:
             "basis": "A/3, B",
         }
         assert rows[1]["group"] == "Z2xZ2" and rows[1]["gamma"] == 4
+        # each row is the library's, field for field
+        assert rows == [{**s._asdict(), "multiplicities": list(s.multiplicities)}
+                        for s in surface_table()]
 
 
 class TestJsonRoundTrip:
@@ -930,67 +932,6 @@ class TestExitCodes:
             assert result.stderr == ""
 
 
-#: a value that each option takes, though the library may refuse it
-_TAKEN = {
-    **dict.fromkeys(["-a", "-b", "-k", "-d", "-r", "--kmin"], st.one_of(
-        st.integers(0, 10**MAX_DIGITS - 1), st.sampled_from(["١٢", "1_000", "007"]))),
-    **dict.fromkeys(["--c", "--delta", "--grid-step"], st.one_of(
-        st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
-        st.sampled_from(["0.887", "1e-400", "1E-3", "٨٨٧/١٠٠٠"]))),
-    "--surface": st.integers(1, 7),
-    "--formula": st.sampled_from(["paper", "standard"]),
-}
-_REQUIRED = {"-a", "-b", "-k", "-d", "-r"}
-#: values that an option may not take: negative, past the digit cap, in other scripts,
-#: of another option, or junk
-_ODD_VALUES = st.one_of(st.sampled_from(ODD_VALUES), _INTS.map(str), _RATIONALS,
-                        st.text(max_size=3))
-#: words out of place in a plain command line
-_ODD = st.one_of(st.sampled_from([*_TAKEN, *ODD_WORDS]), _ODD_VALUES)
-
-
-@st.composite
-def _plain_argv(draw):
-    """A plain command line: group flags, a subcommand, ``verify`` after ``constants`` or
-    not, then its required options and some others as ``flag value``, each once, in
-    drawn order, and the flags again."""
-    name = draw(st.sampled_from(sorted(_OPTIONS)))
-    pairs = draw(st.permutations([[option, str(draw(_TAKEN[option]))]
-                                  for option in _OPTIONS[name]
-                                  if option in _REQUIRED or draw(st.booleans())]))
-    flags = st.lists(st.sampled_from(["--json", "--quiet"]), max_size=2)
-    verify = ["verify"] if name == "constants" and draw(st.booleans()) else []
-    return [*draw(flags), name, *verify, *(token for pair in pairs for token in pair),
-            *draw(flags)]
-
-
-@st.composite
-def _edited_argv(draw):
-    """A plain command line and whether it was edited: half are, by one to three edits,
-    each of which puts an odd value in place of an option's, leaves out an option with its
-    value, drops a word, puts an odd word in or in place of one, repeats an option with
-    its value, or joins a flag and its value with "="."""
-    argv, edits = draw(_plain_argv()), draw(st.sampled_from([0, 0, 0, 1, 2, 3]))
-    for _ in range(edits):
-        at = draw(st.integers(0, len(argv)))
-        edit = draw(st.sampled_from(["value", "value", "omit", "drop", "insert", "replace",
-                                     "repeat", "join"]))
-        values = [i for i in range(1, len(argv)) if argv[i - 1] in _TAKEN]
-        if edit in ("value", "omit"):
-            if values:
-                at = draw(st.sampled_from(values))
-                argv[at - (edit == "omit"):at + 1] = [draw(_ODD_VALUES)] if edit == "value" else []
-        elif edit == "drop":
-            argv[at:at + 1] = []
-        elif edit in ("insert", "replace"):
-            argv[at:at + (edit == "replace")] = [draw(_ODD)]
-        elif edit == "repeat":
-            argv[at:at] = argv[at:at + 2]
-        else:
-            argv[at:at + 2] = ["=".join(argv[at:at + 2])]
-    return argv, edits > 0
-
-
 _MAX_R = ["max-r", "-a", "12", "-b", "12", "-k", "2"]
 _COMMAND_CHOICES = "'check', 'max-r', 'seshadri', 'constants', 'obstructions', 'surfaces'"
 
@@ -1033,33 +974,33 @@ class TestUsageErrors:
 
 
 class TestParse:
-    """``_parse`` against argparse, the parser it replaced (``tests/argparse_oracle.py``):
-    both take a line with the same typed values, or print help, or refuse it with the
-    same message after a usage line."""
+    """``_parse`` against argparse, the parser it replaced: both take a line with the same
+    typed values, or print help, or refuse it with the same message, each after the same
+    usage paragraph.  argparse's side is the table that ``tests/argparse_oracle.py``
+    recorded under Python 3.11.7, so no later argparse release moves these tests; the
+    script compares the two parsers live."""
 
-    @settings(max_examples=1000, deadline=None)
-    @given(case=_edited_argv())
-    # a positional after an option, a required option left out, a bad choice, a negative
-    # value that argparse reads as an option, and one just past the digit cap
-    @example(case=(["constants", "--kmin", "3", "verify"], True))
-    @example(case=(["seshadri", "-a", "1", "-b", "1"], True))
-    @example(case=(["obstructions", "-a", "1", "-b", "1", "-k", "2", "-r", "1",
-                    "--formula", "other"], True))
-    @example(case=(["max-r", "-a", "1", "-b", "1", "-k", "2", "--c", "-1/2"], True))
-    @example(case=(["max-r", "-a", "1" + "0" * MAX_DIGITS, "-b", "1", "-k", "2"], True))
-    def test_takes_every_plain_line_and_agrees_with_argparse(self, case):
-        argv, edited = case
-        assert agree(argv)[0] == "namespace" or edited, argv
+    RECORDED = json.loads(TABLE.read_text())
+    OUTCOMES = {json.dumps(row["argv"]): row["outcome"] for row in RECORDED["lines"]}
+
+    def test_takes_every_plain_line_and_agrees_with_argparse(self):
+        rows, explicit = self.RECORDED["lines"], EXAMPLES + EDGE_LINES
+        # the explicit lines, then the lines drawn once: about half plain, half edited
+        assert [row["argv"] for row in rows[:len(explicit)]] == explicit
+        assert len(rows) == len(explicit) + DRAWN
+        for row in rows:
+            got = outcome(_parse, row["argv"])
+            assert same(got, row["outcome"]), (row["argv"], got, row["outcome"])
+            assert got[0] == "namespace" or not row["plain"], row["argv"]
 
     @pytest.mark.parametrize("argv", EXAMPLES, ids=" ".join)
     def test_agrees_with_argparse_on_each_spelling(self, argv):
-        agree(argv)
+        want = self.OUTCOMES[json.dumps(argv)]
+        assert same(outcome(_parse, argv), want), want
 
     @pytest.mark.parametrize("command", [None, *_COMMANDS], ids=str)
-    def test_usage_paragraph_is_argparses_at_80_columns(self, command, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        parser = command_parser(command) if command else top_parser()
-        assert _help(command).partition("\n\n")[0] + "\n" == parser.format_usage()
+    def test_usage_paragraph_is_argparses_at_80_columns(self, command):
+        assert _help(command).partition("\n\n")[0] == self.RECORDED["usage"][command or ""]
 
     def test_usage_wraps_under_the_first_option(self):
         lines = invoke(["check", "--help"]).stdout.splitlines()

@@ -41,28 +41,27 @@ class TestSurfaceTable:
     def test_seven_rows_exact(self):
         rows = surface_table()
         assert len(rows) == 7
-        got = [
-            (s.id, s.group_name, s.fiber_multiplicities, s.mu, s.gamma, s.basis_label)
-            for s in rows
-        ]
+        # the fields are the keys of ``kvacert surfaces --json``, in its order
+        assert rows[0]._fields == ("id", "group", "multiplicities", "mu", "gamma", "basis")
+        got = [(s.id, s.group, s.multiplicities, s.mu, s.gamma, s.basis) for s in rows]
         assert got == EXPECTED_TABLE
 
     def test_mu_is_lcm_of_multiplicities(self):
         for s in surface_table():
-            assert s.mu == lcm(*s.fiber_multiplicities)
+            assert s.mu == lcm(*s.multiplicities)
 
     def test_gamma_is_group_order(self):
         for s in surface_table():
-            assert s.gamma == _group_order(s.group_name)
+            assert s.gamma == _group_order(s.group)
 
     def test_selected_rows(self):
         s1, s4, s7 = surface_by_id(1), surface_by_id(4), surface_by_id(7)
-        assert (s1.group_name, s1.fiber_multiplicities, s1.mu, s1.gamma) == ("Z2", (2, 2, 2, 2), 2, 2)
-        assert (s4.group_name, s4.fiber_multiplicities, s4.mu, s4.gamma) == ("Z4xZ2", (2, 4, 4), 4, 8)
-        assert (s7.group_name, s7.fiber_multiplicities, s7.mu, s7.gamma) == ("Z6", (2, 3, 6), 6, 6)
+        assert (s1.group, s1.multiplicities, s1.mu, s1.gamma) == ("Z2", (2, 2, 2, 2), 2, 2)
+        assert (s4.group, s4.multiplicities, s4.mu, s4.gamma) == ("Z4xZ2", (2, 4, 4), 4, 8)
+        assert (s7.group, s7.multiplicities, s7.mu, s7.gamma) == ("Z6", (2, 3, 6), 6, 6)
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown surface type id: 8 \(valid: 1\.\.7\)$"):
             surface_by_id(8)
 
 
