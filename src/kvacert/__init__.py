@@ -1,87 +1,3 @@
 """Exact-arithmetic certification of k-very ampleness on blown-up bielliptic surfaces."""
 
-from .blowup import (
-    BlowupClass,
-    ObstructionWitness,
-    blowup_intersect,
-    bs_condition3,
-    n_class,
-    search_obstruction,
-    seshadri_lower_sq,
-    star_holds,
-)
-from .constants import (
-    C_MAX_DEFAULT,
-    DELTA_DEFAULT,
-    CertRecord,
-    ConstantsReport,
-    Discrepancy,
-    c_max_search,
-    case1_cert,
-    case_ds2_zero_cert,
-    delta_raw,
-    g_positive_cert,
-    interval_containment_cert,
-    lhs_increasing_cert,
-    n2_chain_cert,
-    sigma_bound,
-    z1_decreasing_cert,
-)
-from .exactmath import (
-    Poly,
-    PolyRayResult,
-    QuadExpr,
-    as_rat,
-    poly_positive_on_ray,
-)
-from .hyperell import (
-    DivisorClass,
-    SurfaceType,
-    intersect,
-    is_ample,
-    kva_sufficient,
-    self_intersection,
-    surface_by_id,
-    surface_table,
-)
-
-__all__ = [
-    "BlowupClass",
-    "C_MAX_DEFAULT",
-    "CertRecord",
-    "ConstantsReport",
-    "DELTA_DEFAULT",
-    "Discrepancy",
-    "DivisorClass",
-    "ObstructionWitness",
-    "Poly",
-    "PolyRayResult",
-    "QuadExpr",
-    "SurfaceType",
-    "as_rat",
-    "blowup_intersect",
-    "bs_condition3",
-    "c_max_search",
-    "case1_cert",
-    "case_ds2_zero_cert",
-    "delta_raw",
-    "g_positive_cert",
-    "intersect",
-    "interval_containment_cert",
-    "is_ample",
-    "kva_sufficient",
-    "lhs_increasing_cert",
-    "n2_chain_cert",
-    "n_class",
-    "poly_positive_on_ray",
-    "search_obstruction",
-    "self_intersection",
-    "seshadri_lower_sq",
-    "sigma_bound",
-    "star_holds",
-    "surface_by_id",
-    "surface_table",
-    "z1_decreasing_cert",
-]
-
 __version__ = "0.1.0"

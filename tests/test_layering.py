@@ -6,13 +6,16 @@
 * Every module-level private name is used somewhere in the package, so no
   helper survives only for the tests.
 * Every public function and class, and every public method or property of a
-  public class, is read somewhere in the package outside ``__init__``: a public
-  name is on a path or deleted.  The exceptions are the names the benchmark's
+  public class, is read somewhere in the package: a public name is on a path
+  or deleted.  The exceptions are the names the benchmark's
   tracer wraps (``SPANNED`` and ``COUNTED`` in ``bench/tracing.py``, read from
   its syntax tree) and ``Poly.coeffs``, the one public reader of a ``Poly``.
 * The modules import one another without a cycle, and ``constants`` imports
   no package module but ``exactmath``: the order is ``exactmath`` <-
   ``hyperell``, ``constants`` <- ``blowup`` <- ``cli``.
+* The package root ``__init__`` imports nothing and binds no name but
+  ``__version__``: the API is the modules, ``kvacert.<module>``, and
+  ``import kvacert`` loads none of them.
 * ``cli.py`` keeps within a budget of 500 lines.
 * ``cli`` has one output helper: ``_show`` alone reads ``--quiet``, and ``--json``
   is read by ``_show`` and once by ``obstructions``, which streams its JSON itself.
@@ -129,8 +132,7 @@ def test_every_private_module_name_is_used_in_the_package():
 
 
 def test_every_public_name_is_reached_in_the_package():
-    modules = {name.removesuffix(".py"): tree for name, tree in TREES.items()
-               if name != "__init__.py"}
+    modules = {name.removesuffix(".py"): tree for name, tree in TREES.items()}
     names, attributes = set(), set()
     for node in (node for tree in modules.values() for node in ast.walk(tree)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -205,6 +207,18 @@ def raise_text(node: ast.Raise) -> str:
     """The string constants of a ``raise``, an f-string's literal parts included, joined."""
     return "".join(n.value for n in ast.walk(node)
                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
+def test_package_root_imports_nothing_and_binds_only_its_version():
+    tree = TREES["__init__.py"]
+    imports = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports == []
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    bound = [node.name for node in ast.walk(tree) if isinstance(node, defs)]
+    bound += [node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)]
+    assert bound == ["__version__"]
 
 
 def test_cli_keeps_no_rule_of_its_own():
