@@ -31,6 +31,8 @@ Every ray claim is an integer row of one table, ``_CLAIMS``, and every ray
 certificate a row of ``_CERTS``: its claims, side claims and side-condition
 texts.  One builder, ``_ray_record``, reads a certificate's row at c (and
 delta) and returns its :class:`CertRecord` with status, margin and counterexample.
+Some certificate decides each claim; no ``details`` entry equals its record's
+margin, a ray's t0 or value at t0, or a ray's polynomial or its negation.
 One helper, ``_slack``, derives the radicand, the slack surd and its 3-decimal
 floor from the integers of c; every slack here is read off it.
 
@@ -173,7 +175,7 @@ def _positive(delta: RatLike) -> Fraction:
     return delta
 
 
-class _AtT0(namedtuple("_AtT0", "t t2 f two_t2p3_sq n2_rhs case1_rhs rad_z z1_cleared")):
+class _AtT0(namedtuple("_AtT0", "t t2 f two_t2p3_sq n2_rhs case1_rhs rad_z")):
     """The values at t0 that no grid point changes."""
 
     __slots__ = ()
@@ -184,7 +186,6 @@ class _AtT0(namedtuple("_AtT0", "t t2 f two_t2p3_sq n2_rhs case1_rhs rad_z z1_cl
     n2_rhs: Fraction  # 4t0 + 1
     case1_rhs: Fraction  # (2t0 - 1)^2
     rad_z: Fraction  # t0^4 - 2t0^3
-    z1_cleared: Fraction  # t0^2 - 2t0 - 1 = t0^4 - 2t0^3 - (t0^2 - t0 - 1)^2
 
 
 @lru_cache(maxsize=128)  # bounded, since t0 is the caller's; a scan uses one
@@ -194,7 +195,7 @@ def _at(t0: int) -> _AtT0:
         raise ValueError(f"k = {t0 - 1} is below the theorem's floor k >= 2")
     t2 = t0 * t0
     return _AtT0(Fraction(t0), t2, 4 * (t2 + 3), *map(Fraction, (
-        2 * (t2 + 3) ** 2, 4 * t0 + 1, (2 * t0 - 1) ** 2, t2 * (t2 - 2 * t0), t2 - 2 * t0 - 1)))
+        2 * (t2 + 3) ** 2, 4 * t0 + 1, (2 * t0 - 1) ** 2, t2 * (t2 - 2 * t0))))
 
 
 def _lhs(c: Fraction, at: _AtT0) -> Fraction:
@@ -256,7 +257,6 @@ _CLAIMS = {
     "z1-lhs": (((-1,), (-1,), (1,)), 0),  # t^2 - t - 1
     "rad-z": (((), (), (), (-2,), (1,)), 0),  # t^4 - 2t^3, the radicand of the roots z_1, z_2
     "z1-decreasing": (((), (), (), (2,)), 0),  # (2t^3-3t^2)^2 - (2t-1)^2 (t^4-2t^3) = 2t^3
-    "z1-difference": (((), (), (), (-2,)), 0),  # its negation, a detail of that record
     "2t-1": (((-1,), (2,)), 0),
     "2t^3-3t^2": (((), (), (-3,), (2,)), 0),
     "lhs-increasing": (((), (-6,), (), (2,)), 0),  # 2t^3 - 6t = 2t(t^2-3)
@@ -415,8 +415,7 @@ def z1_decreasing_cert() -> CertRecord:
     (2t-1)^2 (t^4-2t^3) < (2t^3-3t^2)^2; the difference of the two sides is
     exactly -2t^3, so positivity of 2t^3 on the ray settles it.
     """
-    return _ray_record("z1-decreasing", BINDING_T,
-                       details={"cleared_difference": _FIXED["z1-difference"]})
+    return _ray_record("z1-decreasing", BINDING_T)
 
 
 def lhs_increasing_cert() -> CertRecord:
@@ -437,12 +436,7 @@ def lhs_increasing_cert() -> CertRecord:
     slack_above = slack.cmp_rat(DELTA_DEFAULT) > 0
     record = _ray_record(
         "lhs-increasing", BINDING_T, margin=slack - DELTA_DEFAULT,
-        details={
-            "derivative_numerator_at_3": _FIXED["lhs-increasing"](BINDING_T),
-            "f3": f3,
-            "f3_bracket": (Fraction(10593, 10000), Fraction(10595, 10000)),
-            "slack_at_binding": slack,
-        },
+        details={"f3": f3, "f3_bracket": (Fraction(10593, 10000), Fraction(10595, 10000))},
     )
     return record if f3_lo and f3_hi and slack_above else record._replace(status="refuted")
 
@@ -466,7 +460,6 @@ def _ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
         details={
             "ceiling": c,
             "exact_bound": c_exact,
-            "binding_t": Fraction(t0),
             "next_candidate": Fraction(n + 1, 1000),
             "next_candidate_margin": next_margin,
         },
@@ -491,13 +484,8 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     n = c.numerator
     # z_2(t0) - t0^2/c with z_2(t0) = t0^2 - t0 + sqrt(t0^4 - 2t0^3)
     surd_margin = QuadExpr(Fraction((at.t2 - t0) * n - at.t2 * c.denominator, n), 1, at.rad_z)
-    return _ray_record(
-        "z-interval-containment", at.t, c,
-        details={
-            "z1_cleared_margin_at_t0": at.z1_cleared,
-            "z2_surd_margin_at_t0": surd_margin,
-        },
-    )
+    return _ray_record("z-interval-containment", at.t, c,
+                       details={"z2_surd_margin_at_t0": surd_margin})
 
 
 def g_positive_cert(c: RatLike, delta: RatLike, t0: int = BINDING_T) -> CertRecord:
@@ -508,10 +496,7 @@ def g_positive_cert(c: RatLike, delta: RatLike, t0: int = BINDING_T) -> CertReco
     3-decimal round-down of the slack makes or breaks it.
     """
     c, delta = _unit(c), _positive(delta)
-    details = {"g_at_t0": None, "c": c, "delta": delta}
-    record = _ray_record("g-positive", _at(t0).t, c, delta, details=details)
-    details["g_at_t0"] = record.margin
-    return record
+    return _ray_record("g-positive", _at(t0).t, c, delta, details={"c": c, "delta": delta})
 
 
 def sigma_bound(t: int, delta: RatLike) -> Fraction:

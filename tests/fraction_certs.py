@@ -80,7 +80,6 @@ def ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
     details = {
         "ceiling": c,
         "exact_bound": c_exact,
-        "binding_t": Fraction(t0),
         "next_candidate": next_c,
         "next_candidate_margin": (TWO_T2P3_SQ.scale(1 - next_c) - FracPoly([1, 4]))(t0),
     }
@@ -118,10 +117,7 @@ def interval_containment_cert(c, t0: int = 3) -> CertRecord:
             "t^4 - 2t^3 >= 0 on the ray (radicand defined)",
             "t^2 > 0 (common factor removed from the z_2 form)",
         ],
-        details={
-            "z1_cleared_margin_at_t0": z1_cleared(t0),
-            "z2_surd_margin_at_t0": surd_margin,
-        },
+        details={"z2_surd_margin_at_t0": surd_margin},
     )
 
 
@@ -129,7 +125,7 @@ def g_positive_cert(c, delta, t0: int = 3) -> CertRecord:
     c, delta, t0 = unit(c), positive(delta), binding(t0)
     lin = FracPoly([1, 1 / delta])  # 1 + t/delta
     g = TWO_T2P3_SQ.scale(1 / c) - lin * lin
-    return ray_record("g-positive", [g], t0, details={"g_at_t0": g(t0), "c": c, "delta": delta})
+    return ray_record("g-positive", [g], t0, details={"c": c, "delta": delta})
 
 
 def pipeline_certs(c, t0: int = 3):

@@ -1,16 +1,17 @@
 """Recorded certificate records that later rewrites of ``constants`` must reproduce.
 
-``cert_records.json`` maps a call to the ``repr`` of what it returned, recorded
-before every ray-based record was built by one builder.  The calls cover
-certified and refuted records: the pipeline and its four c-dependent
-certificates at kmin 2 and 3 and c in {8, 887, 888, 954}/1000 (g-positivity at
-three slacks), the two fixed records and the default scan.  No certificate
-takes a t0 below 3, and none is undecided from 3 on; ``TestNoUndecidedClaims``
-in ``test_constants.py`` checks the undecided status on the record builder
-itself.  A ``repr`` carries every field, ``polys`` with their shifts and
+``cert_records.json`` maps a call to the ``repr`` of what it returned.  The
+calls cover certified and refuted records: the pipeline and its four
+c-dependent certificates at kmin 2 and 3 and c in {8, 887, 888, 954}/1000
+(g-positivity at three slacks), the two fixed records and the default scan.
+No certificate takes a t0 below 3, and none is undecided from 3 on;
+``TestNoUndecidedClaims`` in ``test_constants.py`` checks the undecided status
+on the record builder itself.  A ``repr`` carries every field, ``polys`` with their shifts and
 methods included, so equal strings mean equal records.
 
-Run this file as a script to print the table afresh.
+Run as a script, the module writes the table anew::
+
+    PYTHONPATH=src python tests/test_cert_records.py
 """
 
 import json
@@ -73,4 +74,5 @@ def test_record_matches_golden(name):
 
 
 if __name__ == "__main__":
-    print(json.dumps({name: repr(thunk()) for name, thunk in calls().items()}, indent=1))
+    table = {name: repr(thunk()) for name, thunk in calls().items()}
+    GOLDEN.write_text(json.dumps(table, indent=1) + "\n")

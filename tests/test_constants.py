@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_certs
+import test_cert_records
 from kvacert import constants, exactmath
 from kvacert.blowup import certify_instance, search_obstruction
 from kvacert.constants import (
     C_MAX_DEFAULT,
     DELTA_DEFAULT,
     SCAN_BUDGET,
+    CertRecord,
+    ConstantsReport,
     SearchTooLarge,
     c_max_search,
     case1_cert,
@@ -79,7 +82,7 @@ class TestSlackMonotonicity:
 
     def test_derivative_numerator_at_binding_t(self):
         rec = lhs_increasing_cert()
-        assert rec.details["derivative_numerator_at_3"] == 2 * 3 * (3 * 3 - 3) == 36
+        assert rec.polys[0].value_at_t0 == 2 * 3 * (3 * 3 - 3) == 36
 
     def test_f3_bracket(self):
         f3 = lhs_increasing_cert().details["f3"]
@@ -88,7 +91,7 @@ class TestSlackMonotonicity:
 
     def test_slack_exceeds_published_value_at_binding_t(self):
         rec = lhs_increasing_cert()
-        assert rec.details["slack_at_binding"].cmp_rat(DELTA_DEFAULT) > 0
+        assert rec.margin.sign() > 0
 
 
 class TestCeiling:
@@ -208,7 +211,7 @@ class TestZ1Decreasing:
     def test_cleared_difference_is_minus_two_t_cubed(self):
         rec = z1_decreasing_cert()
         assert rec.certified
-        assert rec.details["cleared_difference"] == Poly([0, 0, 0, -2])
+        assert -rec.polys[0].poly == Poly([0, 0, 0, -2])
 
 
 class TestIntervalContainment:
@@ -216,7 +219,7 @@ class TestIntervalContainment:
         rec = interval_containment_cert(C)
         assert rec.certified
         # the z_1 side clears to t^2 - 2t - 1, which is 2 at t = 3
-        assert rec.details["z1_cleared_margin_at_t0"] == 2
+        assert rec.polys[0].value_at_t0 == 2
 
     def test_z2_quadratic_matches_direct_expansion(self):
         rec = interval_containment_cert(C)
@@ -490,6 +493,42 @@ class TestOneClaimFormat:
     def test_fixed_records(self, calls):
         assert z1_decreasing_cert().certified and lhs_increasing_cert().certified
         assert calls == dict.fromkeys(self.ARITHMETIC, 0)
+
+    def test_every_row_is_a_claim_of_a_certificate(self):
+        decided = {name for claims, side, _ in constants._CERTS.values() for name in claims + side}
+        assert set(constants._CLAIMS) - decided == set()
+
+
+class TestDetailsRestateNothing:
+    """No ``details`` value of a record restates another field of the same record.
+
+    A value restates a field when it equals, in type and value, the record's
+    margin, a ray's t0 or value at t0, or a ray's polynomial or its negation.
+    """
+
+    @staticmethod
+    def restated(rec) -> list[str]:
+        fields = [rec.margin]
+        for ray in rec.polys:
+            fields += [ray.t0, ray.value_at_t0, ray.poly, -ray.poly]
+        return [key for key, value in rec.details.items()
+                if any((type(value), value) == (type(f), f) for f in fields)]
+
+    def records(self):
+        """The records of the golden's calls, and the ceilings it does not hold."""
+        for thunk in test_cert_records.calls().values():
+            out = thunk()
+            if isinstance(out, CertRecord):
+                yield out
+            elif isinstance(out, ConstantsReport):
+                yield from out.per_constraint
+            else:
+                yield from out[2]  # pipeline_certs
+        for kmin in range(3, 6):
+            yield constants._ceiling_with_cert(kmin)[1]
+
+    def test_no_detail_restates_its_record(self):
+        assert [(rec.id, key) for rec in self.records() for key in self.restated(rec)] == []
 
 
 class TestNoUndecidedClaims:
