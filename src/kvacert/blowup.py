@@ -260,7 +260,9 @@ def _search_estimate(a: int, b: int, t: int, parts: int, m_max: int) -> int:
     is one option and no table, so the bound is the cells.  With more, sum
     m_i^2 over j <= parts parts takes values of the parity of M in [M^2/j,
     M^2], at most as many as for M = m_max, and the table of those values
-    holds at most n^2 + 1 bits per entry (j, n).  The search walks lines of
+    holds at most n^2 + 1 bits per entry (j, n).  Its build does one shift
+    and one OR of at most that many bits per entry, so the table term bounds
+    the build's work as well as its size.  The search walks lines of
     constant N.D, not rows, but it visits the same cells with the same tests,
     so the bound holds as it is: each seed is a cell it tests anyway, and it
     reads the windows of only the rows with alpha < a/gcd(a, b), never more
@@ -279,9 +281,10 @@ class _SquareSums:
     """Achievable values of sum(m_i^2) over partitions, as integer bitsets.
 
     ``reach[j][n]`` has bit q set when some partition of n into at most j
-    parts has sum(m_i^2) = q.  Splitting off any one part p gives
-    ``reach[j][n] = OR_p reach[j-1][n-p] << p*p`` for n >= 1 (partitions with
-    fewer than j parts are reached through reach[j-1] already).
+    parts has sum(m_i^2) = q.  A partition into exactly j parts, less 1 from
+    each part, is one of n-j into at most j parts whose square sum is 2n-j
+    lower, so ``reach[j][n] = reach[j-1][n] | reach[j][n-j] << (2n-j)`` for
+    n >= j: one shift and one OR per entry.
     """
 
     def __init__(self, max_parts: int, max_sum: int) -> None:
@@ -290,10 +293,7 @@ class _SquareSums:
         for j in range(1, max_parts + 1):
             row = prev[:j]  # n < j has fewer than j parts anyway
             for n in range(j, max_sum + 1):
-                bits = 0
-                for p in range(1, n + 1):
-                    bits |= prev[n - p] << (p * p)
-                row.append(bits)
+                row.append(prev[n] | row[n - j] << (2 * n - j))
             self.reach.append(row)
             prev = row
 
@@ -311,15 +311,19 @@ class _SquareSums:
 
         Greedy: take the largest p whose remainder n-p can still reach q-p^2 in
         one part fewer.  No remaining part can exceed p, since a larger one
-        could have been taken first.
+        could have been taken first.  The scan starts at the Cauchy-Schwarz
+        bound on the other parts, p^2 + (n-p)^2/(parts-1) <= q, whose largest
+        root is at most min(n, sqrt(q)); q = n is reached only by n ones.
         """
         rep = []
-        while n:
-            p = next(p for p in range(min(n, isqrt(q)), 0, -1)
-                     if self.reach[parts - 1][n - p] >> (q - p * p) & 1)
+        while q > n:
+            row = self.reach[parts - 1]
+            p = (n + isqrt((parts - 1) * (parts * q - n * n))) // parts
+            while not row[n - p] >> (q - p * p) & 1:
+                p -= 1
             rep.append(p)
             n, q, parts = n - p, q - p * p, parts - 1
-        return tuple(rep)
+        return tuple(rep) + (1,) * n
 
 
 def search_obstruction(

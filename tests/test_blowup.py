@@ -5,7 +5,7 @@ import random
 import time
 from collections import defaultdict
 from fractions import Fraction
-from math import floor
+from math import floor, isqrt
 from unittest import mock
 
 import pytest
@@ -459,6 +459,38 @@ class TestSquareSumOptions:
         for n in range(0, 562):
             assert table.values(n, 1) == [n * n], n
 
+    def test_table_matches_the_or_over_parts(self):
+        # reach[j][n] depends on neither bound, so one oracle table serves every (P, M)
+        oracle = _reach_by_parts(30, 30)
+        for m_max in range(0, 31):
+            for parts in range(0, m_max + 1):
+                want = [row[:m_max + 1] for row in oracle[:parts + 1]]
+                assert _SquareSums(parts, m_max).reach == want, (parts, m_max)
+        for parts, m_max in ((30, 44), (40, 50)):
+            assert _SquareSums(parts, m_max).reach == _reach_by_parts(parts, m_max), (parts, m_max)
+
+    def test_representatives_match_the_full_scan_greedy(self):
+        table = _SquareSums(24, 30)
+        bounded = ones = 0
+        for n in range(0, 31):
+            for parts in range(0, min(24, n) + 1):
+                for q in table.values(n, parts):
+                    rep = table.representative(q, n, parts)
+                    assert rep == _greedy_from_top(table, q, n, parts), (q, n, parts)
+                    if parts > 1:
+                        top = (n + isqrt((parts - 1) * (parts * q - n * n))) // parts
+                        bounded += top < min(n, isqrt(q))
+                    ones += q == n > 1
+        # both shortcuts fire: the Cauchy-Schwarz start and the tail of ones
+        assert bounded and ones
+
+    def test_large_table_builds_promptly(self):
+        # one shift-OR per entry takes about 0.05 s; the OR over every part, about 2 s
+        # (2-CPU Xeon VM, Python 3.11)
+        start = time.monotonic()
+        _SquareSums(200, 200)
+        assert time.monotonic() - start < 0.5
+
     def test_representatives_are_lexicographic_maxima(self):
         # brute force: every descending partition, grouped by sum of squares
         for m_sum in range(0, 21):
@@ -470,6 +502,33 @@ class TestSquareSumOptions:
                         value = sum(p * p for p in parts)
                         best[value] = max(best.get(value, parts), parts)
                 assert _square_sum_options(m_sum, cap) == tuple(sorted(best.items())), (m_sum, cap)
+
+
+def _reach_by_parts(max_parts, max_sum):
+    """The table build _SquareSums replaced: each entry the OR over one split-off part p."""
+    prev = [1] + [0] * max_sum
+    reach = [prev]
+    for j in range(1, max_parts + 1):
+        row = prev[:j]
+        for n in range(j, max_sum + 1):
+            bits = 0
+            for p in range(1, n + 1):
+                bits |= prev[n - p] << (p * p)
+            row.append(bits)
+        reach.append(row)
+        prev = row
+    return reach
+
+
+def _greedy_from_top(table, q, n, parts):
+    """The greedy representative() replaced: every first part from min(n, isqrt(q)) down."""
+    rep = []
+    while n:
+        p = next(p for p in range(min(n, isqrt(q)), 0, -1)
+                 if table.reach[parts - 1][n - p] >> (q - p * p) & 1)
+        rep.append(p)
+        n, q, parts = n - p, q - p * p, parts - 1
+    return tuple(rep)
 
 
 def _every_bit_values(table, n, parts):
