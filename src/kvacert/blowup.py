@@ -379,7 +379,11 @@ def search_obstruction(
       lexicographically largest descending partition achieving its value.
 
     The discrepancy between the two conventions is deliberate and surfaced
-    to callers; it is never resolved silently.
+    to callers; it is never resolved silently.  Lemma: with the same arguments,
+    the ``paper`` witnesses are the ``standard`` witnesses whose ``mults`` have
+    at most one nonzero entry, in the same order.  Only the partition (M)
+    reaches the option M^2, so both walks test the same cells with it, and its
+    representative is (M, 0, ..., 0).
 
     A k below the theorem's floor is refused by :func:`sigma_bound`, before r.
     Raises :class:`SearchTooLarge`, before any work, when the closed-form

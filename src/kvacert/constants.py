@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import floor, isqrt
 from types import MappingProxyType
 
@@ -76,6 +76,8 @@ SCAN_BUDGET = 10**5
 
 #: the default of the mapping fields of the records below: empty and read-only
 _EMPTY: Mapping = MappingProxyType({})
+#: the coefficient 1 of a surd, built once rather than coerced from an int at every point
+_ONE = Fraction(1)
 
 
 class SearchTooLarge(ValueError):
@@ -162,7 +164,8 @@ class ConstantsReport(namedtuple(
 def _unit(c: RatLike, name: str = "c") -> Fraction:
     """``c`` as a Fraction; it must lie in (0, 1)."""
     c = as_rat(c)
-    if not (0 < c.numerator < c.denominator):
+    n, d = c.as_integer_ratio()
+    if not 0 < n < d:
         raise ValueError(f"{name} must lie in (0, 1)")
     return c
 
@@ -175,11 +178,12 @@ def _positive(delta: RatLike) -> Fraction:
     return delta
 
 
-class _AtT0(namedtuple("_AtT0", "t t2 f two_t2p3_sq n2_rhs case1_rhs rad_z")):
+class _AtT0(namedtuple("_AtT0", "t minus_t t2 f two_t2p3_sq n2_rhs case1_rhs rad_z")):
     """The values at t0 that no grid point changes."""
 
     __slots__ = ()
     t: Fraction  # t0 itself
+    minus_t: Fraction  # -t0, the rational part of the slack surd
     t2: int  # t0^2
     f: int  # 4(t0^2+3): the radicand c - t0^2/(16(t0^2+3)^2) is c - t2/f^2
     two_t2p3_sq: Fraction  # 2(t0^2+3)^2
@@ -194,14 +198,14 @@ def _at(t0: int) -> _AtT0:
     if t0 < 3:
         raise ValueError(f"k = {t0 - 1} is below the theorem's floor k >= 2")
     t2 = t0 * t0
-    return _AtT0(Fraction(t0), t2, 4 * (t2 + 3), *map(Fraction, (
+    return _AtT0(Fraction(t0), Fraction(-t0), t2, 4 * (t2 + 3), *map(Fraction, (
         2 * (t2 + 3) ** 2, 4 * t0 + 1, (2 * t0 - 1) ** 2, t2 * (t2 - 2 * t0))))
 
 
 def _lhs(c: Fraction, at: _AtT0) -> Fraction:
     """(1-c)*2(t0^2+3)^2, with one normalisation."""
-    d = c.denominator
-    return Fraction((d - c.numerator) * at.two_t2p3_sq.numerator, d)
+    n, d = c.as_integer_ratio()
+    return Fraction((d - n) * at.two_t2p3_sq.numerator, d)
 
 
 def _slack(c: Fraction, t0: int) -> tuple[Fraction, QuadExpr | None, int | None]:
@@ -214,14 +218,14 @@ def _slack(c: Fraction, t0: int) -> tuple[Fraction, QuadExpr | None, int | None]
     square root.  The slack is None unless r > 0, and m is None unless the
     slack is positive.
     """
-    n, d = c.numerator, c.denominator
+    n, d = c.as_integer_ratio()
     at = _at(t0)
     f2 = at.f * at.f
     r = n * f2 - d * at.t2
     radicand = Fraction(r, d * f2)
     if r <= 0:
         return radicand, None, None
-    slack = QuadExpr(-t0, Fraction(t0 * d, n), radicand)
+    slack = QuadExpr(at.minus_t, Fraction(t0 * d, n), radicand)
     z, w = d * r, n * at.f
     if z <= w * w:
         return radicand, slack, None
@@ -263,8 +267,8 @@ _CLAIMS = {
 }
 
 
-def _terms(rows, den) -> tuple[list[tuple[int, int, int]], int, int, int]:
-    """A claim as the form :func:`_claim` sums: (terms (a, i, col), den col, J, K).
+def _terms(rows, den) -> tuple[list[tuple[int, int, int]], int, int, int, int]:
+    """A claim as the form :func:`_claim` sums: (terms (a, i, col), den col, J, K, degree + 1).
 
     J and K are the claim's own degrees in c and in 1/delta, and x_m sits in
     column j + (J+1) k of the products that clear them.
@@ -273,7 +277,7 @@ def _terms(rows, den) -> tuple[list[tuple[int, int, int]], int, int, int]:
     ms = [m for _, _, m in entries] + [den]
     jmax, kmax = max(m % 3 for m in ms), max(m // 3 for m in ms)
     cols = [m % 3 + (jmax + 1) * (m // 3) for m in ms]
-    return [(a, i, col) for (a, i, _), col in zip(entries, cols)], cols[-1], jmax, kmax
+    return [(a, i, col) for (a, i, _), col in zip(entries, cols)], cols[-1], jmax, kmax, len(rows)
 
 
 _TERMS = {name: _terms(rows, den) for name, (rows, den) in _CLAIMS.items()}
@@ -284,20 +288,20 @@ def _claim(name: str, c: Fraction | None = None, delta: Fraction | None = None) 
 
     The column of x_m = c^j delta^-k is d^J p^K x_m = n^j d^(J-j) q^k p^(K-k).
     """
-    terms, den, jmax, kmax = _TERMS[name]
-    n, d = (c.numerator, c.denominator) if jmax else (1, 1)
+    terms, den, jmax, kmax, size = _TERMS[name]
+    n, d = c.as_integer_ratio() if jmax else (1, 1)
     x = [d, n] if jmax == 1 else [d * d, n * d, n * n] if jmax == 2 else [1]
     if kmax:
-        p, q = delta.numerator, delta.denominator
+        p, q = delta.as_integer_ratio()
         x = [u * v for v in ([p, q] if kmax == 1 else [p * p, q * p, q * q]) for u in x]
-    num = [0] * 5
+    num = [0] * size
     for a, i, m in terms:
         num[i] += a * x[m]
     return Poly.over(num, x[den])
 
 
 #: the claims free of c, built once
-_FIXED = {name: _claim(name) for name, (_, _, jmax, kmax) in _TERMS.items() if not jmax + kmax}
+_FIXED = {name: _claim(name) for name, (_, _, jmax, kmax, _) in _TERMS.items() if not jmax + kmax}
 
 #: Every ray certificate: id -> (claims, side claims, side-condition texts), claims by their
 #: names in _CLAIMS.  A side claim decides each side condition that is not evident.
@@ -317,6 +321,9 @@ _CERTS = {
     "lhs-increasing": (("lhs-increasing",), (), (
         "(t^2+3)^3 > 0 (cleared denominator is positive)",)),
 }
+
+#: a CertRecord from the tuple of its fields, without the namedtuple's Python-level ``__new__``
+_record = partial(tuple.__new__, CertRecord)
 
 
 def _ray_record(id: str, t0: RatLike, c: Fraction | None = None, delta: Fraction | None = None,
@@ -347,7 +354,7 @@ def _ray_record(id: str, t0: RatLike, c: Fraction | None = None, delta: Fraction
                 status = "refuted"
     if margin is None:
         margin = rays[last].value_at_t0
-    return CertRecord(id, status, margin, rays, texts and list(texts), details, counterexample)
+    return _record((id, status, margin, rays, texts and list(texts), details, counterexample))
 
 
 def n2_chain_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
@@ -481,9 +488,9 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     The radicand t0^4 - 2t0^3 is positive at every t0 that :func:`_at` admits.
     """
     c, at = _unit(c), _at(t0)
-    n = c.numerator
+    n, d = c.as_integer_ratio()
     # z_2(t0) - t0^2/c with z_2(t0) = t0^2 - t0 + sqrt(t0^4 - 2t0^3)
-    surd_margin = QuadExpr(Fraction((at.t2 - t0) * n - at.t2 * c.denominator, n), 1, at.rad_z)
+    surd_margin = QuadExpr(Fraction((at.t2 - t0) * n - at.t2 * d, n), _ONE, at.rad_z)
     return _ray_record("z-interval-containment", at.t, c,
                        details={"z2_surd_margin_at_t0": surd_margin})
 
@@ -541,7 +548,7 @@ def pipeline_certs(c: RatLike, t0: int = BINDING_T) -> tuple[bool, Fraction | No
         interval_containment_cert(c, t0),
         g_positive_cert(c, delta, t0),
     ]
-    feasible = all(r.certified for r in records)
+    feasible = {r.status for r in records} == {"certified"}
     return feasible, delta, records
 
 

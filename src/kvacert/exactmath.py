@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, isqrt, lcm
 
 RatLike = Fraction | int | str
@@ -51,10 +51,7 @@ def as_rat(x: RatLike) -> Fraction:
 
 
 def _num_den(x: RatLike) -> tuple[int, int]:
-    if type(x) is int:
-        return x, 1
-    x = as_rat(x)
-    return x.numerator, x.denominator
+    return (x if type(x) is int or type(x) is Fraction else as_rat(x)).as_integer_ratio()
 
 
 def _sign(x: int) -> int:
@@ -73,10 +70,10 @@ def _sqrt_bounds(s: Fraction, digits: int) -> tuple[Fraction, Fraction]:
 class Value:
     """Base of the immutable value types: equal and hashed by their ``__slots__`` fields.
 
-    A subclass names its fields in ``__slots__`` and sets them once, in
-    ``__init__``, through ``object.__setattr__``; assigning or deleting a field
-    afterwards raises :class:`AttributeError`.  Instances of different classes
-    are never equal, and values are not ordered.
+    A subclass names its fields in ``__slots__`` and sets them once, as it is
+    built, through ``object.__setattr__`` or the slot's setter; assigning or
+    deleting a field afterwards raises :class:`AttributeError`.  Instances of
+    different classes are never equal, and values are not ordered.
     """
 
     __slots__ = ()
@@ -307,8 +304,8 @@ class Poly(Value):
         num = tuple(num) if g == 1 else tuple([n // g for n in num])
         while num and num[-1] == 0:
             num = num[:-1]
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den // g)
+        _set_num(self, num)
+        _set_den(self, den // g)
 
     @classmethod
     def over(cls, num: Sequence[int], den: int) -> "Poly":
@@ -384,7 +381,7 @@ class Poly(Value):
         num = self.num
         if not num:
             return self
-        a, b = (t0.numerator, t0.denominator) if type(t0) is Fraction else _num_den(t0)
+        a, b = t0.as_integer_ratio() if type(t0) is Fraction else _num_den(t0)
         n = len(num) - 1
         s = list(num) if b == 1 else [c * b ** (n - i) for i, c in enumerate(num)]
         for j in _shift_steps(n):
@@ -392,8 +389,8 @@ class Poly(Value):
         if b == 1:
             # a shift by an integer is unimodular: it keeps the gcd and the leading coefficient
             out = object.__new__(Poly)
-            object.__setattr__(out, "num", tuple(s))
-            object.__setattr__(out, "den", self.den)
+            _set_num(out, tuple(s))
+            _set_den(out, self.den)
             return out
         return Poly.over([c * b**j for j, c in enumerate(s)], self.den * b**n)
 
@@ -428,6 +425,12 @@ class PolyRayResult(namedtuple("PolyRayResult", "positive poly t0 method shifted
         return Fraction(self.shifted.num[0], self.shifted.den)
 
 
+#: Builders that skip a Python-level step: a PolyRayResult from the tuple of its fields
+#: (no namedtuple ``__new__``), and the setters of Poly's two slots (no ``object.__setattr__``).
+_ray_result = partial(tuple.__new__, PolyRayResult)
+_set_num, _set_den = Poly.num.__set__, Poly.den.__set__
+
+
 def poly_positive_on_ray(p: Poly, t0: RatLike) -> PolyRayResult:
     """Decide whether p(t) > 0 for every t >= t0 from the signs of p(t0 + u).
 
@@ -442,7 +445,7 @@ def poly_positive_on_ray(p: Poly, t0: RatLike) -> PolyRayResult:
     num = shifted.num
     # den > 0, so the numerators carry the signs; the constant term is p(t0)
     if num[0] <= 0:
-        return PolyRayResult(False, p, t0, "endpoint", shifted, t0)
+        return _ray_result((False, p, t0, "endpoint", shifted, t0))
     if min(num) >= 0:
-        return PolyRayResult(True, p, t0, "shift-coeffs", shifted, None)
-    return PolyRayResult(False, p, t0, "undecided", shifted, None)
+        return _ray_result((True, p, t0, "shift-coeffs", shifted, None))
+    return _ray_result((False, p, t0, "undecided", shifted, None))

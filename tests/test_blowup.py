@@ -303,6 +303,23 @@ class TestPaperFormula:
         assert all(not any(w.mults[1:]) for w in paper)
 
     @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 15), st.integers(1, 15), st.integers(2, 4),
+           st.sampled_from([0, 1, 2, 3, 4, 6, 8, 28]),
+           st.fractions(Fraction(1, 20), 2, max_denominator=50))
+    @example(a=3, b=3, k=2, r=4, delta=DELTA)  # 78 standard witnesses, 5 of them on one point
+    @example(a=3, b=3, k=2, r=28, delta=DELTA)  # 102 and 5
+    @example(a=3, b=3, k=2, r=0, delta=DELTA)  # only M = 0: the same witnesses
+    def test_paper_witnesses_are_the_standard_ones_on_one_point(self, a, b, k, r, delta):
+        # the lemma of search_obstruction's docstring, on searches within the budget; a cap of
+        # 10^6 estimated steps, well below SEARCH_BUDGET, keeps an example to about 30 ms
+        t = k + 1
+        m_max = floor(t / delta) if r >= 1 else 0
+        assume(_search_estimate(a, b, t, min(r, m_max), m_max) <= 10**6)
+        standard = search_obstruction(DivisorClass(a, b), k, r, delta, "standard")
+        paper = search_obstruction(DivisorClass(a, b), k, r, delta, "paper")
+        assert paper == [w for w in standard if sum(map(bool, w.mults)) <= 1]
+
+    @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 5), st.integers(1, 40), st.integers(1, 40), st.integers(0, 300),
            st.fractions(Fraction(1, 40), 2, max_denominator=100))
     def test_empty_on_the_theorems_domain(self, k, da, db, r, delta):

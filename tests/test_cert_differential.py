@@ -5,7 +5,8 @@ certificates that ``constants`` replaced.  For every drawn c in (0, 1), slack
 delta and binding t0 both must return records with the same ``repr`` (every
 field, the ray certificates with their shifts and methods included), or raise
 the same error.  A scan of the grid from the oracle's ceiling down, with the
-oracle's ``pipeline_certs`` at every point, checks ``c_max_search`` the same way.
+oracle's ``pipeline_certs`` at every point, checks ``c_max_search`` the same way,
+and every point of the benchmark's constants ladder is compared one by one.
 """
 
 from fractions import Fraction
@@ -90,22 +91,38 @@ class TestCertificatesAgainstFractionOracle:
         assert len(reasons) == 6
 
 
+def oracle_points(grid_step: Fraction, kmin: int):
+    """Each grid point ``n * grid_step`` of the oracle's scan, with the oracle's ``pipeline_certs``.
+
+    The scan runs from the oracle's ceiling down and stops after the first feasible point.
+    """
+    ceiling, _ = fraction_certs.ceiling_with_cert(kmin)
+    for n in range(floor(ceiling / grid_step), 0, -1):
+        c = n * grid_step
+        result = fraction_certs.pipeline_certs(c, kmin + 1)
+        yield c, result
+        if result[0]:
+            return
+
+
 def oracle_scan(grid_step: Fraction, kmin: int):
     """(scanned, c_max, delta_max, records) of the oracle's scan from its ceiling down.
 
-    Each grid point is ``n * grid_step``, one oracle ``pipeline_certs`` call; the
-    records are the ceiling's, then the winner's, as ``c_max_search`` reports them
-    around its two records that do not depend on the grid.
+    The records are the ceiling's, then the winner's, as ``c_max_search`` reports
+    them around its two records that do not depend on the grid.
     """
-    ceiling, ceiling_record = fraction_certs.ceiling_with_cert(kmin)
+    _, ceiling_record = fraction_certs.ceiling_with_cert(kmin)
     scanned = 0
-    for n in range(floor(ceiling / grid_step), 0, -1):
-        c = n * grid_step
-        scanned += 1
-        ok, delta, certs = fraction_certs.pipeline_certs(c, kmin + 1)
+    for scanned, (c, (ok, delta, certs)) in enumerate(oracle_points(grid_step, kmin), 1):
         if ok:
             return scanned, c, delta, [ceiling_record, *certs]
     return scanned, None, None, [ceiling_record]
+
+
+#: (grid step, kmin) of the 10 ``constants verify`` jobs of the benchmark's constants-scan
+#: ladder: the default run, and kmin 2, 3, 5, 8 and 11 at both grid steps
+LADDER = [(step, kmin) for step in (Fraction(1, 1000), Fraction(1, 10000))
+          for kmin in (2, 3, 5, 8, 11)]
 
 
 class TestScanAgainstOracle:
@@ -121,3 +138,15 @@ class TestScanAgainstOracle:
         scanned, c_max, delta_max, records = oracle_scan(grid_step, kmin)
         assert (report.scanned, report.c_max, report.delta_max) == (scanned, c_max, delta_max)
         assert repr([report.per_constraint[0], *report.per_constraint[3:]]) == repr(records)
+
+
+class TestEveryLadderPoint:
+    def test_every_point_the_ladder_scans(self):
+        # each grid point of each scan, losing ones included, against the oracle: 1930 points,
+        # as many as the benchmark's traced constants-scan pass counts pipeline_certs calls
+        points = 0
+        for grid_step, kmin in LADDER:
+            for c, oracle in oracle_points(grid_step, kmin):
+                points += 1
+                assert repr(constants.pipeline_certs(c, kmin + 1)) == repr(oracle), (c, kmin)
+        assert points == 1930

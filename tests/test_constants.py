@@ -464,6 +464,12 @@ class TestScanWork:
         assert c_max_search().scanned == 68
         assert calls == {"pipeline_certs": 68, "poly_positive_on_ray": 550, "shift": 550}
 
+    # the two fine-grid rungs of the benchmark's ladder that scan the most points
+    @pytest.mark.parametrize("kmin, points, rays", [(2, 664, 5318), (3, 495, 3966)])
+    def test_fine_grid_scan(self, calls, kmin, points, rays):
+        assert c_max_search(Fraction(1, 10000), kmin).scanned == points
+        assert calls == {"pipeline_certs": points, "poly_positive_on_ray": rays, "shift": rays}
+
 
 class TestOneClaimFormat:
     """Every ray claim is an integer row of ``constants._CLAIMS``, cleared by ``_claim``.
