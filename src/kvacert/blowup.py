@@ -237,9 +237,9 @@ class ObstructionWitness(namedtuple("ObstructionWitness", "d_s mults nd d2")):
 
 
 #: Largest search :func:`search_obstruction` attempts, in steps of
-#: :func:`_search_estimate`.  A step costs about 125-205 ns (2-CPU Xeon VM, Python
-#: 3.11), so the slowest accepted search, (1,1) at k=2, r=1, delta=1/860 under
-#: the paper formula (29,996,382 steps), takes 3.7-6.1 s of CPU.
+#: :func:`_search_estimate`.  A step costs about 95-110 ns (2-CPU Xeon VM, Python
+#: 3.11.7), so the slowest accepted search, (1,1) at k=2, r=1, delta=1/860 under
+#: the paper formula (29,996,382 steps), takes 2.8-3.3 s of CPU.
 SEARCH_BUDGET = 3 * 10**7
 
 #: Largest output :func:`search_obstruction` returns, in multiplicities: every

@@ -32,7 +32,8 @@ certificate a row of ``_CERTS``: its claims, side claims and side-condition
 texts.  One builder, ``_ray_record``, reads a certificate's row at c (and
 delta) and returns its :class:`CertRecord` with status, margin and counterexample.
 Some certificate decides each claim; no ``details`` entry equals its record's
-margin, a ray's t0 or value at t0, or a ray's polynomial or its negation.
+margin, a ray's t0 or value at t0, a ray's polynomial or its negation, or the
+margin plus or minus another detail.
 One helper, ``_slack``, derives the radicand, the slack surd and its 3-decimal
 floor from the integers of c; every slack here is read off it.
 
@@ -163,7 +164,8 @@ class ConstantsReport(namedtuple(
 
 def _unit(c: RatLike, name: str = "c") -> Fraction:
     """``c`` as a Fraction; it must lie in (0, 1)."""
-    c = as_rat(c)
+    if type(c) is not Fraction:
+        c = as_rat(c)
     n, d = c.as_integer_ratio()
     if not 0 < n < d:
         raise ValueError(f"{name} must lie in (0, 1)")
@@ -202,12 +204,6 @@ def _at(t0: int) -> _AtT0:
         2 * (t2 + 3) ** 2, 4 * t0 + 1, (2 * t0 - 1) ** 2, t2 * (t2 - 2 * t0))))
 
 
-def _lhs(c: Fraction, at: _AtT0) -> Fraction:
-    """(1-c)*2(t0^2+3)^2, with one normalisation."""
-    n, d = c.as_integer_ratio()
-    return Fraction((d - n) * at.two_t2p3_sq.numerator, d)
-
-
 def _slack(c: Fraction, t0: int) -> tuple[Fraction, QuadExpr | None, int | None]:
     """(radicand, slack, m) at c = n/d and t0 >= 3, with m = floor(1000 * slack).
 
@@ -225,7 +221,7 @@ def _slack(c: Fraction, t0: int) -> tuple[Fraction, QuadExpr | None, int | None]
     radicand = Fraction(r, d * f2)
     if r <= 0:
         return radicand, None, None
-    slack = QuadExpr(at.minus_t, Fraction(t0 * d, n), radicand)
+    slack = QuadExpr.surd(at.minus_t, Fraction(t0 * d, n), radicand)
     z, w = d * r, n * at.f
     if z <= w * w:
         return radicand, slack, None
@@ -303,22 +299,28 @@ def _claim(name: str, c: Fraction | None = None, delta: Fraction | None = None) 
 #: the claims free of c, built once
 _FIXED = {name: _claim(name) for name, (_, _, jmax, kmax, _) in _TERMS.items() if not jmax + kmax}
 
-#: Every ray certificate: id -> (claims, side claims, side-condition texts), claims by their
-#: names in _CLAIMS.  A side claim decides each side condition that is not evident.
+
+def _row(claims: tuple[str, ...], side: tuple[str, ...] = (), texts: tuple[str, ...] = ()):
+    """A row of ``_CERTS``: (claims then side claims as (name, Poly if free of c), last, texts)."""
+    return tuple((name, _FIXED.get(name)) for name in claims + side), len(claims) - 1, texts
+
+
+#: Every ray certificate: id -> the row of its claims, side claims and side-condition texts.
+#: A side claim decides each side condition that is not evident.
 _CERTS = {
-    **{id: ((id,), (), ()) for id in ("n2-chain", "n2-ceiling", "case1-hodge", "g-positive")},
-    "z-interval-containment": (("z1-cleared", "z2"), ("z1-lhs", "z2-side", "rad-z"), (
+    **{id: _row((id,)) for id in ("n2-chain", "n2-ceiling", "case1-hodge", "g-positive")},
+    "z-interval-containment": _row(("z1-cleared", "z2"), ("z1-lhs", "z2-side", "rad-z"), (
         "t^2 - t - 1 > 0 on the ray (z_1 comparison squared legitimately)",
         "((1-c)/c) t^2 + t > 0 on the ray (z_2 comparison squared legitimately)",
         "t^4 - 2t^3 >= 0 on the ray (radicand defined)",
         "t^2 > 0 (common factor removed from the z_2 form)",
     )),
-    "z1-decreasing": (("z1-decreasing",), ("2t-1", "2t^3-3t^2", "rad-z"), (
+    "z1-decreasing": _row(("z1-decreasing",), ("2t-1", "2t^3-3t^2", "rad-z"), (
         "2t-1 > 0 on the ray (squaring preserves the order)",
         "2t^3-3t^2 > 0 on the ray (right side nonnegative before squaring)",
         "t^4-2t^3 >= 0 on the ray (radicand defined)",
     )),
-    "lhs-increasing": (("lhs-increasing",), (), (
+    "lhs-increasing": _row(("lhs-increasing",), (), (
         "(t^2+3)^3 > 0 (cleared denominator is positive)",)),
 }
 
@@ -339,11 +341,11 @@ def _ray_record(id: str, t0: RatLike, c: Fraction | None = None, delta: Fraction
     counterexample is that of the first claim that fails, and the side
     conditions are a fresh list of the texts, or () if there are none.
     """
-    claims, side, texts = _CERTS[id]
+    claims, last, texts = _CERTS[id]
     rays = []
-    status, counterexample, last = "certified", None, len(claims) - 1
-    for i, name in enumerate(claims + side):
-        ray = poly_positive_on_ray(_FIXED[name] if name in _FIXED else _claim(name, c, delta), t0)
+    status, counterexample = "certified", None
+    for i, (name, fixed) in enumerate(claims):
+        ray = poly_positive_on_ray(fixed or _claim(name, c, delta), t0)
         rays.append(ray)
         if not ray.positive:
             if status == "certified" and i <= last:
@@ -360,9 +362,7 @@ def _ray_record(id: str, t0: RatLike, c: Fraction | None = None, delta: Fraction
 def n2_chain_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     """Certify (1-c)*2*(t^2+3)^2 >= 4t+1 for all t >= t0 (gives N^2 >= 4k+5)."""
     c, at = _unit(c), _at(t0)
-    return _ray_record("n2-chain", at.t, c,
-                       details={"two_t2p3_sq_at_t0": at.two_t2p3_sq, "lhs_at_t0": _lhs(c, at),
-                                "rhs_at_t0": at.n2_rhs})
+    return _ray_record("n2-chain", at.t, c, details={"rhs_at_t0": at.n2_rhs})
 
 
 def case1_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
@@ -373,8 +373,7 @@ def case1_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     N^2 >= (1-c)*L^2 >= (1-c)*2((k+1)^2+3)^2.
     """
     c, at = _unit(c), _at(t0)
-    return _ray_record("case1-hodge", at.t, c,
-                       details={"lhs_at_t0": _lhs(c, at), "rhs_at_t0": at.case1_rhs})
+    return _ray_record("case1-hodge", at.t, c, details={"rhs_at_t0": at.case1_rhs})
 
 
 def case_ds2_zero_cert(k: int, d: int) -> CertRecord:
@@ -490,7 +489,7 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     c, at = _unit(c), _at(t0)
     n, d = c.as_integer_ratio()
     # z_2(t0) - t0^2/c with z_2(t0) = t0^2 - t0 + sqrt(t0^4 - 2t0^3)
-    surd_margin = QuadExpr(Fraction((at.t2 - t0) * n - at.t2 * d, n), _ONE, at.rad_z)
+    surd_margin = QuadExpr.surd(Fraction((at.t2 - t0) * n - at.t2 * d, n), _ONE, at.rad_z)
     return _ray_record("z-interval-containment", at.t, c,
                        details={"z2_surd_margin_at_t0": surd_margin})
 
@@ -528,27 +527,22 @@ def pipeline_certs(c: RatLike, t0: int = BINDING_T) -> tuple[bool, Fraction | No
     refuses a ``t0`` below 3.
     """
     c = _unit(c)
-
-    def refuted(margin, reason):
-        return False, None, [CertRecord("delta-positive", "refuted", margin,
-                                        details={"reason": reason})]
-
     radicand, slack, milli = _slack(c, t0)
-    if slack is None:
-        return refuted(radicand, "radicand not positive")
-    if milli is None:
-        return refuted(slack, "raw slack not positive")
-    if milli == 0:
-        return refuted(slack, "slack floors to zero at 3 decimals")
+    if not milli:
+        margin, reason = ((radicand, "radicand not positive") if slack is None
+                          else (slack, "raw slack not positive") if milli is None
+                          else (slack, "slack floors to zero at 3 decimals"))
+        return False, None, [_record(("delta-positive", "refuted", margin, (), (),
+                                      {"reason": reason}, None))]
     delta = Fraction(milli, 1000)
     records = [
-        CertRecord("delta-positive", "certified", slack, details={"delta_floor_milli": delta}),
-        n2_chain_cert(c, t0),
-        case1_cert(c, t0),
-        interval_containment_cert(c, t0),
-        g_positive_cert(c, delta, t0),
+        _record(("delta-positive", "certified", slack, (), (), {"delta_floor_milli": delta}, None)),
+        n2 := n2_chain_cert(c, t0),
+        case1 := case1_cert(c, t0),
+        interval := interval_containment_cert(c, t0),
+        g := g_positive_cert(c, delta, t0),
     ]
-    feasible = {r.status for r in records} == {"certified"}
+    feasible = n2.status == case1.status == interval.status == g.status == "certified"
     return feasible, delta, records
 
 

@@ -123,6 +123,15 @@ class QuadExpr(Value):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
 
+    @classmethod
+    def surd(cls, p: Fraction, q: Fraction, s: Fraction) -> "QuadExpr":
+        """p + q*sqrt(s) from Fractions with q != 0 and s > 0, set without ``__init__``'s checks."""
+        out = object.__new__(cls)
+        _set_p(out, p)
+        _set_q(out, q)
+        _set_s(out, s)
+        return out
+
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}.
 
@@ -273,13 +282,13 @@ def frac_str(x: RatLike) -> str:
 
 
 @lru_cache(maxsize=32)  # bounded, since the degree is the caller's; a scan uses degrees 1 to 4
-def _shift_steps(n: int) -> tuple[int, ...]:
-    """The steps of Horner's synthetic division at degree n: step j sets s[j] += a * s[j+1].
+def _shift_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """The steps of Horner's synthetic division at degree n: step (j, j+1) sets s[j] += a * s[j+1].
 
     Pass i = 0..n-1 runs j from n-1 down to i, n(n+1)/2 steps in all; the
     nested loops become one flat loop over this tuple.
     """
-    return tuple(j for i in range(n) for j in range(n - 1, i - 1, -1))
+    return tuple((j, j + 1) for i in range(n) for j in range(n - 1, i - 1, -1))
 
 
 class Poly(Value):
@@ -297,23 +306,22 @@ class Poly(Value):
     def __init__(self, coeffs: Iterable[RatLike]):
         cs = [c if type(c) is int else as_rat(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
-        self._set([c.numerator * (den // c.denominator) for c in cs], den)
-
-    def _set(self, num: Sequence[int], den: int) -> None:
-        g = gcd(den, *num)
-        num = tuple(num) if g == 1 else tuple([n // g for n in num])
-        while num and num[-1] == 0:
-            num = num[:-1]
-        _set_num(self, num)
-        _set_den(self, den // g)
+        p = Poly.over([c.numerator * (den // c.denominator) for c in cs], den)
+        _set_num(self, p.num)
+        _set_den(self, p.den)
 
     @classmethod
     def over(cls, num: Sequence[int], den: int) -> "Poly":
         """The polynomial sum(num[i] t^i)/den of integers, normalised; den must be positive."""
         if den <= 0:
             raise ValueError("denominator must be positive")
+        g = gcd(den, *num)
+        num = tuple(num) if g == 1 else tuple([n // g for n in num])
+        while num and num[-1] == 0:
+            num = num[:-1]
         out = object.__new__(cls)
-        out._set(num, den)
+        _set_num(out, num)
+        _set_den(out, den // g)
         return out
 
     @property
@@ -384,8 +392,8 @@ class Poly(Value):
         a, b = t0.as_integer_ratio() if type(t0) is Fraction else _num_den(t0)
         n = len(num) - 1
         s = list(num) if b == 1 else [c * b ** (n - i) for i, c in enumerate(num)]
-        for j in _shift_steps(n):
-            s[j] += a * s[j + 1]
+        for j, k in _shift_steps(n):
+            s[j] += a * s[k]
         if b == 1:
             # a shift by an integer is unimodular: it keeps the gcd and the leading coefficient
             out = object.__new__(Poly)
@@ -426,9 +434,11 @@ class PolyRayResult(namedtuple("PolyRayResult", "positive poly t0 method shifted
 
 
 #: Builders that skip a Python-level step: a PolyRayResult from the tuple of its fields
-#: (no namedtuple ``__new__``), and the setters of Poly's two slots (no ``object.__setattr__``).
+#: (no namedtuple ``__new__``), and the setters of the slots of Poly and QuadExpr (no
+#: ``object.__setattr__``).
 _ray_result = partial(tuple.__new__, PolyRayResult)
 _set_num, _set_den = Poly.num.__set__, Poly.den.__set__
+_set_p, _set_q, _set_s = QuadExpr.p.__set__, QuadExpr.q.__set__, QuadExpr.s.__set__
 
 
 def poly_positive_on_ray(p: Poly, t0: RatLike) -> PolyRayResult:
@@ -437,12 +447,12 @@ def poly_positive_on_ray(p: Poly, t0: RatLike) -> PolyRayResult:
     Exact and sound, not complete: a shift with a negative coefficient but a
     positive constant term is ``"undecided"``.
     """
-    if not p.num:
-        raise ValueError("zero polynomial")
     if type(t0) is not Fraction:
         t0 = as_rat(t0)
     shifted = p.shift(t0)
     num = shifted.num
+    if not num:
+        raise ValueError("zero polynomial")
     # den > 0, so the numerators carry the signs; the constant term is p(t0)
     if num[0] <= 0:
         return _ray_result((False, p, t0, "endpoint", shifted, t0))

@@ -62,13 +62,8 @@ def ray_record(id, claims, t0, side=(), margin=None, **fields) -> CertRecord:
 
 def n2_chain_cert(c, t0: int = 3) -> CertRecord:
     c, t0 = unit(c), binding(t0)
-    details = {
-        "two_t2p3_sq_at_t0": TWO_T2P3_SQ(t0),
-        "lhs_at_t0": TWO_T2P3_SQ.scale(1 - c)(t0),
-        "rhs_at_t0": Fraction(4 * t0 + 1),
-    }
     return ray_record("n2-chain", [TWO_T2P3_SQ.scale(1 - c) - FracPoly([1, 4])], t0,
-                      details=details)
+                      details={"rhs_at_t0": Fraction(4 * t0 + 1)})
 
 
 def ceiling_with_cert(kmin: int) -> tuple[Fraction, CertRecord]:
@@ -91,8 +86,7 @@ def case1_cert(c, t0: int = 3) -> CertRecord:
     c, t0 = unit(c), binding(t0)
     lhs = TWO_T2P3_SQ.scale(1 - c)
     rhs = TWO_T_MINUS_1 * TWO_T_MINUS_1
-    return ray_record("case1-hodge", [lhs - rhs], t0,
-                      details={"lhs_at_t0": lhs(t0), "rhs_at_t0": rhs(t0)})
+    return ray_record("case1-hodge", [lhs - rhs], t0, details={"rhs_at_t0": rhs(t0)})
 
 
 def interval_containment_cert(c, t0: int = 3) -> CertRecord:

@@ -1,6 +1,7 @@
 """The constants pipeline: slack derivation, inequality certificates, grid scan."""
 
 import random
+from contextlib import suppress
 from fractions import Fraction
 from math import floor
 
@@ -128,8 +129,8 @@ class TestN2Chain:
     def test_reproduces_chain_value(self):
         # (1-c) * 2 * ((k+1)^2+3)^2 at k = 2 with 1-c = 113/1000
         rec = n2_chain_cert(C)
-        assert rec.details["two_t2p3_sq_at_t0"] == 288
-        assert rec.details["lhs_at_t0"] == Fraction(113, 1000) * 288 == Fraction(4068, 125)
+        lhs = rec.margin + rec.details["rhs_at_t0"]
+        assert lhs == Fraction(113, 1000) * 288 == Fraction(4068, 125)
 
     def test_refuted_near_one(self):
         rec = n2_chain_cert(Fraction(999, 1000))
@@ -145,7 +146,8 @@ class TestCase1:
         assert rec.margin == Fraction(113, 1000) * 288 - 25 == Fraction(943, 125)
 
     def test_chain_lhs_value(self):
-        assert case1_cert(C).details["lhs_at_t0"] == Fraction(4068, 125)  # 32.544
+        rec = case1_cert(C)
+        assert rec.margin + rec.details["rhs_at_t0"] == Fraction(4068, 125)  # 32.544
 
     def test_threshold_between_ceiling_and_default(self):
         # the constraint flips between 913/1000 and 914/1000; in particular it
@@ -445,30 +447,42 @@ class TestScanWork:
     Every grid point whose slack floors above zero decides 8 ray claims, each
     by one Taylor shift, and the default scan makes 68 such points plus the 6
     claims of its three records that do not depend on the grid: 550 in all.
-    A change that skips or repeats a shift fails here.
+    A change that skips or repeats a shift fails here.  Each point also calls
+    ``_slack`` and the four public certificates whose spans the benchmark's
+    tracer times, so a point that stops calling one of them fails here too.
+    A scan calls ``_slack`` twice more, through ``delta_raw`` in
+    ``lhs_increasing_cert`` and ``standard_discrepancies``.
     """
+
+    CERTS = ("n2_chain_cert", "case1_cert", "interval_containment_cert", "g_positive_cert")
 
     @pytest.fixture
     def calls(self, monkeypatch):
         return count_calls(monkeypatch, [(constants, "pipeline_certs"),
                                          (constants, "poly_positive_on_ray"),
-                                         (exactmath.Poly, "shift")])
+                                         (exactmath.Poly, "shift"),
+                                         (constants, "_slack"),
+                                         *[(constants, name) for name in self.CERTS]])
+
+    def expected(self, points, rays, slacks):
+        return {"pipeline_certs": points, "poly_positive_on_ray": rays, "shift": rays,
+                "_slack": slacks, **dict.fromkeys(self.CERTS, points)}
 
     @pytest.mark.parametrize("c", [C, Fraction(888, 1000), Fraction(8879, 10000)])
     def test_one_point(self, calls, c):
         _, delta, _ = constants.pipeline_certs(c, 3)
         assert delta > 0
-        assert calls == {"pipeline_certs": 1, "poly_positive_on_ray": 8, "shift": 8}
+        assert calls == self.expected(1, 8, 1)
 
     def test_default_scan(self, calls):
         assert c_max_search().scanned == 68
-        assert calls == {"pipeline_certs": 68, "poly_positive_on_ray": 550, "shift": 550}
+        assert calls == self.expected(68, 550, 70)
 
     # the two fine-grid rungs of the benchmark's ladder that scan the most points
     @pytest.mark.parametrize("kmin, points, rays", [(2, 664, 5318), (3, 495, 3966)])
     def test_fine_grid_scan(self, calls, kmin, points, rays):
         assert c_max_search(Fraction(1, 10000), kmin).scanned == points
-        assert calls == {"pipeline_certs": points, "poly_positive_on_ray": rays, "shift": rays}
+        assert calls == self.expected(points, rays, points + 2)
 
 
 class TestOneClaimFormat:
@@ -501,7 +515,7 @@ class TestOneClaimFormat:
         assert calls == dict.fromkeys(self.ARITHMETIC, 0)
 
     def test_every_row_is_a_claim_of_a_certificate(self):
-        decided = {name for claims, side, _ in constants._CERTS.values() for name in claims + side}
+        decided = {name for claims, _, _ in constants._CERTS.values() for name, _ in claims}
         assert set(constants._CLAIMS) - decided == set()
 
 
@@ -509,16 +523,24 @@ class TestDetailsRestateNothing:
     """No ``details`` value of a record restates another field of the same record.
 
     A value restates a field when it equals, in type and value, the record's
-    margin, a ray's t0 or value at t0, or a ray's polynomial or its negation.
+    margin, a ray's t0 or value at t0, or a ray's polynomial or its negation,
+    or the margin plus or minus another numeric detail of the record.
     """
 
     @staticmethod
     def restated(rec) -> list[str]:
-        fields = [rec.margin]
+        # (the detail a field is derived from, or None; the field)
+        fields = [(None, rec.margin)]
         for ray in rec.polys:
-            fields += [ray.t0, ray.value_at_t0, ray.poly, -ray.poly]
+            fields += [(None, f) for f in (ray.t0, ray.value_at_t0, ray.poly, -ray.poly)]
+        numbers = (Fraction, QuadExpr)
+        if isinstance(rec.margin, numbers):
+            for other, x in rec.details.items():
+                if isinstance(x, numbers):
+                    with suppress(ValueError):  # two surds of different radicands do not add
+                        fields += [(other, rec.margin + x), (other, rec.margin - x)]
         return [key for key, value in rec.details.items()
-                if any((type(value), value) == (type(f), f) for f in fields)]
+                if any(src != key and (type(value), value) == (type(f), f) for src, f in fields)]
 
     def records(self):
         """The records of the golden's calls, and the ceilings it does not hold."""
@@ -566,7 +588,7 @@ class TestNoUndecidedClaims:
         row = (((13,), (-7,), (1,)), 0)
         monkeypatch.setitem(constants._CLAIMS, "undecided", row)
         monkeypatch.setitem(constants._TERMS, "undecided", constants._terms(*row))
-        monkeypatch.setitem(constants._CERTS, "undecided", (("undecided",), (), ()))
+        monkeypatch.setitem(constants._CERTS, "undecided", constants._row(("undecided",)))
         rec = constants._ray_record("undecided", 3)
         assert rec.status == "undecided" and not rec.certified
         assert (rec.margin, rec.counterexample) == (1, None)

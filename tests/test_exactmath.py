@@ -100,6 +100,16 @@ class TestQuadArithmetic:
         e = (QuadExpr(-3, Fraction(3, 2), 5) * 2) + 6
         assert (e.p, e.q, e.s) == (0, 3, 5)
 
+    def test_surd_is_the_checked_constructor_on_its_domain(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            p, q, s = (Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(3))
+            q, s = q or Fraction(1), abs(s) or Fraction(2)  # q != 0, s > 0
+            e = QuadExpr.surd(p, q, s)
+            assert type(e) is QuadExpr and repr(e) == repr(QuadExpr(p, q, s))
+        with pytest.raises(AttributeError):
+            e.p = Fraction(0)
+
     def test_bounds_contain_value(self):
         e = QuadExpr(1, 2, 7)
         lo, hi = e.bounds(9)
