@@ -62,28 +62,18 @@ def _bound_fields(ses_sq: Fraction | None) -> dict:
     return {**_exact_fields("seshadri_lower_sq", ses_sq), "seshadri_lower_approx": root}
 
 
-#: json's two-character escapes; any other character outside " " to "~" is written \uXXXX
-_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
-                 "\t": "\\t"}
-
-
-def _json_char(ch: str) -> str:
-    if ch in _JSON_ESCAPES or " " <= ch <= "~":
-        return _JSON_ESCAPES.get(ch, ch)
-    code = ord(ch)
-    if code > 0xFFFF:  # a surrogate pair, as json writes a character beyond the BMP
-        code -= 0x10000
-        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-    return f"\\u{code:04x}"
-
-
 def _json(value, indent: str = "") -> str:
     """``value`` (dicts with str keys, lists or tuples, str, int, bool and None) in the
-    bytes of ``json.dumps(value, indent=2)``, nested at ``indent``: a tuple as an array."""
+    bytes of ``json.dumps(value, indent=2)``, nested at ``indent``: a tuple as an array.
+
+    Every string the program writes is its own, printable ASCII without ``"`` or ``\\``,
+    which ``json`` writes as it is; any other string is a bug, refused with an
+    ``AssertionError``, which ``main`` does not turn into exit 2.
+    """
     if isinstance(value, str):
         if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
             return f'"{value}"'
-        return f'"{"".join(map(_json_char, value))}"'
+        raise AssertionError(f"a string that the JSON writer does not escape: {value!r}")
     if value is None or isinstance(value, bool):  # before int: a bool is an int
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):

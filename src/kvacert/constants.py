@@ -221,7 +221,7 @@ def _slack(c: Fraction, t0: int) -> tuple[Fraction, QuadExpr | None, int | None]
     radicand = Fraction(r, d * f2)
     if r <= 0:
         return radicand, None, None
-    slack = QuadExpr.surd(at.minus_t, Fraction(t0 * d, n), radicand)
+    slack = QuadExpr(at.minus_t, Fraction(t0 * d, n), radicand)
     z, w = d * r, n * at.f
     if z <= w * w:
         return radicand, slack, None
@@ -241,6 +241,12 @@ def delta_raw_at(c: RatLike, t0: int) -> QuadExpr:
 def delta_raw(c: RatLike) -> QuadExpr:
     """The slack surd at the binding case t = 3 (minimality in t is certified separately)."""
     return delta_raw_at(c, BINDING_T)
+
+
+#: The slack at c = 887/1000 and t = 3, and f(3) = sqrt(radicand)/c, the factor of the slack
+#: t*(f(t) - 1): derived once, for ``lhs_increasing_cert`` and ``standard_discrepancies``.
+_SLACK_DEFAULT = delta_raw(C_MAX_DEFAULT)
+_F3 = QuadExpr(0, 1 / C_MAX_DEFAULT, _SLACK_DEFAULT.s)
 
 
 #: Every ray claim: name -> (rows, den), the claim sum(rows[i] t^i)/x_den.
@@ -434,15 +440,12 @@ def lhs_increasing_cert() -> CertRecord:
     which is done exactly: f(3) lies in (1.0593, 1.0595) at c = 887/1000,
     and the slack itself exceeds 178/1000 there.
     """
-    c = C_MAX_DEFAULT
-    slack = delta_raw(c)
-    f3 = QuadExpr(0, 1 / c, slack.s)
-    f3_lo = f3.cmp_rat(Fraction(10593, 10000)) > 0
-    f3_hi = f3.cmp_rat(Fraction(10595, 10000)) < 0
-    slack_above = slack.cmp_rat(DELTA_DEFAULT) > 0
+    f3_lo = _F3.cmp_rat(Fraction(10593, 10000)) > 0
+    f3_hi = _F3.cmp_rat(Fraction(10595, 10000)) < 0
+    slack_above = _SLACK_DEFAULT.cmp_rat(DELTA_DEFAULT) > 0
     record = _ray_record(
-        "lhs-increasing", BINDING_T, margin=slack - DELTA_DEFAULT,
-        details={"f3": f3, "f3_bracket": (Fraction(10593, 10000), Fraction(10595, 10000))},
+        "lhs-increasing", BINDING_T, margin=_SLACK_DEFAULT - DELTA_DEFAULT,
+        details={"f3": _F3, "f3_bracket": (Fraction(10593, 10000), Fraction(10595, 10000))},
     )
     return record if f3_lo and f3_hi and slack_above else record._replace(status="refuted")
 
@@ -489,7 +492,7 @@ def interval_containment_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:
     c, at = _unit(c), _at(t0)
     n, d = c.as_integer_ratio()
     # z_2(t0) - t0^2/c with z_2(t0) = t0^2 - t0 + sqrt(t0^4 - 2t0^3)
-    surd_margin = QuadExpr.surd(Fraction((at.t2 - t0) * n - at.t2 * d, n), _ONE, at.rad_z)
+    surd_margin = QuadExpr(Fraction((at.t2 - t0) * n - at.t2 * d, n), _ONE, at.rad_z)
     return _ray_record("z-interval-containment", at.t, c,
                        details={"z2_surd_margin_at_t0": surd_margin})
 
@@ -610,7 +613,6 @@ def standard_discrepancies() -> list[Discrepancy]:
     z2p_3 = QuadExpr(5, 1, 27)  # z_2'(3) = 5 + 27/sqrt(27) = 5 + sqrt(27)
     z1p_3 = QuadExpr(5, -1, 27)  # z_1'(3) = 5 - sqrt(27)
     threshold_3 = 9 / c  # (1/c) t^2 at t = 3
-    f3 = QuadExpr(0, 1 / c, delta_raw(c).s)
 
     value_main = z2_3 - threshold_3
     alt_deriv = z2p_3 - threshold_3
@@ -636,8 +638,8 @@ def standard_discrepancies() -> list[Discrepancy]:
         Discrepancy(
             id="f-argument",
             quoted="f(2) is approximately 1.0594",
-            recomputed=f"f(3) = {f3.approx_str()} (the binding argument is t = 3)",
-            exact=f3,
+            recomputed=f"f(3) = {_F3.approx_str()} (the binding argument is t = 3)",
+            exact=_F3,
             note="Index slip: the evaluation is at the binding t = 3, not t = 2.",
         ),
         Discrepancy(

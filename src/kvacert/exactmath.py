@@ -35,6 +35,7 @@ from functools import lru_cache, partial
 from math import gcd, isqrt, lcm
 
 RatLike = Fraction | int | str
+_ZERO = Fraction(0)
 
 
 def as_rat(x: RatLike) -> Fraction:
@@ -50,20 +51,15 @@ def as_rat(x: RatLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _num_den(x: RatLike) -> tuple[int, int]:
-    return (x if type(x) is int or type(x) is Fraction else as_rat(x)).as_integer_ratio()
-
-
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sqrt_bounds(s: Fraction, digits: int) -> tuple[Fraction, Fraction]:
-    """Rational bracket lo <= sqrt(s) < hi with hi - lo <= 10**-digits."""
-    n, d = s.numerator, s.denominator
-    scale = 10**digits
-    a = isqrt(n * d * scale * scale)
-    den = d * scale
+def _sqrt_bounds(s: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational bracket lo <= sqrt(s) < hi with hi - lo <= 10**-12."""
+    n, d = s.as_integer_ratio()
+    den = d * 10**12
+    a = isqrt(n * d * 10**24)
     return Fraction(a, den), Fraction(a + 1, den)
 
 
@@ -113,24 +109,19 @@ class QuadExpr(Value):
 
     __slots__ = ("p", "q", "s")
 
-    def __init__(self, p: RatLike, q: RatLike = Fraction(0), s: RatLike = Fraction(0)) -> None:
-        p, q, s = as_rat(p), as_rat(q), as_rat(s)
+    def __init__(self, p: RatLike, q: RatLike = _ZERO, s: RatLike = _ZERO) -> None:
+        """A Fraction is taken as it is, anything else through :func:`as_rat`; a zero q or s
+        sets both to 0, and a negative s is refused."""
+        p = p if type(p) is Fraction else as_rat(p)
+        q = q if type(q) is Fraction else as_rat(q)
+        s = s if type(s) is Fraction else as_rat(s)
         if s.numerator < 0:
             raise ValueError(f"negative radicand: {s}")
         if not q.numerator or not s.numerator:
-            q, s = Fraction(0), Fraction(0)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "s", s)
-
-    @classmethod
-    def surd(cls, p: Fraction, q: Fraction, s: Fraction) -> "QuadExpr":
-        """p + q*sqrt(s) from Fractions with q != 0 and s > 0, set without ``__init__``'s checks."""
-        out = object.__new__(cls)
-        _set_p(out, p)
-        _set_q(out, q)
-        _set_s(out, s)
-        return out
+            q = s = _ZERO
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_s(self, s)
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}.
@@ -207,11 +198,11 @@ class QuadExpr(Value):
         """Exact sign of self - r."""
         return (self - as_rat(r)).sign()
 
-    def bounds(self, digits: int = 12) -> tuple[Fraction, Fraction]:
-        """Rational bracket lo <= value <= hi with width <= |q| * 10**-digits."""
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        """Rational bracket lo <= value <= hi with width <= |q| * 10**-12."""
         if self.q == 0:
             return self.p, self.p
-        lo_s, hi_s = _sqrt_bounds(self.s, digits)
+        lo_s, hi_s = _sqrt_bounds(self.s)
         a, b = self.p + self.q * lo_s, self.p + self.q * hi_s
         return (a, b) if a <= b else (b, a)
 
@@ -234,10 +225,10 @@ class QuadExpr(Value):
             root = -root - (root * root != z)
         return (a + root) // (p.denominator * qd_sd)
 
-    def approx_str(self, places: int = 6) -> str:
-        """Decimal rendering to `places` digits (approximate, display only)."""
-        lo, hi = self.bounds(places + 6)
-        return decimal_str((lo + hi) / 2, places)
+    def approx_str(self) -> str:
+        """Decimal rendering to 6 places (approximate, display only)."""
+        lo, hi = self.bounds()
+        return decimal_str((lo + hi) / 2)
 
     def __str__(self) -> str:
         if self.q == 0:
@@ -258,16 +249,12 @@ def quad_floor_milli(e: QuadExpr) -> Fraction:
     return Fraction(n, 1000)
 
 
-def decimal_str(x: RatLike, places: int = 6) -> str:
-    """Fixed-point decimal string of a rational, rounded half away from zero."""
+def decimal_str(x: RatLike) -> str:
+    """Fixed-point decimal string of a rational to 6 places, rounded half away from zero."""
     x = as_rat(x)
-    sign = "-" if x < 0 else ""
-    scaled = abs(x) * 10**places
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    if 2 * r >= scaled.denominator:
-        q += 1
-    digits = str(q).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    n, d = abs(x).as_integer_ratio()
+    q = (2 * 10**6 * n + d) // (2 * d)  # floor(|x| * 10**6 + 1/2)
+    return f"{'-' if x < 0 else ''}{q // 10**6}.{q % 10**6:06d}"
 
 
 def frac_str(x: RatLike) -> str:
@@ -335,7 +322,7 @@ class Poly(Value):
     def __call__(self, t: RatLike) -> Fraction:
         if self.is_zero:
             return Fraction(0)
-        a, b = _num_den(t)
+        a, b = as_rat(t).as_integer_ratio()
         # homogeneous Horner: sum num[i] a^i b^(n-i), over den * b^n
         acc, bk = self.num[-1], 1
         for c in reversed(self.num[:-1]):
@@ -389,7 +376,7 @@ class Poly(Value):
         num = self.num
         if not num:
             return self
-        a, b = t0.as_integer_ratio() if type(t0) is Fraction else _num_den(t0)
+        a, b = as_rat(t0).as_integer_ratio()
         n = len(num) - 1
         s = list(num) if b == 1 else [c * b ** (n - i) for i, c in enumerate(num)]
         for j, k in _shift_steps(n):

@@ -100,21 +100,32 @@ class TestQuadArithmetic:
         e = (QuadExpr(-3, Fraction(3, 2), 5) * 2) + 6
         assert (e.p, e.q, e.s) == (0, 3, 5)
 
-    def test_surd_is_the_checked_constructor_on_its_domain(self):
+    def test_constructor_coerces_and_normalises(self):
         rng = random.Random(37)
         for _ in range(200):
             p, q, s = (Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(3))
-            q, s = q or Fraction(1), abs(s) or Fraction(2)  # q != 0, s > 0
-            e = QuadExpr.surd(p, q, s)
-            assert type(e) is QuadExpr and repr(e) == repr(QuadExpr(p, q, s))
-        with pytest.raises(AttributeError):
-            e.p = Fraction(0)
+            s = abs(s)
+            e = QuadExpr(p, q, s)
+            assert all(type(x) is Fraction for x in (e.p, e.q, e.s))
+            assert e == QuadExpr(str(p), str(q), str(s))
+            if p.denominator == 1:
+                assert e == QuadExpr(p.numerator, q, s)
+            if q == 0 or s == 0:  # a zero q or s zeroes both
+                assert (e.q, e.s) == (0, 0) and e == QuadExpr(p)
+        assert QuadExpr(3, 0, 5) == QuadExpr("3", 2, "0") == QuadExpr(Fraction(3))
+        assert repr(QuadExpr(1, 1, 2)) == (
+            "QuadExpr(p=Fraction(1, 1), q=Fraction(1, 1), s=Fraction(2, 1))")
+        for s in (-1, "-1/2", Fraction(-3, 7)):
+            with pytest.raises(ValueError, match="negative radicand"):
+                QuadExpr(1, 1, s)
+        with pytest.raises(TypeError):
+            QuadExpr(1, 0.5, 2)
 
     def test_bounds_contain_value(self):
         e = QuadExpr(1, 2, 7)
-        lo, hi = e.bounds(9)
+        lo, hi = e.bounds()
         assert e.cmp_rat(lo) >= 0 and e.cmp_rat(hi) <= 0
-        assert hi - lo <= Fraction(2, 10**9)
+        assert 0 < hi - lo <= Fraction(2, 10**12)
 
 
 class TestPolyPositiveOnRay:
@@ -218,8 +229,20 @@ class TestPolyAlgebra:
 class TestRendering:
     def test_decimal_six_places(self):
         assert decimal_str(Fraction(1, 3)) == "0.333333"
-        assert decimal_str(Fraction(-1, 8), 3) == "-0.125"
+        assert decimal_str(Fraction(-1, 8)) == "-0.125000"
         assert decimal_str(Fraction(15, 10**7)) == "0.000002"  # half away from zero
+        assert decimal_str(Fraction(-15, 10**7)) == "-0.000002"
+        assert decimal_str(-12345678) == "-12345678.000000"
+
+    def test_decimal_agrees_with_divmod_rounding(self):
+        # the rendering it replaced: divmod, then one up when the remainder is half or more
+        rng = random.Random(61)
+        for _ in range(5000):
+            x = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**7))
+            scaled = abs(x) * 10**6
+            q, r = divmod(scaled.numerator, scaled.denominator)
+            digits = str(q + (2 * r >= scaled.denominator)).rjust(7, "0")
+            assert decimal_str(x) == f"{'-' if x < 0 else ''}{digits[:-6]}.{digits[-6:]}"
 
     def test_frac_str_always_has_denominator(self):
         assert frac_str(Fraction(36)) == "36/1"
