@@ -23,8 +23,6 @@ The package's modules import one another in one direction:
 ``exactmath`` <- ``hyperell``, ``constants`` <- ``blowup`` <- ``cli``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction

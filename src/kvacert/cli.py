@@ -21,8 +21,6 @@ rows as they are, and ``--surface`` and ``--formula`` choose from its ids and
 cap, with a plain ``ValueError``, and ``main`` turns every ``ValueError`` into exit 2.
 """
 
-from __future__ import annotations
-
 import errno
 import os
 import sys

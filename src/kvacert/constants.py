@@ -42,8 +42,6 @@ The verdict on one instance of the theorem, which checks the Seshadri bound
 against the constants certified here, is :func:`kvacert.blowup.certify_instance`.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
@@ -340,12 +338,13 @@ def _ray_record(id: str, t0: RatLike, c: Fraction | None = None, delta: Fraction
     """The record of "every claim and side claim of ``_CERTS[id]`` is positive on [t0, oo)".
 
     ``polys`` holds the ray certificates of the claims, then of the side claims,
-    all decided in one pass.  The record is certified if every one is positive,
-    undecided if one is left undecided, and refuted otherwise.  Unless given,
-    the margin is the last claim at t0, read off its certificate: the shifted
-    polynomial's constant term is p(t0), so no claim is evaluated twice.  The
-    counterexample is that of the first claim that fails, and the side
-    conditions are a fresh list of the texts, or () if there are none.
+    all decided in one pass.  The record is certified if every one is positive
+    (method ``"shift-coeffs"``), undecided if one is left undecided, and refuted
+    otherwise.  Unless given, the margin is the last claim at t0, read off its
+    certificate: the shifted polynomial's constant term is p(t0), so no claim is
+    evaluated twice.  The counterexample is t0 if a claim, not a side claim, is
+    the first to fail and is refuted at its endpoint; the side conditions are
+    the row's texts.
     """
     claims, last, texts = _CERTS[id]
     rays = []
@@ -353,16 +352,13 @@ def _ray_record(id: str, t0: RatLike, c: Fraction | None = None, delta: Fraction
     for i, (name, fixed) in enumerate(claims):
         ray = poly_positive_on_ray(fixed or _claim(name, c, delta), t0)
         rays.append(ray)
-        if not ray.positive:
-            if status == "certified" and i <= last:
-                counterexample = ray.counterexample
-            if ray.method == "undecided":
-                status = "undecided"
-            elif status == "certified":
-                status = "refuted"
+        if ray.method == "undecided":
+            status = "undecided"
+        elif ray.method == "endpoint" and status == "certified":
+            status, counterexample = "refuted", ray.t0 if i <= last else None
     if margin is None:
         margin = rays[last].value_at_t0
-    return _record((id, status, margin, rays, texts and list(texts), details, counterexample))
+    return _record((id, status, margin, rays, texts, details, counterexample))
 
 
 def n2_chain_cert(c: RatLike, t0: int = BINDING_T) -> CertRecord:

@@ -19,14 +19,14 @@ Three layers live here:
   its Taylor shift (integer synthetic division) run on ints.  The one
   certificate is the shift p(t0 + u): nonnegative coefficients with a
   positive constant term prove positivity, a constant term p(t0) <= 0
-  refutes it, and anything else is left undecided, never certified.
+  refutes it, and anything else is left undecided, never certified.  A
+  :class:`PolyRayResult` is the claim, t0, the method that names which of
+  these three readings applies, and the shift: the verdict is the method.
 
 ``QuadExpr`` and ``Poly``, like the package's other value types, build on
 :class:`Value`: immutable ``__slots__`` classes compared by field value.
 The package's records are ``collections.namedtuple`` subclasses.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -390,29 +390,26 @@ class Poly(Value):
         return Poly.over([c * b**j for j, c in enumerate(s)], self.den * b**n)
 
 
-class PolyRayResult(namedtuple("PolyRayResult", "positive poly t0 method shifted counterexample",
-                                defaults=(None,))):
+class PolyRayResult(namedtuple("PolyRayResult", "poly t0 method shifted")):
     """Outcome of a strict-positivity query "p(t) > 0 for all t >= t0".
 
     ``shifted`` is the certificate, the Taylor shift u -> p(t0 + u), and
-    ``method`` names which of its three readings decided the query:
+    ``method`` names which of its three readings decided the query.  The
+    method alone is the verdict; no other field restates it:
 
     * ``"shift-coeffs"``: every shifted coefficient is nonnegative and the
-      constant term p(t0) is positive, so p > 0 on the ray (``positive``);
+      constant term p(t0) is positive, so p > 0 on the ray;
     * ``"endpoint"``: the constant term p(t0) is <= 0, so the claim is
-      refuted at ``counterexample`` = t0;
+      refuted at t0;
     * ``"undecided"``: p(t0) > 0 but some shifted coefficient is negative.
-      ``positive`` is False and the claim is never certified; no
-      counterexample is claimed either.
+      The claim is neither certified nor refuted.
     """
 
     __slots__ = ()
-    positive: bool
     poly: Poly
     t0: Fraction
     method: str
     shifted: Poly
-    counterexample: Fraction | None
 
     @property
     def value_at_t0(self) -> Fraction:
@@ -442,7 +439,7 @@ def poly_positive_on_ray(p: Poly, t0: RatLike) -> PolyRayResult:
         raise ValueError("zero polynomial")
     # den > 0, so the numerators carry the signs; the constant term is p(t0)
     if num[0] <= 0:
-        return _ray_result((False, p, t0, "endpoint", shifted, t0))
+        return _ray_result((p, t0, "endpoint", shifted))
     if min(num) >= 0:
-        return _ray_result((True, p, t0, "shift-coeffs", shifted, None))
-    return _ray_result((False, p, t0, "undecided", shifted, None))
+        return _ray_result((p, t0, "shift-coeffs", shifted))
+    return _ray_result((p, t0, "undecided", shifted))

@@ -11,8 +11,6 @@ The canonical class is numerically trivial on these surfaces, so it never
 appears explicitly.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .exactmath import Value

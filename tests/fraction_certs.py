@@ -49,15 +49,16 @@ def binding(t0: int) -> int:
 
 def ray_record(id, claims, t0, side=(), margin=None, **fields) -> CertRecord:
     rays = [poly_positive_on_ray(Poly(p.coeffs), t0) for p in (*claims, *side)]
-    if all(ray.positive for ray in rays):
+    if all(ray.method == "shift-coeffs" for ray in rays):
         status = "certified"
     elif any(ray.method == "undecided" for ray in rays):
         status = "undecided"
     else:
         status = "refuted"
-    failed = next((ray for ray in rays[: len(claims)] if not ray.positive), None)
+    failed = next((ray for ray in rays[: len(claims)] if ray.method != "shift-coeffs"), None)
     return CertRecord(id, status, claims[-1](t0) if margin is None else margin, rays,
-                      counterexample=failed.counterexample if failed else None, **fields)
+                      counterexample=failed.t0 if failed and failed.method == "endpoint" else None,
+                      **fields)
 
 
 def n2_chain_cert(c, t0: int = 3) -> CertRecord:
@@ -105,12 +106,12 @@ def interval_containment_cert(c, t0: int = 3) -> CertRecord:
     surd_margin = z2_at_t0 - t0q * t0q / c
     return ray_record(
         "z-interval-containment", [z1_cleared, z2_quad], t0, side=[z1_lhs, rhs, RAD_Z],
-        side_conditions=[
+        side_conditions=(
             "t^2 - t - 1 > 0 on the ray (z_1 comparison squared legitimately)",
             "((1-c)/c) t^2 + t > 0 on the ray (z_2 comparison squared legitimately)",
             "t^4 - 2t^3 >= 0 on the ray (radicand defined)",
             "t^2 > 0 (common factor removed from the z_2 form)",
-        ],
+        ),
         details={"z2_surd_margin_at_t0": surd_margin},
     )
 

@@ -222,13 +222,13 @@ def test_certificates_reevaluate():
     rng = random.Random(1789)
     for rec in _positive_certificates():
         for ray in rec.polys:
-            if ray.positive:
+            if ray.method == "shift-coeffs":
                 for _ in range(100):
                     t = ray.t0 + Fraction(rng.randint(0, 10**6), rng.randint(1, 10**3))
                     assert ray.poly(t) > 0
             else:
-                assert ray.counterexample is not None
-                assert ray.poly(ray.counterexample) <= 0
+                assert ray.method == "endpoint"
+                assert ray.poly(ray.t0) <= 0
 
     # symbolic expansion oracle for the z1-decrease cleared form, coefficients
     # frozen from the hand expansion of (2t-1)^2(t^4-2t^3) - (2t^3-3t^2)^2

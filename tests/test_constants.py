@@ -524,7 +524,8 @@ class TestDetailsRestateNothing:
 
     A value restates a field when it equals, in type and value, the record's
     margin, a ray's t0 or value at t0, or a ray's polynomial or its negation,
-    or the margin plus or minus another numeric detail of the record.
+    or the margin plus or minus another numeric detail of the record.  Nor is
+    a ray record's side conditions a copy: it is its ``_CERTS`` row's tuple.
     """
 
     @staticmethod
@@ -557,6 +558,12 @@ class TestDetailsRestateNothing:
 
     def test_no_detail_restates_its_record(self):
         assert [(rec.id, key) for rec in self.records() for key in self.restated(rec)] == []
+
+    def test_side_conditions_are_the_rows_texts(self):
+        rays = [rec for rec in self.records() if rec.id in constants._CERTS]
+        assert all(rec.side_conditions is constants._CERTS[rec.id][2] for rec in rays)
+        assert {rec.id for rec in rays if rec.side_conditions} == {
+            "z-interval-containment", "z1-decreasing", "lhs-increasing"}
 
 
 class TestNoUndecidedClaims:
@@ -593,7 +600,7 @@ class TestNoUndecidedClaims:
         assert rec.status == "undecided" and not rec.certified
         assert (rec.margin, rec.counterexample) == (1, None)
         [claim] = rec.polys
-        assert (claim.positive, claim.method) == (False, "undecided")
+        assert claim.method == "undecided"
         assert claim.shifted == Poly([1, -1, 1])
 
 

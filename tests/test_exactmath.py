@@ -7,6 +7,7 @@ import pytest
 
 from kvacert.exactmath import (
     Poly,
+    PolyRayResult,
     QuadExpr,
     as_rat,
     decimal_str,
@@ -129,22 +130,25 @@ class TestQuadArithmetic:
 
 
 class TestPolyPositiveOnRay:
+    def test_result_is_claim_t0_method_and_shift(self):
+        # the method is the verdict: no field restates it
+        assert PolyRayResult._fields == ("poly", "t0", "method", "shifted")
+
     def test_quadratic_from_root_comparison(self):
         # (t^2-t-1)^2 vs t^4-2t^3 clears to t^2-2t-1; positive from t = 3 on
         res = poly_positive_on_ray(Poly([-1, -2, 1]), 3)
-        assert res.positive and res.method == "shift-coeffs"
+        assert res.method == "shift-coeffs"
         # p(3+u) = u^2 + 4u + 2, expanded by hand
         assert res.shifted == Poly([2, 4, 1])
 
     def test_negative_cubic_refuted_at_endpoint(self):
         res = poly_positive_on_ray(Poly([0, 0, 0, -2]), 3)
-        assert not res.positive
-        assert res.counterexample == 3
-        assert res.method == "endpoint" and res.shifted == Poly([-54, -54, -18, -2])
+        assert (res.method, res.t0) == ("endpoint", 3)
+        assert res.shifted == Poly([-54, -54, -18, -2])
 
     def test_monomial(self):
         res = poly_positive_on_ray(Poly([0, 1]), 1)
-        assert res.positive
+        assert res.method == "shift-coeffs"
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -154,29 +158,29 @@ class TestPolyPositiveOnRay:
         # t^2 - 6t + 10 has no real roots but a negative shifted coefficient at 0
         p = Poly([10, -6, 1])
         res = poly_positive_on_ray(p, 0)
-        assert (res.positive, res.method, res.counterexample) == (False, "undecided", None)
+        assert res.method == "undecided"
         assert res.shifted == p  # the certificate is carried even when it decides nothing
         assert poly_positive_on_ray(p, 3).method == "shift-coeffs"  # p(3+u) = u^2 + 1
 
     def test_dip_between_two_roots_is_undecided(self):
         # (t-2)(t-4): positive at 0, dips negative on (2, 4); no counterexample is claimed
         res = poly_positive_on_ray(Poly([8, -6, 1]), 0)
-        assert (res.positive, res.method, res.counterexample) == (False, "undecided", None)
+        assert res.method == "undecided"
 
     def test_irrational_root_counterexample(self):
         # t^2 - 10: first root sqrt(10), refutation point beyond it
         p = Poly([-10, 0, 1])
         res = poly_positive_on_ray(p, 1)
-        assert not res.positive
-        assert p(res.counterexample) <= 0
+        assert res.method == "endpoint"
+        assert p(res.t0) <= 0
 
     def test_root_counting(self):
         # (t-2)(t-4) has two roots above 0, one above 3 and none above 5
         p = Poly([8, -6, 1])
         assert poly_positive_on_ray(p, 0).method == "undecided"  # p(0) > 0, u coefficient < 0
-        assert [poly_positive_on_ray(p, t0).positive for t0 in (0, 3, 4, 5)] == [
-            False, False, False, True]
-        assert poly_positive_on_ray(p, 4 + Fraction(1, 1000)).positive
+        assert [poly_positive_on_ray(p, t0).method for t0 in (0, 3, 4, 5)] == [
+            "undecided", "endpoint", "endpoint", "shift-coeffs"]
+        assert poly_positive_on_ray(p, 4 + Fraction(1, 1000)).method == "shift-coeffs"
 
     def test_verdicts_never_contradicted_by_dense_sampling(self):
         # sampling can only refute a positivity claim, never confirm one
@@ -194,10 +198,10 @@ class TestPolyPositiveOnRay:
                 if p(t) <= 0:
                     sampled_nonpositive = t
                     break
-            if res.positive:
+            if res.method == "shift-coeffs":
                 assert sampled_nonpositive is None
-            elif res.counterexample is not None:
-                assert p(res.counterexample) <= 0
+            elif res.method == "endpoint":
+                assert p(res.t0) <= 0
 
 
 class TestPolyAlgebra:

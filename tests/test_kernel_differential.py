@@ -56,15 +56,21 @@ def of_degree(n: int):
 
 def ray_result(p: Poly, t0: Fraction) -> tuple:
     r = poly_positive_on_ray(p, t0)
-    return r.positive, r.method, r.shifted.coeffs, r.counterexample
+    return r.method, r.t0, r.shifted.coeffs
 
 
 def oracle_ray_result(f: FracPoly, t0: Fraction) -> tuple:
-    """The Fraction kernel's result, with a Sturm decision read as ``undecided``."""
+    """The Fraction kernel's result, with a Sturm decision read as ``undecided``.
+
+    Any other decision is positive exactly when it is ``shift-coeffs``, and has a
+    counterexample, namely t0, exactly when it is ``endpoint``.
+    """
     positive, method, _, point, _ = positive_on_ray(f, t0)
     if method == "sturm":
-        positive, method, point = False, "undecided", None
-    return positive, method, f.shift(t0).coeffs, point
+        method = "undecided"
+    else:
+        assert (positive, point) == ((True, None) if method == "shift-coeffs" else (False, t0))
+    return method, t0, f.shift(t0).coeffs
 
 
 class TestPolyAgainstFractionKernel:
@@ -131,9 +137,9 @@ class TestPolyAgainstFractionKernel:
         for cs, t0 in cases:
             result = ray_result(Poly(cs), Fraction(t0))
             assert result == oracle_ray_result(FracPoly(cs), Fraction(t0))
-            methods.add((result[0], result[1]))
+            methods.add(result[0])
             oracle_methods.add(positive_on_ray(FracPoly(cs), Fraction(t0))[:2])
-        assert methods == {(True, "shift-coeffs"), (False, "endpoint"), (False, "undecided")}
+        assert methods == {"shift-coeffs", "endpoint", "undecided"}
         # both Sturm outcomes of the Fraction kernel map to undecided
         assert {(False, "sturm"), (True, "sturm")} <= oracle_methods
 

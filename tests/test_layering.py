@@ -158,7 +158,8 @@ def test_constants_imports_only_exactmath():
 def test_no_module_imports_typing_or_dataclasses():
     # typing's NamedTuple costs a few hundred microseconds per class at import, and a
     # dataclass generates and compiles its methods at every import; argparse, with its
-    # gettext and locale, costs a process about 6 ms, and cli has a parser of its own
+    # gettext and locale, costs a process about 6 ms, and cli has a parser of its own;
+    # every annotation evaluates at definition time, so no module needs __future__
     imported = []
     for module, tree in TREES.items():
         for node in ast.walk(tree):
@@ -169,7 +170,8 @@ def test_no_module_imports_typing_or_dataclasses():
             else:
                 continue
             imported += [f"{module}:{node.lineno}: {name}" for name in names
-                         if name.partition(".")[0] in {"typing", "dataclasses", "argparse"}]
+                         if name.partition(".")[0] in {"typing", "dataclasses", "argparse",
+                                                       "__future__"}]
     assert imported == []
 
 
